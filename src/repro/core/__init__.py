@@ -7,7 +7,7 @@ Sec. 3.3 performance campaigns (``campaign``), and the Table 1 / Fig. 4
 statistics (``stats``).
 """
 
-from .app import FlowTriggerApp
+from .app import FlowTriggerApp, TriggerApp
 from .campaign import CampaignResult, run_campaign, use_case_by_name
 from .sanitize import SanitizeResult, campaign_trace, sanitize_campaign
 from .functions import (
@@ -39,6 +39,7 @@ from .tools import (
 
 __all__ = [
     "FlowTriggerApp",
+    "TriggerApp",
     "CampaignResult",
     "run_campaign",
     "use_case_by_name",

@@ -60,8 +60,11 @@ class CampaignResult:
     use_case: UseCaseSpec
     duration_s: float
     testbed: Testbed
-    #: The trigger application: a :class:`FlowTriggerApp` in file mode,
-    #: a :class:`~repro.stream.StreamIngestApp` in stream mode.
+    #: The trigger application (a :class:`~repro.core.app.TriggerApp`):
+    #: a :class:`FlowTriggerApp` launching flow runs in file mode, a
+    #: :class:`~repro.stream.StreamIngestApp` launching stream sessions
+    #: in stream mode.  Its ``records`` back :attr:`runs` /
+    #: :attr:`stream_sessions`.
     app: Any
     copier: FileCopier
     #: The composed flow definition (file mode; None in stream mode).

@@ -35,15 +35,18 @@ __all__ = [
     "golden_filename",
     "read_golden",
     "record_all",
+    "stream_outcome",
     "write_golden",
 ]
 
 #: The shipped campaign set the bit-identity gate covers: both Sec. 3.3
 #: use cases clean, plus one chaos scenario, for three seeds and both
-#: same-tick tie-breaks.  Each spec is ``(kind, use_case, seed,
-#: tiebreak)`` where ``kind`` is ``"campaign"`` or a chaos scenario name.
-GOLDEN_SPECS: tuple[tuple[str, str, int, str], ...] = tuple(
-    (kind, uc, seed, tiebreak)
+#: same-tick tie-breaks, all on the file path; then the streaming path
+#: clean and under the three scenarios that exercise it.  Each spec is
+#: ``(kind, use_case, seed, tiebreak, ingest)`` where ``kind`` is
+#: ``"campaign"`` or a chaos scenario name.
+GOLDEN_SPECS: tuple[tuple[str, str, int, str, str], ...] = tuple(
+    (kind, uc, seed, tiebreak, "file")
     for kind, uc in (
         ("campaign", "hyperspectral"),
         ("campaign", "spatiotemporal"),
@@ -51,11 +54,54 @@ GOLDEN_SPECS: tuple[tuple[str, str, int, str], ...] = tuple(
     )
     for seed in (1, 2, 3)
     for tiebreak in ("fifo", "lifo")
+) + tuple(
+    (kind, uc, 1, "fifo", "stream")
+    for kind, uc in (
+        ("campaign", "hyperspectral"),
+        ("campaign", "spatiotemporal"),
+        ("degraded-net", "hyperspectral"),
+        ("full-storm", "hyperspectral"),
+        ("corruption", "hyperspectral"),
+    )
 )
 
 
-def golden_filename(kind: str, use_case: str, seed: int, tiebreak: str) -> str:
-    return f"{kind}-{use_case}-s{seed}-{tiebreak}.json.gz"
+def golden_filename(
+    kind: str, use_case: str, seed: int, tiebreak: str, ingest: str = "file"
+) -> str:
+    prefix = "" if ingest == "file" else f"{ingest}-"
+    return f"{prefix}{kind}-{use_case}-s{seed}-{tiebreak}.json.gz"
+
+
+def stream_outcome(res: Any) -> dict[str, Any]:
+    """A stream campaign's observable results: every session's terminal
+    record, the quarantine dead-letter and the indexed subjects."""
+    sessions = [
+        {
+            "session_id": s.session_id,
+            "path": s.path,
+            "status": s.status,
+            "error": s.error,
+            "created_at": s.created_at,
+            "analysis_done_at": s.analysis_done_at,
+            "published_at": s.published_at,
+            "chunks_sent": s.chunks_sent,
+            "naks": s.naks,
+            "retransmits": s.retransmits,
+            "renegotiations": s.renegotiations,
+            "duplicates": s.duplicates,
+        }
+        for s in res.stream_sessions
+    ]
+    quarantined = (
+        [] if res.ledger is None else [q.to_dict() for q in res.ledger.quarantined]
+    )
+    hits = res.testbed.portal_index.query(limit=len(res.testbed.portal_index))
+    return {
+        "sessions": sessions,
+        "quarantined": quarantined,
+        "indexed": sorted(hits.subjects()),
+    }
 
 
 def capture_golden(
@@ -63,6 +109,7 @@ def capture_golden(
     use_case: str,
     seed: int,
     tiebreak: str,
+    ingest: str = "file",
     duration_s: float = 3600.0,
 ) -> dict[str, Any]:
     """Run one shipped campaign and capture its full fingerprint."""
@@ -80,6 +127,7 @@ def capture_golden(
             tiebreak=tiebreak,
             obs=True,
             trace=True,
+            ingest=ingest,
         )
         breakdown = None
     else:
@@ -91,8 +139,9 @@ def capture_golden(
             obs=True,
             tiebreak=tiebreak,
             trace=True,
+            ingest=ingest,
         )
-        breakdown = delivery_breakdown(res)
+        breakdown = delivery_breakdown(res) if ingest == "file" else None
     recorder = res.trace
     assert recorder is not None
     spans_text = spans_to_jsonl(res.testbed.obs.tracer.spans)
@@ -106,11 +155,15 @@ def capture_golden(
         },
         "events": recorder.lines,
         "campaign_trace": campaign_trace(res),
-        "table1": asdict(res.table1()),
-        "fig4": fig4_samples(res.runs),
         "n_spans": len(res.testbed.obs.tracer.spans),
         "spans_sha256": hashlib.sha256(spans_text.encode("utf-8")).hexdigest(),
     }
+    if ingest == "file":
+        payload["table1"] = asdict(res.table1())
+        payload["fig4"] = fig4_samples(res.runs)
+    else:
+        payload["meta"]["ingest"] = ingest
+        payload.update(stream_outcome(res))
     if breakdown is not None:
         payload["breakdown"] = breakdown
     return payload
@@ -135,9 +188,9 @@ def record_all(directory: str) -> list[str]:
     """Capture every :data:`GOLDEN_SPECS` entry into ``directory``."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    for kind, use_case, seed, tiebreak in GOLDEN_SPECS:
-        payload = capture_golden(kind, use_case, seed, tiebreak)
-        path = os.path.join(directory, golden_filename(kind, use_case, seed, tiebreak))
+    for spec in GOLDEN_SPECS:
+        payload = capture_golden(*spec)
+        path = os.path.join(directory, golden_filename(*spec))
         write_golden(path, payload)
         written.append(path)
         print(f"recorded {path}: {len(payload['events'])} events")

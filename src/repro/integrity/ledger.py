@@ -170,6 +170,19 @@ class IntegrityLedger:
         finally:
             span.finish()
 
+    def is_open(self, mode: str, kind: str, path: str) -> bool:
+        """Whether ``path`` has a ``mode``/``kind`` detection that no
+        later repair healed (the audit's resolution rule)."""
+
+        def last(records: list[_Detection]) -> float:
+            return max(
+                (r.at for r in records
+                 if r.path == path and r.mode == mode and r.kind == kind),
+                default=-1.0,
+            )
+
+        return last(self.repairs) < last(self.detections)
+
     # -- quarantine ---------------------------------------------------------
     def quarantine(self, path: str, reason: str) -> Optional[QuarantineRecord]:
         """Dead-letter ``path`` with its chain.  Idempotent: a record

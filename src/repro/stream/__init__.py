@@ -14,9 +14,11 @@ measured head-to-head:
 * :class:`StreamReceiver` — compute-side: credit-window backpressure,
   exactly-once in-order reassembly, and the partial-data analysis
   trigger;
-* :class:`StreamIngestApp` — the application gluing sessions to the
-  compute service and search index (the flow-trigger app's
-  counterpart);
+* :class:`StreamIngestApp` — the shared trigger app
+  (:class:`~repro.core.app.TriggerApp`) with a stream launch: a session
+  per file, analysis on partial data, publication to search;
+* :func:`retry_outages` — the one outage-retry loop for the gated
+  control-plane calls (handshake, analysis submit, search publish);
 * :class:`StreamIngestActionProvider` — the flow-facing adapter.
 
 Campaigns select the path per flow with ``ingest="file" | "stream"``
@@ -26,7 +28,7 @@ this package present.
 
 from .ingest import StreamIngestApp
 from .provider import StreamIngestActionProvider
-from .publisher import StreamPublisher
+from .publisher import StreamPublisher, retry_outages
 from .receiver import StreamReceiver
 from .session import FrameChunk, StreamSession, chunk_sizes
 
@@ -38,4 +40,5 @@ __all__ = [
     "StreamReceiver",
     "StreamSession",
     "chunk_sizes",
+    "retry_outages",
 ]

@@ -1,139 +1,76 @@
-"""The streaming counterpart of the flow-trigger application.
+"""The streaming launch for the flow-trigger application.
 
-Where :class:`~repro.core.app.FlowTriggerApp` answers a new file by
-launching a three-step Gladier flow (transfer → analyze → publish,
-each polled with exponential backoff), :class:`StreamIngestApp` drives
-the fast path: open a publisher session the moment the file appears,
-submit the analysis to the compute service as soon as the first
-``threshold_chunks`` chunks have landed (in-flight analysis on partial
-data — no staging wait, no polling detection lag), and publish the
-result straight to the search index once both the analysis and the
+:class:`StreamIngestApp` is the shared
+:class:`~repro.core.app.TriggerApp` (checkpoint dedup, record subject,
+integrity chain, open-chain quarantine, completion callbacks) with the
+fast path as its launch: open a publisher session the moment the file
+appears, submit the analysis to the compute service as soon as the
+first ``threshold_chunks`` chunks have landed (in-flight analysis on
+partial data — no staging wait, no polling detection lag), and publish
+the result straight to the search index once both the analysis and the
 remaining chunks finish.
-
-Checkpoint dedup, the gated copier's completion callbacks, and the
-portal's search documents all behave exactly as in file mode, so the
-two ingest modes are comparable run for run.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Optional
+from typing import Any
 
 from ..compute import ComputeTaskStatus
-from ..errors import ComputeError, ServiceUnavailable
+from ..core.app import TriggerApp
+from ..errors import ServiceUnavailable
+from ..storage import VirtualFile
 from ..testbed import POLARIS_EP, PORTAL_INDEX, Testbed
-from ..watcher import CheckpointStore, FileCreatedEvent, SimObserver
-from .publisher import StreamPublisher
+from .publisher import StreamPublisher, retry_outages
 from .session import StreamSession
 
 __all__ = ["StreamIngestApp"]
 
+#: Attempts at each cloud call (analysis submit, search publish) before
+#: an outage fails the session.
+CLOUD_ATTEMPTS = 8
 
-class StreamIngestApp:
-    """Watches for new files and streams each to compute + search."""
+
+class StreamIngestApp(TriggerApp):
+    """Stream mode: one publisher session per file, to compute + search."""
 
     def __init__(
         self,
         testbed: Testbed,
         publisher: StreamPublisher,
         function_id: str,
-        checkpoint: Optional[CheckpointStore] = None,
-        dest_dir: str = "/picoprobe/data",
-        visible_to: tuple[str, ...] = ("public",),
-        max_attempts: int = 8,
-        backoff_initial_s: float = 1.0,
-        backoff_max_s: float = 30.0,
-        ledger: Any = None,
+        **kwargs: Any,
     ) -> None:
-        self.testbed = testbed
+        super().__init__(testbed, function_id, **kwargs)
         self.publisher = publisher
-        self.function_id = function_id
-        #: Integrity hook: a duck-typed
-        #: :class:`~repro.integrity.IntegrityLedger`.  When set,
-        #: sessions stream with per-chunk verification, attest the
-        #: ``streamed``/``analyzed`` chain hops, and pass the publish
-        #: gate — an open chain quarantines the record instead.
-        self.ledger = ledger
-        # Note: an empty store is falsy, so test for None explicitly.
-        self.checkpoint = checkpoint if checkpoint is not None else CheckpointStore()
-        self.dest_dir = dest_dir.rstrip("/")
-        self.visible_to = visible_to
-        self.max_attempts = int(max_attempts)
-        self.backoff_initial_s = float(backoff_initial_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.sessions: list[StreamSession] = []
-        self.skipped: int = 0
-        #: Callbacks fired when a session reaches a terminal state.
-        self.on_complete: list[Callable[[StreamSession], None]] = []
         self._by_id: dict[str, StreamSession] = {}
 
-    def attach(self, observer: SimObserver) -> None:
-        """Subscribe to a directory observer."""
-        observer.add_handler(self.handle_event)
+    @property
+    def sessions(self) -> list[StreamSession]:
+        return self.records
+
+    @property
+    def published_sessions(self) -> list[StreamSession]:
+        return [s for s in self.records if s.status == "PUBLISHED"]
 
     def session(self, session_id: str) -> StreamSession:
         """Look up a session by id (provider/status polling)."""
         return self._by_id[session_id]
 
-    # -- event handling ---------------------------------------------------
-    def handle_event(self, event: FileCreatedEvent) -> StreamSession | None:
-        """Open a stream session for a new EMD file (or skip)."""
-        if not event.is_emd:
-            return None
-        if event.virtual is None:
-            raise ComputeError(
-                "StreamIngestApp drives simulated campaigns; real-filesystem "
-                "events carry no metadata to analyze"
-            )
-        vf = event.virtual
-        if self.checkpoint.is_processed(vf.path, vf.checksum):
-            self.skipped += 1
-            return None
-        if self.ledger is not None:
-            subject = (
-                vf.metadata.acquisition_id if vf.metadata is not None else vf.checksum
-            )
-            self.ledger.begin(
-                vf.path, declared=vf.checksum, subject=subject,
-                at=self.testbed.env.now,
-            )
+    def _launch(self, vf: VirtualFile, subject: str, descriptor: dict) -> StreamSession:
+        # With a ledger, sessions stream with per-chunk verification
+        # against the declared digest.
         session = self.publisher.start(
             vf.path,
             vf.size_bytes,
             virtual=vf,
             digest=vf.checksum if self.ledger is not None else None,
         )
-        self.checkpoint.mark_processed(vf.path, vf.checksum)
-        self.sessions.append(session)
         self._by_id[session.session_id] = session
-        self.testbed.env.process(self._drive(session, vf))
         return session
 
-    # -- retry helper ------------------------------------------------------
-    def _with_retries(self, session: StreamSession, op: Callable[[], Any]):
-        """Run a gated cloud call, retrying through outage windows with
-        the gate's connect-timeout charge plus capped backoff.  Returns
-        the call's result, or raises after ``max_attempts``."""
-        attempt = 0
-        while True:
-            try:
-                return op()
-            except ServiceUnavailable as exc:
-                attempt += 1
-                if exc.connect_timeout_s > 0:
-                    yield self.testbed.env.timeout(exc.connect_timeout_s)
-                if attempt >= self.max_attempts:
-                    raise
-                delay = min(
-                    self.backoff_initial_s * (2.0 ** (attempt - 1)),
-                    self.backoff_max_s,
-                )
-                yield self.testbed.env.timeout(delay)
-
-    def _drive(self, session: StreamSession, vf: Any):
-        from ..core.functions import file_descriptor
-
+    def _follow(
+        self, session: StreamSession, vf: VirtualFile, subject: str, descriptor: dict
+    ):
         tb = self.testbed
         env = tb.env
         # The session root span; the publisher's ``stream.deliver`` span
@@ -156,18 +93,14 @@ class StreamIngestApp:
                 yield env.any_of([session.threshold, session.failed])
                 if not session.threshold.triggered:
                     return  # quarantined in the finally block
-            dest_path = f"{self.dest_dir}/{os.path.basename(vf.path)}"
-            descriptor = file_descriptor(vf, dest_path)
             analyze_span = tb.obs.tracer.start("stream.analyze", span)
             try:
-                task_id = yield from self._with_retries(
-                    session,
+                task_id = yield from retry_outages(
+                    env,
                     lambda: tb.compute.submit(
-                        tb.token,
-                        POLARIS_EP,
-                        self.function_id,
-                        file=descriptor,
+                        tb.token, POLARIS_EP, self.function_id, file=descriptor
                     ),
+                    CLOUD_ATTEMPTS,
                 )
                 session.analysis_started_at = env.now
                 # Publication needs the full acquisition on the node and
@@ -212,9 +145,6 @@ class StreamIngestApp:
 
             # 2. Publish straight to the portal index — gated on the
             # digest chain closing.
-            subject = (
-                vf.metadata.acquisition_id if vf.metadata is not None else vf.checksum
-            )
             if self.ledger is not None:
                 ok, reason = self.ledger.check_publishable(subject)
                 if not ok:
@@ -223,7 +153,17 @@ class StreamIngestApp:
                     return
             publish_span = tb.obs.tracer.start("stream.publish", span)
             try:
-                yield from self._publish_with_retries(session, subject, content)
+                yield from retry_outages(
+                    env,
+                    lambda: tb.search.ingest(
+                        tb.token,
+                        index=PORTAL_INDEX,
+                        subject=subject,
+                        content=content,
+                        visible_to=self.visible_to,
+                    ),
+                    CLOUD_ATTEMPTS,
+                )
             finally:
                 publish_span.finish()
             session.published_at = env.now
@@ -232,19 +172,15 @@ class StreamIngestApp:
             session.status = "FAILED"
             session.error = f"{type(exc).__name__}: {exc}"
         finally:
+            # Quarantine before ``done`` fires, so the session span
+            # carries the final status.
             try:
-                if self.ledger is not None and session.status != "PUBLISHED":
-                    # Dead-letter any record whose chain did not close —
-                    # whatever the failure path, it must never be indexed.
-                    chain = self.ledger.chain(vf.path)
-                    if chain is not None and not chain.closed:
-                        self.ledger.quarantine(
-                            vf.path,
-                            reason=session.error
-                            or f"stream session ended {session.status} "
-                            "with open chain",
-                        )
-                        session.status = "QUARANTINED"
+                if session.status != "PUBLISHED" and self._quarantine_open(
+                    vf.path,
+                    session.error
+                    or f"stream session ended {session.status} with open chain",
+                ):
+                    session.status = "QUARANTINED"
                 if self.ledger is not None:
                     span.set("naks", session.naks).set(
                         "retransmits", session.retransmits
@@ -255,39 +191,4 @@ class StreamIngestApp:
             finally:
                 span.finish()
             session.done.succeed(session)
-            for cb in list(self.on_complete):
-                cb(session)
-
-    def _publish_with_retries(self, session: StreamSession, subject: str, content: dict):
-        tb = self.testbed
-        attempt = 0
-        while True:
-            try:
-                yield from tb.search.ingest(
-                    tb.token,
-                    index=PORTAL_INDEX,
-                    subject=subject,
-                    content=content,
-                    visible_to=self.visible_to,
-                )
-                return
-            except ServiceUnavailable as exc:
-                attempt += 1
-                if exc.connect_timeout_s > 0:
-                    yield tb.env.timeout(exc.connect_timeout_s)
-                if attempt >= self.max_attempts:
-                    raise
-                delay = min(
-                    self.backoff_initial_s * (2.0 ** (attempt - 1)),
-                    self.backoff_max_s,
-                )
-                yield tb.env.timeout(delay)
-
-    # -- reporting ---------------------------------------------------------
-    @property
-    def completed_sessions(self) -> list[StreamSession]:
-        return [s for s in self.sessions if s.terminal]
-
-    @property
-    def published_sessions(self) -> list[StreamSession]:
-        return [s for s in self.sessions if s.status == "PUBLISHED"]
+            self._notify(session)

@@ -12,9 +12,9 @@ Fault model (the chaos hooks this subsystem reuses):
   stall chunk streams at zero rate; a chunk that misses its delivery
   timeout is withdrawn from the fabric
   (:meth:`~repro.net.NetworkFabric.abort`), the control channel is
-  re-established (handshake + capped exponential backoff), and sending
-  resumes from the receiver's acknowledged sequence number — the gap
-  renegotiation;
+  re-established (handshake, retried through :func:`retry_outages`),
+  and sending resumes from the receiver's acknowledged sequence number
+  — the gap renegotiation;
 * **control-plane outages** (a :class:`~repro.chaos.ServiceGate` on
   :attr:`StreamPublisher.gate`) reject new sessions and renegotiation
   handshakes, charging the gate's connect timeout, exactly like the
@@ -24,9 +24,11 @@ Fault model (the chaos hooks this subsystem reuses):
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from types import GeneratorType
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import EndpointError, ServiceUnavailable
+from ..flows.backoff import ExponentialBackoff
 from ..integrity.digest import chunk_digest, mangle
 from ..net import NetworkFabric
 from ..obs.metrics import NULL_METRICS
@@ -37,7 +39,37 @@ from ..units import MB
 from .receiver import StreamReceiver
 from .session import FrameChunk, StreamSession, chunk_sizes
 
-__all__ = ["StreamPublisher"]
+__all__ = ["OUTAGE_BACKOFF", "StreamPublisher", "retry_outages"]
+
+#: Waits between attempts at a gated control-plane call: 1 s doubling
+#: to a 30 s cap.
+OUTAGE_BACKOFF = ExponentialBackoff(initial=1.0, factor=2.0, max_interval=30.0)
+
+
+def retry_outages(
+    env: Environment, op: Callable[[], Any], max_attempts: Optional[int] = None
+) -> Generator:
+    """DES sub-process: call ``op`` until it gets through a control-plane
+    outage.  Each :class:`~repro.errors.ServiceUnavailable` charges the
+    gate's connect timeout, then waits the next :data:`OUTAGE_BACKOFF`
+    interval; the ``max_attempts``-th failure (``None``: never) is
+    re-raised.  An ``op`` returning a generator is driven as a
+    sub-process inside the retry.  Use as
+    ``result = yield from retry_outages(env, op)``.
+    """
+    delays = OUTAGE_BACKOFF.intervals()
+    for attempt in itertools.count(1):
+        try:
+            result = op()
+            if isinstance(result, GeneratorType):
+                result = yield from result
+            return result
+        except ServiceUnavailable as exc:
+            if exc.connect_timeout_s > 0:
+                yield env.timeout(exc.connect_timeout_s)
+            if attempt == max_attempts:
+                raise
+            yield env.timeout(next(delays))
 
 
 class StreamPublisher:
@@ -80,8 +112,6 @@ class StreamPublisher:
         chunk_timeout_s: float = 30.0,
         handshake_s: float = 0.05,
         handshake_sigma: float = 0.2,
-        backoff_initial_s: float = 1.0,
-        backoff_max_s: float = 30.0,
         abort_poll_s: float = 0.05,
         efficiency: float = 1.0,
         max_retransmits: int = 4,
@@ -99,8 +129,6 @@ class StreamPublisher:
         self.chunk_timeout_s = float(chunk_timeout_s)
         self.handshake_s = float(handshake_s)
         self.handshake_sigma = float(handshake_sigma)
-        self.backoff_initial_s = float(backoff_initial_s)
-        self.backoff_max_s = float(backoff_max_s)
         self.abort_poll_s = float(abort_poll_s)
         self.efficiency = float(efficiency)
         #: NAK'd retransmits allowed per sequence number before the
@@ -203,26 +231,14 @@ class StreamPublisher:
         rng = self.rngs.stream("stream.handshake")
         return lognormal_from_median(rng, self.handshake_s, self.handshake_sigma)
 
-    def _handshake(self, session: StreamSession) -> Generator:
+    def _handshake(self) -> Generator:
         """(Re-)establish the control channel, retrying through outages
-        with capped exponential backoff."""
-        attempt = 0
-        while True:
-            try:
-                if self.gate is not None:
-                    self.gate.check(self.env.now)
-            except ServiceUnavailable as exc:
-                if exc.connect_timeout_s > 0:
-                    yield self.env.timeout(exc.connect_timeout_s)
-                delay = min(
-                    self.backoff_initial_s * (2.0 ** attempt), self.backoff_max_s
-                )
-                attempt += 1
-                yield self.env.timeout(delay)
-                continue
-            if self.handshake_s > 0:
-                yield self.env.timeout(self._handshake_jitter())
-            return
+        without limit."""
+        yield from retry_outages(
+            self.env, lambda: self.gate is None or self.gate.check(self.env.now)
+        )
+        if self.handshake_s > 0:
+            yield self.env.timeout(self._handshake_jitter())
 
     def _run(self, session: StreamSession, sizes: "list[float]", parent_span: Any):
         receiver = self.receiver
@@ -234,7 +250,7 @@ class StreamPublisher:
             .set("chunks", session.total_chunks)
         )
         try:
-            yield from self._handshake(session)
+            yield from self._handshake()
             seq = 0
             while seq < session.total_chunks:
                 yield receiver.credit(session)
@@ -273,7 +289,7 @@ class StreamPublisher:
                                 "stream.renegotiations"
                             )
                         self._m_renegotiations.inc()
-                        yield from self._handshake(session)
+                        yield from self._handshake()
                         # Resume from the receiver's acknowledged gap
                         # pointer.
                         seq = receiver.ack(session)

@@ -324,7 +324,10 @@ class TransferService:
                                 return
                         dst.vfs.copy_in(source_file, task.dest_path, now=self.env.now)
                         if self.ledger is not None:
-                            if any("checksum mismatch" in f for f in task.faults):
+                            # Heal any wire detection still open for this
+                            # path — including one left by an earlier task
+                            # the flow's retry policy resubmitted.
+                            if self.ledger.is_open("file", "wire", task.source_path):
                                 self.ledger.repair(
                                     "file", "wire", path=task.source_path
                                 )

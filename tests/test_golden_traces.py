@@ -10,6 +10,10 @@ campaign on the current code must reproduce every byte.
 (the trace hook disables ``_run_fast``), so a second set of untraced
 replays checks that the fast path lands on the same Table 1 / Fig. 4
 numbers — the two dispatch paths must be observably indistinguishable.
+
+Stream-mode goldens (``stream-*``) pin each session's terminal record,
+the quarantine list and the indexed subjects in place of Table 1 /
+Fig. 4, which stream campaigns do not produce.
 """
 
 from __future__ import annotations
@@ -24,15 +28,17 @@ from repro.core.goldens import (
     capture_golden,
     golden_filename,
     read_golden,
+    stream_outcome,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
-_IDS = [f"{k}-{uc}-s{seed}-{tb}" for k, uc, seed, tb in GOLDEN_SPECS]
+_PARAMS = ("kind", "use_case", "seed", "tiebreak", "ingest")
+_IDS = [golden_filename(*spec)[: -len(".json.gz")] for spec in GOLDEN_SPECS]
 
 
-def _load(kind: str, use_case: str, seed: int, tiebreak: str) -> dict:
-    path = os.path.join(GOLDEN_DIR, golden_filename(kind, use_case, seed, tiebreak))
+def _load(*spec) -> dict:
+    path = os.path.join(GOLDEN_DIR, golden_filename(*spec))
     assert os.path.exists(path), f"missing golden: {path}"
     return read_golden(path)
 
@@ -43,10 +49,10 @@ def test_golden_set_is_complete():
     assert recorded == expected
 
 
-@pytest.mark.parametrize(("kind", "use_case", "seed", "tiebreak"), GOLDEN_SPECS, ids=_IDS)
-def test_replay_is_bit_identical(kind, use_case, seed, tiebreak):
-    golden = _load(kind, use_case, seed, tiebreak)
-    replay = capture_golden(kind, use_case, seed, tiebreak)
+@pytest.mark.parametrize(_PARAMS, GOLDEN_SPECS, ids=_IDS)
+def test_replay_is_bit_identical(kind, use_case, seed, tiebreak, ingest):
+    golden = _load(kind, use_case, seed, tiebreak, ingest)
+    replay = capture_golden(kind, use_case, seed, tiebreak, ingest)
     # Compare the event trace first and with counts, so a divergence
     # fails with a readable position instead of a giant dict diff.
     g_events, r_events = golden["events"], replay["events"]
@@ -57,26 +63,32 @@ def test_replay_is_bit_identical(kind, use_case, seed, tiebreak):
 
 
 @pytest.mark.parametrize(
-    ("kind", "use_case", "seed", "tiebreak"),
+    _PARAMS,
     [spec for spec in GOLDEN_SPECS if spec[2] == 1],
     ids=[i for i in _IDS if "-s1-" in i],
 )
-def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak):
+def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
     """Untraced replays (fast dispatch path) land on the golden numbers."""
     from repro.chaos import delivery_breakdown, run_chaos_campaign
     from repro.core.campaign import run_campaign
     from repro.core.stats import fig4_samples
 
-    golden = _load(kind, use_case, seed, tiebreak)
+    golden = _load(kind, use_case, seed, tiebreak, ingest)
     if kind == "campaign":
         res = run_campaign(
-            use_case, duration_s=3600.0, seed=seed, tiebreak=tiebreak
+            use_case, duration_s=3600.0, seed=seed, tiebreak=tiebreak, ingest=ingest
         )
     else:
         res = run_chaos_campaign(
-            kind, use_case=use_case, duration_s=3600.0, seed=seed, tiebreak=tiebreak
+            kind, use_case=use_case, duration_s=3600.0, seed=seed,
+            tiebreak=tiebreak, ingest=ingest,
         )
-        assert delivery_breakdown(res) == golden["breakdown"]
     assert res.trace is None  # really the uninstrumented path
+    if ingest == "stream":
+        outcome = stream_outcome(res)
+        assert outcome == {k: golden[k] for k in outcome}
+        return
+    if kind != "campaign":
+        assert delivery_breakdown(res) == golden["breakdown"]
     assert asdict(res.table1()) == golden["table1"]
     assert fig4_samples(res.runs) == golden["fig4"]

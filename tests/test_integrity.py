@@ -261,6 +261,26 @@ def test_corruption_campaign_file_audit_zero_silent():
     assert report.latency_breakdown()["file"]["n"] > 0
 
 
+def test_flow_level_transfer_retry_repairs_the_wire_detection():
+    """A transfer task that exhausts its wire-fault attempts leaves its
+    checksum-mismatch detection open; the task the flow's retry policy
+    resubmits delivers verified bytes and must emit the repair."""
+    res = run_chaos_campaign("corruption", ingest="file", seed=11004, obs=True)
+    assert audit_spans(res.testbed.obs.tracer.spans).unresolved_paths == []
+
+
+def test_ledger_is_open_tracks_the_last_detection():
+    _, _, ledger = _ledger_world()
+    assert not ledger.is_open("file", "wire", "/a.emd")
+    ledger.detect("file", "wire", path="/a.emd")
+    assert ledger.is_open("file", "wire", "/a.emd")
+    assert not ledger.is_open("file", "wire", "/b.emd")
+    assert not ledger.is_open("stream", "wire", "/a.emd")
+    ledger.env.run(until=1.0)
+    ledger.repair("file", "wire", path="/a.emd")
+    assert not ledger.is_open("file", "wire", "/a.emd")
+
+
 def test_chaos_corruption_arms_publisher_and_receiver():
     res = run_chaos_campaign(
         "corruption", duration_s=300.0, seed=1, obs=True, ingest="stream"

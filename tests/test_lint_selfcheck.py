@@ -11,25 +11,34 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 import repro
 from repro.lint import Analyzer, Severity
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def test_repro_package_is_lint_clean():
-    diagnostics = Analyzer().lint_paths([PACKAGE_ROOT])
+@pytest.fixture(scope="module")
+def package_lint():
+    """One whole-package run shared by every test here (each costs ~4 s):
+    the analyzer, for its statistics, and its diagnostics."""
+    analyzer = Analyzer()
+    return analyzer, analyzer.lint_paths([PACKAGE_ROOT])
+
+
+def test_repro_package_is_lint_clean(package_lint):
+    _, diagnostics = package_lint
     errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
     assert not errors, "lint errors in src/repro:\n" + "\n".join(
         d.format() for d in errors
     )
 
 
-def test_repro_package_has_no_lifecycle_errors():
+def test_repro_package_has_no_lifecycle_errors(package_lint):
     # The R5xx pack specifically: every span is finished, every timer
     # cancelled or awaited, every temp file cleaned on failure paths.
-    analyzer = Analyzer()
-    diagnostics = analyzer.lint_paths([PACKAGE_ROOT])
+    _, diagnostics = package_lint
     lifecycle = [d for d in diagnostics if d.rule_id.startswith("R5")]
     assert not lifecycle, "resource-lifecycle findings:\n" + "\n".join(
         d.format() for d in lifecycle
@@ -49,9 +58,8 @@ def test_selfcheck_covers_the_whole_package():
     assert any(p.endswith(os.path.join("sim", "core.py")) for p in py_files)
 
 
-def test_selfcheck_reports_statistics():
-    analyzer = Analyzer()
-    analyzer.lint_paths([PACKAGE_ROOT])
+def test_selfcheck_reports_statistics(package_lint):
+    analyzer, _ = package_lint
     stats = analyzer.stats.as_dict()
     assert stats["files_total"] > 60
     assert stats["files_analyzed"] == stats["files_total"]
@@ -74,7 +82,7 @@ def test_rule_catalog_is_complete():
     assert {"N701", "N702", "N703", "N704", "N705"} <= set(catalog)
 
 
-def test_no_findings_beyond_committed_baseline():
+def test_no_findings_beyond_committed_baseline(package_lint):
     # The ratchet: *any* new finding — warning or error — must either be
     # fixed or explicitly accepted by regenerating LINT_BASELINE.json
     # (`python -m repro lint --write-baseline`, the documented escape
@@ -89,8 +97,7 @@ def test_no_findings_beyond_committed_baseline():
         "`PYTHONPATH=src python -m repro lint src/repro --write-baseline`"
     )
     baseline = Baseline.load(baseline_path)
-    diagnostics = Analyzer().lint_paths([PACKAGE_ROOT])
-    fresh, _suppressed = baseline.apply(diagnostics)
+    fresh, _suppressed = baseline.apply(package_lint[1])
     assert not fresh, (
         "new lint findings not in LINT_BASELINE.json (fix them, or "
         "accept with --write-baseline):\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import run_campaign
-from repro.errors import FlowError, StreamError
+from repro.errors import FlowError, ServiceUnavailable, StreamError
 from repro.flows import ActionState
 from repro.net import NetworkFabric, Topology
 from repro.obs import (
@@ -23,7 +23,7 @@ from repro.obs import (
     ingest_comparison,
 )
 from repro.sim import Environment
-from repro.stream import StreamPublisher, StreamReceiver, chunk_sizes
+from repro.stream import StreamPublisher, StreamReceiver, chunk_sizes, retry_outages
 from repro.units import MB, Gbps
 
 
@@ -53,6 +53,37 @@ def test_chunk_sizes_rejects_non_positive():
         chunk_sizes(0, MB(8))
     with pytest.raises(StreamError):
         chunk_sizes(MB(8), 0)
+
+
+# -- outage retries ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_attempts", [None, 8])
+def test_retry_outages_backoff_and_cap(max_attempts):
+    """Each failure charges the connect timeout, then waits 1, 2, 4, ...
+    seconds capped at 30; a capped retry re-raises its last failure."""
+    env = Environment()
+    calls: list[float] = []
+
+    def op():
+        calls.append(env.now)
+        if len(calls) <= 9:
+            raise ServiceUnavailable("down", connect_timeout_s=0.5)
+        return "ok"
+
+    def proc():
+        return (yield from retry_outages(env, op, max_attempts))
+
+    p = env.process(proc())
+    if max_attempts is None:
+        env.run()
+        assert p.value == "ok"
+        gaps = [b - a - 0.5 for a, b in zip(calls, calls[1:])]
+        assert gaps == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0, 30.0]
+    else:
+        with pytest.raises(ServiceUnavailable):
+            env.run()
+        assert len(calls) == max_attempts
 
 
 # -- backpressure ------------------------------------------------------------
