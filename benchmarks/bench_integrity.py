@@ -1,89 +1,19 @@
-"""Integrity subsystem cost + corruption-audit characterization.
+"""Corruption-audit characterization.
 
-Three claims to defend:
-
-* **disabled integrity is free** — a clean campaign run without an
-  integrity ledger (the default) builds none of the machinery: no
-  ledger, no integrity spans, no digest arithmetic on the chunk path
-  (bit-identity with the pre-integrity trace is the tier-1 golden
-  gate; this bench checks the structural half);
-* **enabled verification is cheap** — the same 800-chunk stream
-  delivery with per-chunk digests costs < 10% extra wall-clock;
-* **the audit closes** — a full corruption campaign ends with every
-  injected fault repaired or quarantined, zero silent acceptances.
+The claim to defend: a full corruption campaign ends with every
+injected fault repaired or quarantined, zero silent acceptances.
+(That disabled integrity builds no machinery is the tier-1
+``tests/test_integrity.py`` gate; what verification costs is carried by
+the end-to-end ``campaign-chaos`` workload in ``benchmarks/e2e``.)
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.bench import _stream_delivery_with_digests
-from repro.core import run_campaign
 from repro.integrity import format_audit, run_integrity_campaign
-from repro.obs import derive_integrity_events
 
 from conftest import report
 
 DURATION = 1800.0
-
-
-def _best_wall(fn, repeat: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_integrity_disabled_is_free(benchmark, output_dir):
-    result = benchmark(
-        lambda: run_campaign(
-            "hyperspectral",
-            duration_s=DURATION,
-            seed=1,
-            ingest="stream",
-            obs=True,
-        )
-    )
-    events = derive_integrity_events(result.testbed.obs.tracer.spans)
-    lines = [
-        f"ledger constructed: {result.ledger is not None}",
-        "integrity spans: "
-        + ", ".join(f"{k}={len(v)}" for k, v in sorted(events.items())),
-        f"sessions delivered: "
-        f"{sum(1 for s in result.app.sessions if s.status == 'PUBLISHED')}"
-        f"/{len(result.app.sessions)}",
-    ]
-    report("bench_integrity_disabled", lines, output_dir)
-    # No ledger, no spans, no failure events: the disabled path is the
-    # pre-integrity path (bit-identity itself is the tier-1 golden gate).
-    assert result.ledger is None
-    assert all(len(v) == 0 for v in events.values())
-    assert all(s.failed is None for s in result.app.sessions)
-
-
-def test_integrity_stream_overhead(benchmark, output_dir):
-    plain_fn = _stream_delivery_with_digests(50, 16, verified=False)
-    verified_fn = _stream_delivery_with_digests(50, 16, verified=True)
-    # Warm-up outside the timed region.
-    plain_fn()
-    verified_fn()
-
-    plain = _best_wall(plain_fn)
-    verified = _best_wall(verified_fn)
-    benchmark(verified_fn)
-
-    overhead = 100.0 * (verified - plain) / plain
-    lines = [
-        f"plain delivery (800 chunks):    {plain * 1e3:.1f} ms (best of 5)",
-        f"verified delivery (800 chunks): {verified * 1e3:.1f} ms (best of 5)",
-        f"per-chunk digest overhead: {overhead:+.1f}%",
-    ]
-    report("bench_integrity_overhead", lines, output_dir)
-    # The ISSUE gate: verification on the hot chunk path stays under
-    # 10% of plain delivery cost.
-    assert verified < plain * 1.10
 
 
 def test_corruption_campaign_audit(benchmark, output_dir):

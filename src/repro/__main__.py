@@ -33,9 +33,9 @@ Commands
 ``sweep``
     Run a grid of campaign variants across worker processes with a
     deterministic, submission-ordered merge (parallel == serial).
-``bench``
-    Time the substrate suites (kernel / fabric / campaign) and write
-    ``BENCH_*.json``; ``--check`` gates against the committed baselines.
+
+An unknown chaos scenario name (``chaos``, ``stream --scenario``,
+``integrity``, ``sweep --scenarios``) is a usage error: exit status 2.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .chaos import NO_CHAOS, SCENARIOS
+    from .chaos import NO_CHAOS, scenario
     from .core import run_campaign
     from .obs import (
         derive_runs,
@@ -246,15 +246,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ingest_comparison,
     )
 
-    plan = NO_CHAOS
-    if args.scenario is not None:
-        try:
-            plan = SCENARIOS[args.scenario]
-        except KeyError:
-            print(f"unknown chaos scenario {args.scenario!r} "
-                  f"(choices: {', '.join(sorted(SCENARIOS))})", file=sys.stderr)
-            return 2
-
+    plan = NO_CHAOS if args.scenario is None else scenario(args.scenario)
     results = {}
     for mode in ("file", "stream"):
         results[mode] = run_campaign(
@@ -313,19 +305,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core.sweep import run_sweep_cli
 
     return run_sweep_cli(args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import SUITES, run_bench_cli
-
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    return run_bench_cli(
-        suites,
-        output_dir=args.output_dir,
-        check=args.check,
-        baseline_dir=args.baseline_dir,
-        repeat=args.repeat,
-    )
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -492,27 +471,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser(
-        "bench", help="time the substrate suites and write/check BENCH_*.json"
-    )
-    p.add_argument(
-        "suite", nargs="?", default="all",
-        choices=[
-            "all", "kernel", "fabric", "campaign", "lint", "stream",
-            "integrity", "dataplane",
-        ],
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="compare against committed baselines instead of writing",
-    )
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("--baseline-dir", default=".")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(fn=_cmd_bench)
-
     args = parser.parse_args(argv)
-    return args.fn(args)
+    from .errors import ChaosError
+
+    try:
+        return args.fn(args)
+    except ChaosError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ is a pure function of its variant), variants can run in worker
     run_sweep(variants, jobs=8) == run_sweep(variants, jobs=1)
 
 payload for payload, regardless of which worker finished first.  That
-equality is the parallel runner's correctness gate: it is asserted by
-the test suite and re-checked by ``python -m repro bench``.
+equality is the parallel runner's correctness gate, asserted by
+``tests/test_sweep.py``.
 
 ``python -m repro sweep`` is the CLI: by default it runs the chaos
 scenario grid (every named scenario x seeds) and prints one line per

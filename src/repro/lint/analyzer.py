@@ -338,7 +338,7 @@ def _collect_hotpath_lines(source: str) -> frozenset[int]:
 
 
 class LintStats:
-    """Per-run accounting for ``--statistics`` and the bench suite."""
+    """Per-run accounting for ``--statistics``."""
 
     __slots__ = ("files_analyzed", "files_cached", "rule_counts",
                  "taint_recomputed")

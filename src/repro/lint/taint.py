@@ -1119,8 +1119,8 @@ def build_taint_index(
     are served from the cache when the file's content hash matches —
     the global resolution phase (cheap token algebra, no AST walking)
     always runs.  ``TaintIndex.recomputed`` counts the modules whose
-    local phase actually ran; the bench suite asserts it stays at zero
-    on a warm tree.
+    local phase actually ran; ``tests/test_lint_cli.py`` asserts it
+    stays at zero on a warm tree (via ``--statistics``).
     """
     index = TaintIndex()
     for path in sorted(sources):

@@ -2,14 +2,10 @@
 
 Pre-vectorization per-frame / per-peak code paths, kept verbatim as the
 *numeric ground truth* for the batched implementations in
-:mod:`.detection`, :mod:`.hyperspectral`, and :mod:`.video`:
-
-* ``tests/test_dataplane_identity.py`` asserts the vectorized outputs
-  are bit-for-bit equal to these across seeds;
-* ``repro bench dataplane`` times both and reports the speedup.
-
-They are not exported from the package and must not be used by product
-code.
+:mod:`repro.analysis.detection`, :mod:`repro.analysis.hyperspectral`,
+and :mod:`repro.analysis.video`: ``tests/test_dataplane_identity.py``
+asserts the vectorized outputs are bit-for-bit equal to these across
+seeds.  They live with the tests, outside the shipped package.
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose
@@ -21,10 +17,10 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from ..instrument.xray import ELEMENT_LINES
-from .detection import Detection, DetectorParams
-from .hyperspectral import ElementHit
-from .metrics import Box, iou_matrix
+from repro.analysis.detection import Detection, DetectorParams
+from repro.analysis.hyperspectral import ElementHit
+from repro.analysis.metrics import Box, iou_matrix
+from repro.instrument.xray import ELEMENT_LINES
 
 
 def _center_inside_loops(inner: Box, outer: Box) -> bool:

@@ -2,14 +2,10 @@
 
 These are the pre-vectorization per-frame / per-pixel code paths, kept
 verbatim as the *numeric ground truth* for the batched implementations
-in :mod:`.spatiotemporal` and :mod:`.phantoms`:
-
-* ``tests/test_dataplane_identity.py`` asserts the vectorized outputs
-  are bit-for-bit equal to these across seeds;
-* ``repro bench dataplane`` times both and reports the speedup.
-
-They are not exported from the package and must not be used by product
-code.
+in :mod:`repro.instrument.spatiotemporal` and
+:mod:`repro.instrument.phantoms`: ``tests/test_dataplane_identity.py``
+asserts the vectorized outputs are bit-for-bit equal to these across
+seeds.  They live with the tests, outside the shipped package.
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose
@@ -18,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phantoms import Particle
-from .spatiotemporal import MovieSpec, simulate_trajectories
+from repro.instrument.phantoms import Particle
+from repro.instrument.spatiotemporal import MovieSpec, simulate_trajectories
 
 
 def render_frame_loops(

@@ -44,3 +44,20 @@ def test_requires_command():
 def test_rejects_unknown_use_case():
     with pytest.raises(SystemExit):
         main(["campaign", "tomography"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "bogus"],
+        ["integrity", "bogus"],
+        ["stream", "--scenario", "bogus"],
+        ["sweep", "--scenarios", "bogus"],
+    ],
+    ids=["chaos", "integrity", "stream", "sweep"],
+)
+def test_unknown_chaos_scenario_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown scenario" in captured.err and "bogus" in captured.err
+    assert captured.out == ""

@@ -2,10 +2,10 @@
 
 Every batched implementation is checked bit-for-bit (``array_equal`` on
 float64 output, ``==`` on dataclass lists) against its frozen pre-PR
-loop reference in ``instrument/_loops.py`` / ``analysis/_loops.py``,
-across seeds.  No tolerance is used anywhere: the vectorizations were
-chosen so float accumulation order is preserved exactly, and this suite
-is what keeps that true.
+loop reference in ``tests/instrument_loops.py`` /
+``tests/analysis_loops.py``, across seeds.  No tolerance is used
+anywhere: the vectorizations were chosen so float accumulation order is
+preserved exactly, and this suite is what keeps that true.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import _loops as aloops
 from repro.analysis.detection import BlobDetector, Detection, DetectorParams, nms
 from repro.analysis.hyperspectral import identify_elements
 from repro.analysis.video import _movie_bounds
-from repro.instrument import _loops as iloops
 from repro.instrument.phantoms import Particle, particle_mask
 from repro.instrument.spatiotemporal import MovieSpec, generate_movie
 from repro.instrument.xray import ELEMENT_LINES
+
+from tests import analysis_loops as aloops
+from tests import instrument_loops as iloops
 
 SEEDS = (0, 1, 2)
 

@@ -201,6 +201,7 @@ def test_clean_campaign_has_no_ledger_or_integrity_spans():
     assert res.ledger is None
     events = derive_integrity_events(res.testbed.obs.tracer.spans)
     assert all(len(v) == 0 for v in events.values())
+    assert all(s.failed is None for s in res.app.sessions)
 
 
 def test_integrity_on_clean_campaign_publishes_closed_chains():

@@ -4,10 +4,12 @@ formats, exit codes, and the fail-on threshold."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.__main__ import main as repro_main
+from repro.lint import cli as lint_cli
 from repro.lint.cli import main as lint_main
 
 
@@ -105,10 +107,21 @@ def test_repro_main_lint_subcommand(dirty_tree, capsys):
     assert "D101" in capsys.readouterr().out
 
 
-def test_repro_main_lint_defaults_to_package_and_is_clean(capsys):
-    # The shipped tree is the acceptance criterion: zero errors.
-    assert repro_main(["lint", "--fail-on", "error"]) == 0
-    capsys.readouterr()
+def test_default_lint_target_is_the_package_root():
+    import repro
+
+    expected = os.path.dirname(os.path.abspath(repro.__file__))
+    assert lint_cli._default_target() == expected
+
+
+def test_repro_main_lint_without_paths_lints_the_default_target(
+    dirty_tree, monkeypatch, capsys
+):
+    # Cleanliness of the shipped tree itself is test_lint_selfcheck's job;
+    # here only the no-paths wiring is under test.
+    monkeypatch.setattr(lint_cli, "_default_target", lambda: str(dirty_tree))
+    assert repro_main(["lint", "--no-cache"]) == 1
+    assert "D101" in capsys.readouterr().out
 
 
 # -- incremental cache --------------------------------------------------------
@@ -128,6 +141,8 @@ def test_cache_warm_run_reports_full_hit_rate(dirty_tree, tmp_path, capsys):
     warm = json.loads(capsys.readouterr().out)
     assert warm["statistics"]["cache_hit_rate"] == 1.0
     assert warm["statistics"]["files_cached"] == warm["statistics"]["files_total"]
+    # unchanged bytes: every taint summary is served from the cache
+    assert warm["statistics"]["taint_recomputed"] == 0
     # cached findings are byte-identical to analyzed ones
     assert warm["findings"] == cold["findings"]
 
@@ -145,6 +160,8 @@ def test_cache_invalidated_only_for_the_changed_file(dirty_tree, tmp_path, capsy
     stats = json.loads(capsys.readouterr().out)["statistics"]
     assert stats["files_analyzed"] == 1
     assert stats["files_cached"] == stats["files_total"] - 1
+    # taint re-analysis is limited to exactly the changed file
+    assert stats["taint_recomputed"] == 1
 
 
 def test_no_cache_flag_disables_caching(dirty_tree, tmp_path, capsys):

@@ -234,6 +234,36 @@ def test_run_fast_disabled_by_trace_hook():
     assert seen[0][1] == URGENT  # process-init event
 
 
+def test_traced_cohort_drain_matches_manual_step_loop():
+    """The traced run's O(1) "any live work left?" test dispatches
+    exactly what a manual ``step()`` loop does, with one cancelled
+    far-future deadline per flow keeping many buckets live."""
+    n_flows, n_ticks, period = 400, 20, 10.0
+
+    def build():
+        env = Environment()
+        dispatched = []
+        env._trace_hook = lambda now, prio, event: dispatched.append(now)
+
+        def flow(env, i):
+            deadline = env.timeout(10_000.0 + i)  # one live bucket per flow
+            for _ in range(n_ticks):
+                yield env.timeout(period)
+            env.cancel(deadline)
+
+        for i in range(n_flows):
+            env.process(flow(env, i))
+        return env, dispatched
+
+    env, traced = build()
+    env.run()
+    env, stepped = build()
+    while env._n_pending() > env._cancelled_count:
+        env.step()
+    assert traced == stepped
+    assert len(traced) > n_flows * n_ticks
+
+
 def test_exotic_priorities_total_order():
     """Priorities outside {URGENT, NORMAL} disable the fast drain but
     keep the exact (time, priority, seq) order."""
