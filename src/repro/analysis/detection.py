@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
+from .. import parallel
 from ..errors import ReproError
 from .metrics import Box, iou_matrix, map_range
 
@@ -197,7 +198,8 @@ def _refine_batch(
 
 
 #: Frame-stack block budget for batched detection: bounds the working
-#: set (each block holds ~6 float64 temporaries of its own size).
+#: set (each block holds ~4 float64 temporaries of its own size), shared
+#: by the blocks the worker pool runs at once.
 _BLOCK_BYTES = 32 << 20
 
 
@@ -227,15 +229,16 @@ class BlobDetector:
         n_frames, h, w = stack.shape
         # Remove the slowly varying background so thresholds are about
         # blob contrast, not absolute counts.
-        background = ndimage.gaussian_filter(
+        flat = stack - ndimage.gaussian_filter(
             stack, sigma=(0.0, 4.0 * max(p.sigmas), 4.0 * max(p.sigmas))
         )
-        flat = stack - background
         candidates: list[list[Detection]] = [[] for _ in range(n_frames)]
         for sigma in p.sigmas:
-            g1 = ndimage.gaussian_filter(flat, (0.0, sigma, sigma))
-            g2 = ndimage.gaussian_filter(flat, (0.0, sigma * p.k, sigma * p.k))
-            response = (g1 - g2) * (sigma ** 0.5)
+            # (g1 - g2) * sqrt(sigma), in place: the same float operations
+            # with two temporaries fewer.
+            response = ndimage.gaussian_filter(flat, (0.0, sigma, sigma))
+            response -= ndimage.gaussian_filter(flat, (0.0, sigma * p.k, sigma * p.k))
+            response *= sigma ** 0.5
             peaks = (
                 (response == ndimage.maximum_filter(response, size=(1, 3, 3)))
                 & (response > p.threshold)
@@ -266,18 +269,29 @@ class BlobDetector:
 
     def detect_movie(self, movie: np.ndarray) -> list[list[Detection]]:
         """Per-frame inference over a (T, H, W) tensor, batched over
-        frame blocks (results keep the per-frame list-of-lists shape)."""
+        frame blocks (results keep the per-frame list-of-lists shape).
+
+        The blocks run on the worker pool, so the ``_BLOCK_BYTES``
+        working-set budget is split between the workers, and no worker
+        gets more than its even share of the frames.
+        """
         movie = np.asarray(movie)
         if movie.ndim != 3:
             raise ReproError(f"detect_movie() wants (T, H, W), got {movie.shape}")
         n_frames = movie.shape[0]
+        n_workers = parallel.workers()
         frame_bytes = max(1, movie.shape[1] * movie.shape[2] * 8)
-        block = max(1, _BLOCK_BYTES // frame_bytes)
+        block = max(
+            1, min(_BLOCK_BYTES // frame_bytes // n_workers, -(-n_frames // n_workers))
+        )
+        blocks = (movie[t0 : t0 + block] for t0 in range(0, n_frames, block))
         out: list[list[Detection]] = []
-        for t0 in range(0, n_frames, block):
-            stack = np.asarray(movie[t0 : t0 + block], dtype=np.float64)
-            out.extend(self._detect_block(stack))
+        for dets in parallel.imap_ordered(self._detect_frames, blocks):
+            out.extend(dets)
         return out
+
+    def _detect_frames(self, frames: np.ndarray) -> list[list[Detection]]:
+        return self._detect_block(np.asarray(frames, dtype=np.float64))
 
 
 def calibrate(

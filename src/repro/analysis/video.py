@@ -24,6 +24,7 @@ import numpy as np
 
 from ..emd import EmdFile
 from ..errors import FormatError
+from ..parallel import imap_ordered
 from ..viz import annotate_frame, encode_png
 from ..viz.png import _SIGNATURE as PNG_SIGNATURE  # reuse the one constant
 
@@ -80,7 +81,9 @@ def write_video(
 
         MAGIC | f64 fps | u32 n_frames | n x (u32 length | PNG bytes)
 
-    (n_frames is back-patched after streaming.)
+    (n_frames is back-patched after streaming.)  ``frames`` is consumed
+    lazily on this thread; each frame's PNG is encoded on the worker
+    pool and written here, in frame order.
     """
     if fps <= 0:
         raise FormatError(f"fps must be positive, got {fps}")
@@ -90,8 +93,7 @@ def write_video(
         fh.write(struct.pack("<d", float(fps)))
         count_pos = fh.tell()
         fh.write(struct.pack("<I", 0))
-        for frame in frames:
-            png = encode_png(np.asarray(frame))
+        for png in imap_ordered(encode_png, frames):
             fh.write(struct.pack("<I", len(png)))
             fh.write(png)
             n += 1

@@ -16,7 +16,11 @@ exercises, in a compact single-file binary format:
   cache directly — no read, no decompress, no copy — whenever the
   selection lands in uncompressed contiguous storage or a single
   uncompressed chunk.  Everything else degrades to a minimal-copy
-  gather over only the intersecting chunks.
+  gather over only the intersecting chunks;
+* **frame-parallel zlib**: the chunks of a compressed dataset are
+  compressed and decompressed on the worker pool (:mod:`repro.parallel`),
+  while file offsets, reads and I/O accounting stay on the calling
+  thread, in chunk order — the file bytes are the serial writer's.
 
 On-disk layout::
 
@@ -42,6 +46,7 @@ from typing import Any, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import FormatError
+from ..parallel import imap_ordered
 
 __all__ = ["H5LiteWriter", "H5LiteFile", "Dataset", "Group", "Attributes"]
 
@@ -149,6 +154,28 @@ def _chunk_grid(shape: Sequence[int], chunks: Sequence[int]) -> tuple[int, ...]:
     return tuple(math.ceil(s / c) for s, c in zip(shape, chunks))
 
 
+# The block codec.  Both functions are pure, so they may run on the
+# worker pool (repro.parallel).
+
+
+def _encode_block(
+    raw: np.ndarray, compression: Optional[str]
+) -> tuple["bytes | np.ndarray", int]:
+    """The stored payload of one C-contiguous block and its raw byte
+    count.  zlib and the file write read the array's buffer directly (a
+    flat uint8 view, so ``len`` is its byte count): no ``tobytes`` copy."""
+    flat = raw.reshape(-1).view(np.uint8)
+    return (zlib.compress(flat, 4) if compression == "zlib" else flat), flat.nbytes
+
+
+def _inflate(path: str, offset: int, payload: "bytes | memoryview") -> bytes:
+    """Decode the zlib block stored at ``offset`` of dataset ``path``."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise FormatError(f"{path}: corrupt zlib block at offset {offset}: {exc}") from exc
+
+
 class _Node:
     """Internal tree node shared by writer and reader."""
 
@@ -243,7 +270,7 @@ class H5LiteWriter:
             blocks = self._write_chunked(data, chunks, compression)
             layout = "chunked"
         else:
-            blocks = [self._write_block(data.tobytes(), compression)]
+            blocks = [self._write_block(*_encode_block(data, compression))]
             layout = "contiguous"
 
         parent.datasets[name] = {
@@ -258,22 +285,23 @@ class H5LiteWriter:
     def _write_chunked(
         self, data: np.ndarray, chunks: tuple[int, ...], compression: Optional[str]
     ) -> list:
-        blocks = []
-        grid = _chunk_grid(data.shape, chunks)
-        for idx in np.ndindex(*grid):
+        def encode(idx: tuple[int, ...]) -> tuple["bytes | np.ndarray", int]:
             sel = tuple(
                 slice(i * c, min((i + 1) * c, s))
                 for i, c, s in zip(idx, chunks, data.shape)
             )
-            chunk = np.ascontiguousarray(data[sel])
-            blocks.append(self._write_block(chunk.tobytes(), compression))
-        return blocks
+            return _encode_block(np.ascontiguousarray(data[sel]), compression)
 
-    def _write_block(self, raw: bytes, compression: Optional[str]) -> list:
-        payload = zlib.compress(raw, 4) if compression == "zlib" else raw
+        indices = np.ndindex(*_chunk_grid(data.shape, chunks))
+        # zlib runs on the worker pool; the file offsets advance here, in
+        # chunk order.
+        encoded = imap_ordered(encode, indices) if compression else map(encode, indices)
+        return [self._write_block(payload, raw_nbytes) for payload, raw_nbytes in encoded]
+
+    def _write_block(self, payload: "bytes | np.ndarray", raw_nbytes: int) -> list:
         assert self._fh is not None
         self._fh.write(payload)
-        entry = [self._offset, len(payload), len(raw)]
+        entry = [self._offset, len(payload), raw_nbytes]
         self._offset += len(payload)
         return entry
 
@@ -371,12 +399,15 @@ class Dataset:
         return np.frombuffer(raw, dtype=self.dtype)[0]
 
     def _read_block(self, entry: Sequence[int]) -> "bytes | memoryview":
-        offset, nbytes, raw_nbytes = entry
+        offset, nbytes, _ = entry
         payload = self._file._pread(offset, nbytes)
         if self.compression == "zlib":
-            raw: "bytes | memoryview" = zlib.decompress(payload)
-        else:
-            raw = payload
+            return self._account(entry, _inflate(self.path, offset, payload))
+        return self._account(entry, payload)
+
+    def _account(self, entry: Sequence[int], raw: "bytes | memoryview") -> "bytes | memoryview":
+        """Check a decoded block's size and count it in ``read_stats``."""
+        offset, nbytes, raw_nbytes = entry
         if len(raw) != raw_nbytes:
             raise FormatError(
                 f"{self.path}: block at {offset} decoded to {len(raw)} bytes, "
@@ -395,7 +426,7 @@ class Dataset:
             arr = np.frombuffer(raw, dtype=self.dtype).reshape(self.shape)
             out = arr[sel].copy()
         else:
-            out = self._read_chunked(sel)
+            out = self._gather([(s.start, s.stop - s.start, 1) for s in sel])
         if squeeze:
             out = out.reshape(tuple(s for s, sq in zip(out.shape, squeeze) if not sq))
         return out
@@ -428,39 +459,6 @@ class Dataset:
             else:
                 raise IndexError(f"unsupported index: {k!r}")
         return tuple(sel), squeeze
-
-    def _read_chunked(self, sel: tuple[slice, ...]) -> np.ndarray:
-        assert self.chunks is not None
-        out_shape = tuple(s.stop - s.start for s in sel)
-        out = np.empty(out_shape, dtype=self.dtype)
-        if 0 in out_shape:
-            return out
-        grid = _chunk_grid(self.shape, self.chunks)
-        # Chunk-index ranges intersecting the selection on each axis.
-        lo = [s.start // c for s, c in zip(sel, self.chunks)]
-        hi = [(s.stop - 1) // c for s, c in zip(sel, self.chunks)]
-        strides = np.ones(len(grid), dtype=np.int64)
-        for ax in range(len(grid) - 2, -1, -1):
-            strides[ax] = strides[ax + 1] * grid[ax + 1]
-        for idx in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
-            cidx = tuple(l + i for l, i in zip(lo, idx))
-            flat = int(np.dot(np.asarray(cidx, dtype=np.int64), strides))
-            chunk_extent = tuple(
-                min((ci + 1) * c, s) - ci * c
-                for ci, c, s in zip(cidx, self.chunks, self.shape)
-            )
-            raw = self._read_block(self._blocks[flat])
-            chunk = np.frombuffer(raw, dtype=self.dtype).reshape(chunk_extent)
-            # Overlap between this chunk and the selection, in both frames.
-            src, dst = [], []
-            for ax, (ci, c, s) in enumerate(zip(cidx, self.chunks, sel)):
-                c0 = ci * c
-                a = max(s.start, c0)
-                b = min(s.stop, c0 + chunk_extent[ax])
-                src.append(slice(a - c0, b - c0))
-                dst.append(slice(a - s.start, b - s.start))
-            out[tuple(dst)] = chunk[tuple(src)]
-        return out
 
     # -- zero-copy views ------------------------------------------------------
     def view(self, key: Any = (slice(None),)) -> np.ndarray:
@@ -563,42 +561,57 @@ class Dataset:
             (a[1], 1, 1) if a[0] == "int" else (a[1], a[2], a[3]) for a in axes
         ]
         drop = tuple(0 if a[0] == "int" else slice(None) for a in axes)
-        if any(n == 0 for _, n, _ in params):
-            out = np.empty(tuple(n for _, n, _ in params), dtype=self.dtype)
-            return self._apply_flips(out[drop], axes)
-
-        grid = _chunk_grid(self.shape, self.chunks)
-        strides = np.ones(len(grid), dtype=np.int64)
-        for ax in range(len(grid) - 2, -1, -1):
-            strides[ax] = strides[ax + 1] * grid[ax + 1]
-
         # Fast path: the whole selection inside one uncompressed chunk →
         # a view onto that chunk's mapped pages.
-        span = [(s // c, (s + (n - 1) * st) // c) for (s, n, st), c in zip(params, self.chunks)]
         if (
             self.compression is None
             and self._file._mm is not None
-            and all(lo == hi for lo, hi in span)
+            and all(n for _, n, _ in params)
         ):
-            cidx = tuple(lo for lo, _ in span)
-            flat = int(np.dot(np.asarray(cidx, dtype=np.int64), strides))
-            extent = tuple(
-                min((ci + 1) * c, s) - ci * c
-                for ci, c, s in zip(cidx, self.chunks, self.shape)
-            )
-            raw = self._read_block(self._blocks[flat])
-            chunk = np.frombuffer(raw, dtype=self.dtype).reshape(extent)
-            local = tuple(
-                (a[1] - ci * c)
-                if a[0] == "int"
-                else slice(a[1] - ci * c, a[1] - ci * c + a[2] * a[3], a[3])
-                for a, ci, c in zip(axes, cidx, self.chunks)
-            )
-            return self._apply_flips(chunk[local], axes)
+            span = [
+                (s // c, (s + (n - 1) * st) // c)
+                for (s, n, st), c in zip(params, self.chunks)
+            ]
+            if all(lo == hi for lo, hi in span):
+                cidx = tuple(lo for lo, _ in span)
+                entry, extent = self._chunk(cidx)
+                raw = self._read_block(entry)
+                chunk = np.frombuffer(raw, dtype=self.dtype).reshape(extent)
+                local = tuple(
+                    (a[1] - ci * c)
+                    if a[0] == "int"
+                    else slice(a[1] - ci * c, a[1] - ci * c + a[2] * a[3], a[3])
+                    for a, ci, c in zip(axes, cidx, self.chunks)
+                )
+                return self._apply_flips(chunk[local], axes)
+        return self._apply_flips(self._gather(params)[drop], axes)
 
-        # General gather: per axis, the chunk rows the selection actually
-        # crosses (a large step can hop whole chunks — those are skipped
-        # before any byte is read).
+    def _chunk(self, cidx: Sequence[int]) -> tuple[Sequence[int], tuple[int, ...]]:
+        """Block entry and extent of the chunk at grid index ``cidx``."""
+        assert self.chunks is not None
+        flat = 0
+        for ci, g in zip(cidx, _chunk_grid(self.shape, self.chunks)):
+            flat = flat * g + ci
+        extent = tuple(
+            min((ci + 1) * c, s) - ci * c
+            for ci, c, s in zip(cidx, self.chunks, self.shape)
+        )
+        return self._blocks[flat], extent
+
+    def _gather(self, params: Sequence[tuple[int, int, int]]) -> np.ndarray:
+        """Copy the hyperslab ``params`` (per axis ``(start, n, step)``,
+        ``step >= 1``) of a chunked dataset into a fresh array.
+
+        Per axis, only the chunk rows the selection actually crosses are
+        visited (a large step can hop whole chunks — those are skipped
+        before any byte is read), in row-major chunk order.  zlib runs on
+        the worker pool; the reads, the size checks, ``read_stats`` and
+        the scatter into the result stay on this thread, in chunk order.
+        """
+        assert self.chunks is not None
+        out = np.empty(tuple(n for _, n, _ in params), dtype=self.dtype)
+        if out.size == 0:
+            return out
         ax_rows: list[list[tuple[int, int, int]]] = []
         for (start, n, step), c, dim in zip(params, self.chunks, self.shape):
             rows = []
@@ -611,16 +624,17 @@ class Dataset:
                     rows.append((ci, k0, k1))
             ax_rows.append(rows)
 
-        out = np.empty(tuple(n for _, n, _ in params), dtype=self.dtype)
-        for combo in itertools.product(*ax_rows):
-            cidx = tuple(e[0] for e in combo)
-            flat = int(np.dot(np.asarray(cidx, dtype=np.int64), strides))
-            extent = tuple(
-                min((ci + 1) * c, s) - ci * c
-                for ci, c, s in zip(cidx, self.chunks, self.shape)
-            )
-            raw = self._read_block(self._blocks[flat])
-            chunk = np.frombuffer(raw, dtype=self.dtype).reshape(extent)
+        combos = list(itertools.product(*ax_rows))
+        blocks = [self._chunk(tuple(e[0] for e in combo)) for combo in combos]
+        payloads = (
+            (offset, self._file._pread(offset, nbytes)) for (offset, nbytes, _), _ in blocks
+        )
+        if self.compression == "zlib":
+            raws = imap_ordered(lambda p: _inflate(self.path, *p), payloads)
+        else:
+            raws = (payload for _, payload in payloads)
+        for combo, (entry, extent), raw in zip(combos, blocks, raws):
+            chunk = np.frombuffer(self._account(entry, raw), dtype=self.dtype).reshape(extent)
             src = tuple(
                 slice(start + k0 * step - ci * c, start + k1 * step - ci * c + 1, step)
                 for (start, _, step), (ci, k0, k1), c in zip(
@@ -629,7 +643,7 @@ class Dataset:
             )
             dst = tuple(slice(k0, k1 + 1) for _, k0, k1 in combo)
             out[dst] = chunk[src]
-        return self._apply_flips(out[drop], axes)
+        return out
 
 
 class Group:

@@ -112,6 +112,39 @@ def test_detect_movie_blocking_invariant_to_block_size(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_detect_movie_parallel_equals_serial_and_loops(seed, monkeypatch):
+    # Frame blocks fan out over the worker pool; the merge keeps frame
+    # order, so 1 and 2 workers both equal the per-frame loop.
+    from repro import parallel
+
+    spec = MovieSpec(n_frames=7, shape=(128, 128), n_particles=6)
+    movie, _ = generate_movie(spec, np.random.default_rng(seed))
+    params = DetectorParams()
+    ref = aloops.detect_movie_loops(movie, params)
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+        assert BlobDetector(params).detect_movie(movie) == ref, n
+
+
+def test_annotate_video_parallel_byte_identical(tmp_path, monkeypatch):
+    from repro import parallel
+    from repro.analysis.video import annotate_video, movie_to_uint8
+
+    spec = MovieSpec(n_frames=6, shape=(96, 96), n_particles=5)
+    movie, _ = generate_movie(spec, np.random.default_rng(4))
+    detections = BlobDetector().detect_movie(movie)
+    assert any(detections)  # boxes are actually burnt in
+    movie_u8 = movie_to_uint8(movie)
+    videos = {}
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+        path = tmp_path / f"w{n}.mpng"
+        assert annotate_video(movie_u8, detections, path, confidence_threshold=0.0) == 6
+        videos[n] = path.read_bytes()
+    assert videos[1] == videos[2]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_nms_bit_identical_dense(seed):
     rng = np.random.default_rng(seed)
     n = 300

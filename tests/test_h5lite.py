@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,3 +322,88 @@ def test_chunked_slice_matches_numpy(tmp_path_factory, data):
     with H5LiteFile(tmp) as f:
         got = f["d"][sel]
     np.testing.assert_array_equal(got, arr[sel])
+
+
+# ---------------------------------------------------------------------------
+# Block codec: stored bytes and corrupt blocks
+# ---------------------------------------------------------------------------
+
+
+def _blocks(path, name):
+    with H5LiteFile(path) as f:
+        return [tuple(e) for e in f[name]._blocks]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_stored_payloads_are_the_blocks_raw_or_zlib_level_4(tmp_path, monkeypatch, n_workers):
+    from repro import parallel
+
+    monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+    rng = np.random.default_rng(4)
+    cube = rng.normal(size=(5, 6, 7))
+    fortran = np.asfortranarray(rng.integers(0, 9, size=(6, 4)).astype(np.int16))
+    cases = {
+        "contig": (cube, None, None),
+        "contig_z": (cube, None, "zlib"),
+        "chunk": (cube, (2, 4, 7), None),
+        "chunk_z": (cube, (2, 4, 7), "zlib"),
+        "fortran_z": (fortran, (4, 3), "zlib"),
+        "scalar_z": (np.float64(3.5), None, "zlib"),
+    }
+    path = tmp_path / "t.h5l"
+    with H5LiteWriter(path) as w:
+        for name, (arr, chunks, comp) in cases.items():
+            w.create_dataset(name, arr, chunks=chunks, compression=comp)
+    stored = path.read_bytes()
+    for name, (arr, chunks, comp) in cases.items():
+        arr = np.asarray(arr)
+        if chunks is None:
+            pieces = [arr]
+        else:
+            grid = [-(-s // c) for s, c in zip(arr.shape, chunks)]
+            pieces = [
+                arr[tuple(slice(i * c, (i + 1) * c) for i, c in zip(idx, chunks))]
+                for idx in np.ndindex(*grid)
+            ]
+        entries = _blocks(path, name)
+        assert len(entries) == len(pieces), name
+        for (offset, nbytes, raw_nbytes), piece in zip(entries, pieces):
+            raw = np.ascontiguousarray(piece).tobytes()
+            expected = zlib.compress(raw, 4) if comp == "zlib" else raw
+            assert stored[offset : offset + nbytes] == expected, name
+            assert raw_nbytes == len(raw), name
+
+
+def _flip(path, offset, nbytes):
+    data = bytearray(path.read_bytes())
+    for i in range(offset + nbytes // 3, offset + nbytes // 3 + 8):
+        data[i] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("chunks", [None, (1, 16, 16)])
+def test_corrupt_zlib_block_is_a_format_error(tmp_path, monkeypatch, chunks, n_workers):
+    from repro import parallel
+
+    monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+    movie = np.random.default_rng(5).random((6, 16, 16))
+    path = tmp_path / "t.h5l"
+    with H5LiteWriter(path) as w:
+        w.create_dataset("g/d", movie, chunks=chunks, compression="zlib")
+    entries = _blocks(path, "g/d")
+    offset, nbytes, _ = entries[2 if chunks else 0]  # frame 2's chunk
+    _flip(path, offset, nbytes)
+    readers = {
+        "read": lambda ds: ds.read(),
+        "getitem": lambda ds: ds[1:5],
+        "view": lambda ds: ds.view((slice(None, None, 2),)),
+    }
+    for label, read in readers.items():
+        with H5LiteFile(path) as f:
+            with pytest.raises(FormatError, match=f"/g/d: corrupt zlib block at offset {offset}") as info:
+                read(f["g/d"])
+            assert isinstance(info.value.__cause__, zlib.error), label
+            if chunks:
+                # Frames outside the corrupt chunk still read.
+                np.testing.assert_array_equal(f["g/d"][3:6], movie[3:6])

@@ -186,3 +186,49 @@ def test_view_preserves_dtype_and_order(tmp_path):
         v = f["d"].view((slice(None, None, -1), slice(None, None, -2)))
         assert v.dtype == np.uint16
         assert np.array_equal(v, data[::-1, ::-2])
+
+
+# -- the worker pool: parallel == serial --------------------------------------
+
+
+def _write_cube(path, data, chunks):
+    with H5LiteWriter(path) as w:
+        w.create_dataset("/chunk_z", data=data, chunks=chunks, compression="zlib")
+        w.create_dataset("/frames_z", data=data, chunks=(1,) + data.shape[1:], compression="zlib")
+
+
+@pytest.mark.parametrize("chunks", [(4, 5, 11), (3, 17, 4)])
+def test_pool_decode_and_encode_equal_serial(tmp_path, monkeypatch, chunks):
+    from repro import parallel
+
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(13, 17, 11))
+    reads = [
+        ("read", lambda ds: ds.read()),
+        ("getitem", lambda ds: ds[2:11, 1:16]),
+        ("getitem_int", lambda ds: ds[5]),
+        ("getitem_cols", lambda ds: ds[:, 3:9, 7]),
+    ] + [(f"view{i}", lambda ds, key=key: ds.view(key)) for i, key in enumerate(KEYS)]
+    files, results = {}, {}
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+        path = tmp_path / f"w{n}.h5l"
+        _write_cube(path, data, chunks)
+        files[n] = path.read_bytes()
+        with H5LiteFile(path) as f:
+            for name in ("chunk_z", "frames_z"):
+                for label, read in reads:
+                    before = dict(f.read_stats)
+                    got = read(f[name])
+                    delta = {k: f.read_stats[k] - before[k] for k in before}
+                    results[n, name, label] = (got, delta)
+    assert files[1] == files[2]
+    assert np.array_equal(results[2, "chunk_z", "read"][0], data)
+    for (n, name, label), (got, delta) in results.items():
+        if n == 2:
+            ref, ref_delta = results[1, name, label]
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, label)
+            assert delta == ref_delta, (name, label)
+    # The step-1 slices read exactly the chunks under them.
+    assert results[1, "frames_z", "getitem"][1]["block_reads"] == 9
+    assert results[1, "frames_z", "getitem_int"][1]["block_reads"] == 1
