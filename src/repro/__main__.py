@@ -35,7 +35,8 @@ Commands
     deterministic, submission-ordered merge (parallel == serial).
 
 An unknown chaos scenario name (``chaos``, ``stream --scenario``,
-``integrity``, ``sweep --scenarios``) is a usage error: exit status 2.
+``integrity``, ``sweep --scenarios``) or sweep use case (``sweep
+--use-cases``) is a usage error: exit status 2.
 """
 
 from __future__ import annotations

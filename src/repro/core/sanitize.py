@@ -20,13 +20,15 @@ sarif`` / ``--output`` machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..lint.diagnostics import Diagnostic, Severity
 from ..sim.sanitize import RaceReport
 from ..testbed import DEFAULT_CALIBRATION, Calibration
 from ..transfer import NO_FAULTS, FaultPlan
 from .campaign import CampaignResult, run_campaign
+
+if TYPE_CHECKING:
+    from ..lint.diagnostics import Diagnostic
 
 __all__ = [
     "campaign_trace",
@@ -107,6 +109,9 @@ class SanitizeResult:
     def diagnostics(self) -> list[Diagnostic]:
         """Render races (S901) and confirmed divergences (S902) through
         the analyzer's diagnostic machinery."""
+        # imported here so that `import repro` does not load the linter
+        from ..lint.diagnostics import Diagnostic, Severity
+
         path = f"<campaign:{self.campaign}>"
         out: list[Diagnostic] = []
         seen: set[str] = set()

@@ -137,6 +137,17 @@ def run_sweep(
         return list(pool.map(run_variant, variants))
 
 
+def _checked_use_cases(use_cases: Iterable[str]) -> list[str]:
+    """``use_cases`` as a list; an unknown name raises ``ValueError``
+    here, not as an exception propagated out of a worker mid-sweep."""
+    from .campaign import use_case_by_name
+
+    use_cases = list(use_cases)
+    for uc in use_cases:
+        use_case_by_name(uc)
+    return use_cases
+
+
 def campaign_grid(
     use_cases: Iterable[str] = ("hyperspectral", "spatiotemporal"),
     seeds: Iterable[int] = (1,),
@@ -144,6 +155,7 @@ def campaign_grid(
     tiebreaks: Iterable[str] = ("fifo",),
 ) -> list[SweepVariant]:
     """The clean-campaign grid: use cases x seeds x tie-breaks."""
+    use_cases = _checked_use_cases(use_cases)
     return [
         SweepVariant(
             kind="campaign",
@@ -181,6 +193,7 @@ def chaos_grid(
             raise ChaosError(
                 f"unknown scenario(s) {unknown}; available: {sorted(SCENARIOS)}"
             )
+    use_cases = _checked_use_cases(use_cases)
     return [
         SweepVariant(
             kind=sc,
@@ -230,24 +243,31 @@ def render_sweep(outcomes: Sequence[SweepOutcome]) -> str:
 
 
 def run_sweep_cli(args: Any) -> int:
-    """The ``python -m repro sweep`` entry point."""
+    """The ``python -m repro sweep`` entry point.  An unknown use case is
+    a usage error: exit status 2 with the message on stderr, before any
+    worker starts."""
     import json
+    import sys
     import time
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
     use_cases = tuple(args.use_cases.split(","))
-    if args.grid == "chaos":
-        scenarios = tuple(args.scenarios.split(",")) if args.scenarios else None
-        variants = chaos_grid(
-            scenarios=scenarios,
-            use_cases=use_cases,
-            seeds=seeds,
-            duration_s=args.duration,
-        )
-    else:
-        variants = campaign_grid(
-            use_cases=use_cases, seeds=seeds, duration_s=args.duration
-        )
+    try:
+        if args.grid == "chaos":
+            scenarios = tuple(args.scenarios.split(",")) if args.scenarios else None
+            variants = chaos_grid(
+                scenarios=scenarios,
+                use_cases=use_cases,
+                seeds=seeds,
+                duration_s=args.duration,
+            )
+        else:
+            variants = campaign_grid(
+                use_cases=use_cases, seeds=seeds, duration_s=args.duration
+            )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.perf_counter()
     outcomes = run_sweep(variants, jobs=jobs)

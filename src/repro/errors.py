@@ -16,13 +16,11 @@ __all__ = [
     "PermissionDenied",
     "EndpointError",
     "TransferError",
-    "ChecksumError",
     "ComputeError",
     "FunctionNotRegistered",
     "SchedulerError",
     "FlowError",
     "FlowDefinitionError",
-    "ActionFailed",
     "ActionTimeout",
     "ServiceUnavailable",
     "SearchError",
@@ -65,10 +63,6 @@ class TransferError(ReproError):
     """A transfer task failed permanently (after exhausting retries)."""
 
 
-class ChecksumError(TransferError):
-    """Destination checksum did not match the source after a transfer."""
-
-
 class ComputeError(ReproError):
     """A remotely executed function raised, or the task was lost."""
 
@@ -88,10 +82,6 @@ class FlowError(ReproError):
 class FlowDefinitionError(FlowError):
     """A flow definition is structurally invalid (unknown state, no start,
     unreachable states, duplicate state names)."""
-
-
-class ActionFailed(FlowError):
-    """An action provider reported a terminal FAILED status."""
 
 
 class ActionTimeout(FlowError):

@@ -6,36 +6,39 @@ replay identically in milliseconds.  Nothing in Python enforces that —
 one stray ``time.time()``, one unseeded ``random`` draw, one
 hash-ordered ``set`` iteration in scheduling code silently corrupts
 every benchmark.  This package is the enforcement: a self-contained,
-stdlib-``ast``-based analyzer with three rule packs,
+stdlib-``ast``-based analyzer with seven rule packs, one detector per
+hazard class,
 
-* **D1xx determinism** — wall-clock reads, sleeps, global RNGs,
-  unordered iteration, ``id()`` ordering, env-var reads;
-* **S2xx DES safety** — non-Event yields, unreleased resource requests,
-  swallowed simulation errors in process generators;
-* **F3xx flow validation** — dangling transitions, unreachable states,
-  forward ``$.states`` template references, unknown providers in
-  literal :class:`~repro.flows.FlowDefinition` constructions;
+* **D1xx determinism** — wall-clock reads, sleeps, global RNGs, env-var
+  reads;
+* **S2xx DES safety** — non-Event yields and swallowed simulation
+  errors in process generators;
+* **F3xx flow validation** — dangling transitions, unreachable states
+  and unknown providers in literal
+  :class:`~repro.flows.FlowDefinition` constructions;
 * **F4xx flow dataflow** — an interprocedural symbolic execution of
   literal flow definitions that propagates each provider's declared
   ``output_schema`` through the state chain: dangling ``$.`` payload
-  references, parameters outside a provider's ``input_schema``, type
-  conflicts where a payload key flows into a parameter of another type,
-  and providers missing schema declarations;
+  references (including ``$.states`` refs to unknown or later states),
+  parameters outside a provider's ``input_schema``, type conflicts
+  where a payload key flows into a parameter of another type, and
+  providers missing schema declarations;
 * **R5xx resource lifecycle** — path-sensitive leak detection over
   per-function CFGs (:mod:`.cfg`) refined by interprocedural cleanup
   summaries (:mod:`.callgraph`): scheduled events without a matching
   ``Environment.cancel``, tracer spans open on an exception edge, temp
-  files with cleanup-free failure paths, resources held across
-  sim-yields;
+  files with cleanup-free failure paths, resource requests discarded or
+  not released on every path;
 * **P6xx hot-path performance** — allocation/closure creation in
   ``# repro: hotpath`` functions, per-element array loops in the
   instrument/analysis data plane, invariant lookups in hot loops;
 * **N7xx ordering taint** — an interprocedural forward taint analysis
   (:mod:`.taint`) tracking order-, host-, and identity-tainted values
   through assignments, returns, call arguments, and comprehensions to
-  scheduling, tie-break, metrics, and accumulation sinks: the
-  flow-aware layer that catches an unsorted ``listdir`` laundered
-  through three helpers into ``env.schedule``;
+  scheduling, tie-break, comparison, metrics, and accumulation sinks:
+  the flow-aware layer that catches an unsorted ``listdir`` laundered
+  through three helpers into ``env.schedule``, a set iterated into
+  ``ev.succeed()``, or ``id()`` values compared to pick a process;
 
 plus ``# repro: noqa[RULE-ID]`` line suppressions, whole-file
 ``# repro: noqa-file[RULE-ID]`` suppressions, path-scoped allowances

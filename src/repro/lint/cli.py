@@ -71,7 +71,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         default="",
-        help="comma-separated rule ids to run exclusively (e.g. D101,S202)",
+        help="comma-separated rule ids to run exclusively (e.g. D101,R504)",
     )
     parser.add_argument(
         "--ignore", default="", help="comma-separated rule ids to disable"

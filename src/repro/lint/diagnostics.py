@@ -1,7 +1,7 @@
 """Diagnostic objects emitted by the analyzer.
 
-A :class:`Diagnostic` is one finding: a rule id (``D101``, ``S202``,
-``F303``...), a severity, a location (``file:line:col``), and a
+A :class:`Diagnostic` is one finding: a rule id (``D101``, ``R504``,
+``F401``...), a severity, a location (``file:line:col``), and a
 human-readable message.  Diagnostics sort by location so reports are
 stable regardless of rule execution order — the analyzer itself must be
 as deterministic as the code it polices.

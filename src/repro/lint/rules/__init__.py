@@ -1,7 +1,7 @@
 """The rule catalog.
 
 Importing this package registers every rule with the analyzer's global
-registry.  Three packs, id-spaced by concern:
+registry.  Seven packs, id-spaced by concern:
 
 * ``D1xx`` — determinism under a seed (:mod:`.determinism`)
 * ``S2xx`` — DES kernel safety (:mod:`.des_safety`)
@@ -33,19 +33,16 @@ from .dataflow import (
     UndeclaredParameter,
     UndeclaredProviderSchema,
 )
-from .des_safety import SwallowedSimError, UnreleasedRequest, YieldNonEvent
+from .des_safety import SwallowedSimError, YieldNonEvent
 from .determinism import (
     EnvVarRead,
     GlobalRandom,
-    IdentityOrdering,
     LegacyNumpyRandom,
-    UnorderedIteration,
     WallClockCall,
     WallSleep,
 )
 from .flowdef import (
     DanglingTransition,
-    ForwardStateReference,
     UnknownProvider,
     UnreachableState,
 )
@@ -71,14 +68,10 @@ __all__ = [
     "GlobalRandom",
     "LegacyNumpyRandom",
     "EnvVarRead",
-    "UnorderedIteration",
-    "IdentityOrdering",
     "YieldNonEvent",
-    "UnreleasedRequest",
     "SwallowedSimError",
     "DanglingTransition",
     "UnreachableState",
-    "ForwardStateReference",
     "UnknownProvider",
     "DanglingPayloadReference",
     "UndeclaredParameter",

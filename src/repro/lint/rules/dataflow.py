@@ -114,7 +114,7 @@ def _ref_type(
 ) -> Optional[str]:
     """The declared type a ``$.states.X.key`` reference resolves to, or
     ``None`` when unknowable (``$.input``, undeclared schema, deep path
-    beyond the first key, refs F303 already rejects)."""
+    beyond the first key, refs to unknown or later states)."""
     if ref.state is None or ref.state not in produced:
         return None
     schema = produced[ref.state]
@@ -174,9 +174,27 @@ class _FlowDataflow:
                     )
                 )
                 continue
-            if ref.state is None or ref.state not in produced:
-                # $.input.* is opaque flow input; refs to unknown or
-                # not-yet-run states are F303's findings.
+            if not ref.state:
+                continue  # $.input.* is opaque flow input
+            if ref.state not in names:
+                self.findings.append(
+                    (
+                        "dangling-state",
+                        ref.node,
+                        f"state {state.name!r} references '$.states.{ref.state}' "
+                        f"but no state {ref.state!r} exists in this flow",
+                    )
+                )
+                continue
+            if ref.state not in produced:
+                self.findings.append(
+                    (
+                        "dangling-state",
+                        ref.node,
+                        f"state {state.name!r} references '$.states.{ref.state}', "
+                        f"which cannot have completed before {state.name!r} runs",
+                    )
+                )
                 continue
             schema = produced[ref.state]
             if schema is not None and ref.key is not None and ref.key not in schema:
@@ -240,7 +258,14 @@ def _flow_findings(ctx: FileContext, node: ast.Call) -> Optional[_FlowDataflow]:
 class DanglingPayloadReference(Rule):
     """F401: a ``$.`` template reference that no reachable upstream state
     can have produced — the step deploys, then every run dies resolving
-    its parameters (or worse, resolves against drifted payload shapes)."""
+    its parameters (or worse, resolves against drifted payload shapes).
+
+    Four shapes: a root other than ``$.input``/``$.states``; a
+    ``$.states.X`` naming no state of the flow; one naming the current,
+    a later or an unreachable state (templates resolve only against
+    steps that already completed); and a key the upstream state's
+    declared ``output_schema`` does not produce.
+    """
 
     rule_id = "F401"
     severity = Severity.ERROR
@@ -252,7 +277,7 @@ class DanglingPayloadReference(Rule):
         if flow is None:
             return
         for kind, ref_node, message in flow.findings:
-            if kind in ("dangling-root", "dangling-key"):
+            if kind in ("dangling-root", "dangling-state", "dangling-key"):
                 ctx.report(self, ref_node, message)
 
 

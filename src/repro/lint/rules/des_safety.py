@@ -2,22 +2,22 @@
 
 The DES kernel (:mod:`repro.sim`) has sharp edges the type system cannot
 guard: a process generator must only yield :class:`~repro.sim.Event`
-objects, a claimed :class:`~repro.sim.Resource` unit must be released on
-every path, and exception handlers inside process generators must not
+objects, and exception handlers inside process generators must not
 silently swallow kernel failures.  These rules check the idioms
 statically, on the same "process generator" heuristic the analyzer uses
-(a generator function that takes or touches an ``env``).
+(a generator function that takes or touches an ``env``).  A claimed
+:class:`~repro.sim.Resource` unit that is never released is a path
+property, so the CFG-based R504 (:mod:`.lifecycle`) owns it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
 from ..analyzer import FileContext, Rule, register
 from ..diagnostics import Severity
 
-__all__ = ["YieldNonEvent", "UnreleasedRequest", "SwallowedSimError"]
+__all__ = ["YieldNonEvent", "SwallowedSimError"]
 
 
 @register
@@ -50,97 +50,6 @@ class YieldNonEvent(Rule):
                 f"({ast.dump(value)[:40]}...) — the kernel only accepts "
                 f"Event objects",
             )
-
-
-def _assigned_name(call: ast.Call, ctx: FileContext) -> Optional[str]:
-    """If ``call``'s value is bound to a simple local name (``req = X``
-    or ``req = yield X`` styles), return that name."""
-    parent = ctx.parent(call)
-    if isinstance(parent, (ast.Yield, ast.Await)):
-        parent = ctx.parent(parent)
-    if (
-        isinstance(parent, ast.Assign)
-        and len(parent.targets) == 1
-        and isinstance(parent.targets[0], ast.Name)
-    ):
-        return parent.targets[0].id
-    if isinstance(parent, ast.AnnAssign) and isinstance(parent.target, ast.Name):
-        return parent.target.id
-    return None
-
-
-@register
-class UnreleasedRequest(Rule):
-    """S202: a ``Resource.request()`` whose unit can never be given back
-    starves every later requester.  Accepted shapes: ``with r.request()``
-    blocks, an explicit ``.release()`` in the function (ideally inside
-    ``try/finally``), or handing the request object off (returned or
-    passed on — ownership transfer, as the scheduler does into ``Node``)."""
-
-    rule_id = "S202"
-    severity = Severity.ERROR
-    summary = "Resource.request() without release on all paths"
-    interests = (ast.Call,)
-
-    def visit(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "request"):
-            return
-        if node.args or node.keywords:
-            return  # Resource.request() takes no arguments
-        parent = ctx.parent(node)
-        if isinstance(parent, ast.withitem):
-            return  # `with r.request() as req:` releases on exit
-        enclosing = ctx.enclosing_function
-        if enclosing is None:
-            return  # module level: nothing to analyze
-        name = _assigned_name(node, ctx)
-        if name is None:
-            ctx.report(
-                self,
-                node,
-                "request() result is discarded — the claimed unit can never "
-                "be released; use `with ... .request() as req:`",
-            )
-            return
-        if self._name_released_or_escapes(enclosing, name, node):
-            return
-        ctx.report(
-            self,
-            node,
-            f"request() bound to {name!r} is never released in this "
-            f"function and never handed off — use a `with` block or "
-            f"try/finally with {name}.release()",
-        )
-
-    @staticmethod
-    def _name_released_or_escapes(
-        fn: ast.AST, name: str, request_call: ast.Call
-    ) -> bool:
-        for sub in ast.walk(fn):
-            if sub is request_call:
-                continue
-            # name.release() anywhere in the function
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "release"
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id == name
-            ):
-                return True
-            # escape: returned, or passed into another call (ownership
-            # transfer — e.g. stored on a Node that releases it later)
-            if isinstance(sub, ast.Return) and sub.value is not None:
-                for leaf in ast.walk(sub.value):
-                    if isinstance(leaf, ast.Name) and leaf.id == name:
-                        return True
-            if isinstance(sub, ast.Call):
-                for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-                    for leaf in ast.walk(arg):
-                        if isinstance(leaf, ast.Name) and leaf.id == name:
-                            return True
-        return False
 
 
 @register

@@ -2,9 +2,11 @@
 
 Every campaign replay rests on the DES kernel seeing identical inputs,
 so scheduling-relevant code must not read the wall clock, draw from
-unseeded global RNGs, iterate unordered containers, or depend on object
-identity or the process environment.  These rules catch each escape
-hatch at the AST level.
+unseeded global RNGs, or depend on the process environment.  These
+rules catch each escape hatch at the AST level.  Unordered iteration and
+object identity are hazards only where their order reaches the kernel,
+a result or a comparison; the flow-sensitive N701/N703/N704 rules
+(:mod:`.ordering`) own them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "GlobalRandom",
     "LegacyNumpyRandom",
     "EnvVarRead",
-    "UnorderedIteration",
-    "IdentityOrdering",
 ]
 
 #: Canonical names that read the wall clock.
@@ -167,102 +167,3 @@ class EnvVarRead(Rule):
                     "os.environ[...] read — thread configuration through "
                     "explicit parameters, not the process env",
                 )
-
-
-def _is_unordered_expr(node: ast.AST, ctx: FileContext) -> bool:
-    """Syntactically-certain unordered iterables: set literals, set
-    comprehensions, and direct set()/frozenset() calls."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in ("set", "frozenset") and node.func.id not in ctx.resolver.aliases:
-            return True
-    return False
-
-
-@register
-class UnorderedIteration(Rule):
-    """D106: iterating a set (or popping dict items) yields a hash-order
-    sequence; feeding that into event scheduling makes traces
-    irreproducible across processes."""
-
-    rule_id = "D106"
-    severity = Severity.ERROR
-    summary = "unordered set iteration / dict.popitem in scheduling code"
-    interests = (ast.For, ast.comprehension, ast.Call)
-
-    def visit(self, ctx: FileContext, node: ast.AST) -> None:
-        if isinstance(node, ast.For) and _is_unordered_expr(node.iter, ctx):
-            ctx.report(
-                self,
-                node.iter,
-                "iterating a set produces hash-order results — wrap in "
-                "sorted(...) before it reaches scheduling",
-            )
-        elif isinstance(node, ast.comprehension) and _is_unordered_expr(
-            node.iter, ctx
-        ):
-            ctx.report(
-                self,
-                node.iter,
-                "comprehension over a set produces hash-order results — "
-                "wrap in sorted(...)",
-            )
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "popitem"
-        ):
-            ctx.report(
-                self,
-                node,
-                "dict.popitem() order is an implementation detail — pop an "
-                "explicit, deterministic key",
-            )
-
-
-@register
-class IdentityOrdering(Rule):
-    """D107: ``id()`` values change every run, so orderings keyed on them
-    are unreproducible by construction."""
-
-    rule_id = "D107"
-    severity = Severity.ERROR
-    summary = "id()-based ordering"
-    interests = (ast.Call,)
-
-    def visit(self, ctx: FileContext, node: ast.Call) -> None:
-        # sorted(xs, key=id) / xs.sort(key=id) / min(..., key=id) ...
-        for kw in node.keywords:
-            if (
-                kw.arg == "key"
-                and isinstance(kw.value, ast.Name)
-                and kw.value.id == "id"
-                and "id" not in ctx.resolver.aliases
-            ):
-                ctx.report(
-                    self,
-                    node,
-                    "ordering keyed on id() changes every process — sort on "
-                    "a stable field (name, sequence number)",
-                )
-                return
-        # id(a) < id(b) style ordering comparisons (== is a plain
-        # identity test and stays deterministic within one run)
-        parent = ctx.parent(node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "id"
-            and "id" not in ctx.resolver.aliases
-            and isinstance(parent, ast.Compare)
-            and any(
-                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
-                for op in parent.ops
-            )
-        ):
-            ctx.report(
-                self,
-                node,
-                "comparing id() values orders objects by memory address — "
-                "use a stable key instead",
-            )

@@ -4,11 +4,11 @@
 a flow wired at module import or deep inside a campaign only blows up
 when that code path finally runs.  These rules evaluate **fully literal**
 ``FlowDefinition(...)``/``FlowState(...)`` constructions at review time:
-dangling ``next`` targets, unreachable states, ``$.states.X`` template
-paths that reference states which cannot have run yet, and provider
-names absent from the action-provider registry.  Constructions with any
-dynamic part (f-strings, variables, comprehensions) are skipped — the
-rules only report what is certain.
+dangling ``next`` targets, unreachable states, and provider names absent
+from the action-provider registry.  Constructions with any dynamic part
+(f-strings, variables, comprehensions) are skipped — the rules only
+report what is certain.  ``$.states.X`` template paths are checked by
+the F4xx dataflow pass (:mod:`.dataflow`), which walks the same chain.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..diagnostics import Severity
 __all__ = [
     "DanglingTransition",
     "UnreachableState",
-    "ForwardStateReference",
     "UnknownProvider",
     "LiteralState",
     "parse_literal_definition",
@@ -190,61 +189,6 @@ class UnreachableState(Rule):
                     f"state {s.name!r} is unreachable from start_at="
                     f"{start_at!r}",
                 )
-
-
-def _template_refs(parameters: ast.AST) -> list[tuple[ast.AST, str]]:
-    """All literal ``$.states.<name>`` references nested in a parameters
-    expression, with the node carrying each."""
-    out: list[tuple[ast.AST, str]] = []
-    for sub in ast.walk(parameters):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            text = sub.value
-            if text.startswith("$.states."):
-                rest = text[len("$.states."):]
-                state = rest.split(".", 1)[0]
-                if state:
-                    out.append((sub, state))
-    return out
-
-
-@register
-class ForwardStateReference(Rule):
-    """F303: ``$.states.X`` parameter templates resolve against *already
-    completed* steps; referencing the current or a later state can never
-    resolve at run time."""
-
-    rule_id = "F303"
-    severity = Severity.ERROR
-    summary = "$.states template references a state that has not run yet"
-    interests = (ast.Call,)
-
-    def visit(self, ctx: FileContext, node: ast.Call) -> None:
-        parsed = parse_literal_definition(node)
-        if parsed is None:
-            return
-        start_at, states = parsed
-        order = chain_order(start_at, states)
-        position = {name: i for i, name in enumerate(order)}
-        names = {s.name for s in states}
-        for s in states:
-            if s.parameters is None or s.name not in position:
-                continue
-            for ref_node, ref in _template_refs(s.parameters):
-                if ref not in names:
-                    ctx.report(
-                        self,
-                        ref_node,
-                        f"state {s.name!r} references '$.states.{ref}' but "
-                        f"no state {ref!r} exists in this flow",
-                    )
-                elif ref not in position or position[ref] >= position[s.name]:
-                    ctx.report(
-                        self,
-                        ref_node,
-                        f"state {s.name!r} references '$.states.{ref}', "
-                        f"which cannot have completed before {s.name!r} "
-                        f"runs",
-                    )
 
 
 @register

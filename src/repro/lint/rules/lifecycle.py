@@ -11,8 +11,9 @@ in PRs 3–4, turned into a permanent gate:
   audited in ``chaos/controller.py`` and ``obs``.
 * **R503** — a temp file/fd created with a cleanup-free exception path:
   the ``CheckpointStore._flush`` class.
-* **R504** — a Resource request acquired outside ``with`` and held
-  across a sim-yield with an exception edge that skips the release.
+* **R504** — a Resource request acquired outside ``with`` and then
+  discarded, held across a sim-yield with an exception edge that skips
+  the release, or carried to the normal exit unreleased.
 
 All four are path queries over :mod:`repro.lint.cfg`, refined by the
 interprocedural cleanup summaries in :mod:`repro.lint.callgraph`:
@@ -613,15 +614,28 @@ class TempFileLeak(Rule):
 
 @register
 class HeldRequestAcrossYield(Rule):
-    """A Resource request held across a sim-yield: if the kernel throws
-    into the suspended process (chaos interrupt, cancelled flow), the
-    unit is never released and every later requester deadlocks."""
+    """A Resource request whose unit may never be given back: every
+    later requester then deadlocks.
+
+    Three shapes leak it.  The request is discarded: a bare
+    ``pool.request()`` statement, or ``yield pool.request()``, whose
+    resumed value is ``None``, not the request.  It is held across a
+    sim-yield where a kernel throw (chaos interrupt, cancelled flow)
+    skips the release.  Or it reaches the function's normal exit
+    without a release.  Safe forms: ``with pool.request() as req``, a
+    release in ``try/finally`` or ``except BaseException``, and a
+    hand-off (returned, stored on an attribute, or passed to a callee
+    such as the compute scheduler's ``Node(request=req)``).
+
+    Not flagged, although the retired S202 reported them as discarded:
+    a request handed off where it is made (``return pool.request()``,
+    ``self.req = pool.request()``, ``Node(request=pool.request())``).
+    Its new owner holds the handle and releases it.
+    """
 
     rule_id = "R504"
     severity = Severity.ERROR
-    summary = (
-        "resource held across a sim-yield without try/finally release"
-    )
+    summary = "resource request discarded or not released on every path"
     interests = _FUNC_NODES
 
     def visit(self, ctx: FileContext, fn: ast.AST) -> None:
@@ -636,8 +650,21 @@ class HeldRequestAcrossYield(Rule):
             ):
                 continue
             how, what = _binding_of(ctx, node)
+            # `lock.acquire()` as a statement is the lock idiom: only a
+            # discarded *request* loses the handle that releases it
+            if node.func.attr == "request" and (
+                how == "discard"
+                or isinstance(ctx.parent(node), (ast.Yield, ast.Await))
+            ):
+                ctx.report(
+                    self,
+                    node,
+                    "request() result is discarded — the claimed unit can "
+                    "never be released; use `with ... .request() as req:`",
+                )
+                continue
             if how != "name":
-                continue  # `with res.request():` is the safe form
+                continue  # `with res.request():` or handed off
             if cfg is None:
                 cfg = ctx.cfg(fn)
             self._check(ctx, cfg, node, what)
@@ -704,3 +731,11 @@ class HeldRequestAcrossYield(Rule):
                 "process — release it in a try/finally or use `with`",
             )
             return
+        if _leak_path(cfg, start, {cfg.exit}, avoid) is not None:
+            ctx.report(
+                self,
+                call,
+                f"request '{name}' reaches the end of the function "
+                "unreleased and is never handed off — release it in a "
+                "try/finally or use `with`",
+            )

@@ -1,14 +1,18 @@
 """N7xx — interprocedural ordering/taint rules.
 
 The flow-aware layer over :mod:`repro.lint.taint`: where D1xx flags a
-syntactic *call site* (``time.time()``, ``for x in a_set``), these rules
-flag a *flow* — an order- or host-tainted value that traveled through
+syntactic *call site* (``time.time()``), these rules flag a *flow* — an
+order-, host- or identity-tainted value that traveled through
 assignments, returns, and helper calls before reaching a sink that can
-break bit-identical replay:
+break bit-identical replay.  They are also the only check for unordered
+iteration and ``id()`` ordering: such code is a hazard exactly when its
+order reaches one of these sinks.
 
 * **N701** order taint (directory listings, set/unstable-dict iteration,
   completion order) reaching a scheduling sink — ``env.schedule``
-  delays/priorities, ``env.timeout`` delays, ``env.process`` arguments.
+  delays/priorities, ``env.timeout`` delays, ``env.process`` arguments,
+  and events queued by ``.succeed``/``.fail``/``.interrupt``/``.put``
+  on an order-tainted receiver or argument.
 * **N702** a parallel completion-order stream (``as_completed``,
   ``imap_unordered``) merged without an ordering barrier.  The
   :mod:`repro.core.sweep` ordered-merge idiom — keyed stores
@@ -20,8 +24,9 @@ break bit-identical replay:
   Table-1 numbers.  ``math.fsum`` (exactly rounded) and ``sorted(...)``
   are the fixes.
 * **N704** identity/hash dependence (``id()``, ``hash()``, ``key=id``)
-  reaching a tie-break key, a scheduling sink, or an emitted payload —
-  object addresses and salted hashes change every process.
+  reaching a tie-break key, an ordering comparison, a scheduling sink,
+  or an emitted payload — object addresses and salted hashes change
+  every process.
 * **N705** a wall-clock or env-var read laundered through helper
   returns into a sim input (the interprocedural upgrade of D101/D105:
   the *read* may sit in an allow-listed bridge module, but its value
@@ -53,8 +58,10 @@ __all__ = [
 ]
 
 _SINK_DESC = {
-    "schedule": "a scheduling sink (env.schedule/timeout/process)",
+    "schedule": "a scheduling sink (env.schedule/timeout/process or an "
+    "event trigger)",
     "tiebreak": "a sort tie-break key",
+    "compare": "an ordering comparison",
     "emit": "a metrics/trace emission",
     "accum": "a float accumulation",
     "merge": "a completion-order merge",
@@ -94,8 +101,24 @@ class OrderTaintedSchedule(_TaintRule):
     directory listing, set/unstable-dict iteration, or parallel
     completion order makes the event queue's contents depend on hash
     seeds, filesystem state, or thread timing — the trace diverges
-    between runs even under a fixed seed.  Sort the source
+    between runs even under a fixed seed.  The same holds for events
+    queued in that order: ``ev.succeed()``, ``ev.fail(exc)``,
+    ``proc.interrupt()`` or ``store.put(x)`` with an order-tainted
+    receiver or argument, and ``env.process(run(env, job))`` with an
+    order-tainted generator argument.  Sort the source
     (``sorted(os.listdir(...))``) before it feeds the scheduler.
+
+    Not flagged, although the retired D106 reported them:
+
+    * set iteration whose order reaches no sink — no delay, queued
+      event, process argument, float sum or metric depends on it — so
+      replays cannot diverge through it;
+    * ``dict.popitem()``: since Python 3.7 it pops the most recently
+      inserted item (LIFO), and the project requires Python >= 3.10,
+      so its order follows insertion, not hashing;
+    * module-level snippets that reach no sink (``for x in {1, 2}:
+      print(x)`` at import time): the engine analyzes function and
+      method bodies only.
     """
 
     rule_id = "N701"
@@ -213,9 +236,16 @@ class IdentityOrderDependence(_TaintRule):
     """``id()``/``hash()`` values deciding order or emitted payloads.
 
     Object addresses are allocation-order artifacts and string hashes
-    are salted per process: a tie-break key, schedule input, or trace
+    are salted per process: a tie-break key, an ordering comparison
+    (``if id(a) < id(b):`` choosing which process starts, a comparator
+    returning ``id(self) < id(other)``), a schedule input, or a trace
     field derived from them differs on every run.  Tie-break on a
-    stable attribute (name, sequence number) instead.
+    stable attribute (name, sequence number) instead.  Equality
+    (``id(a) == id(b)``) is an identity test and stays deterministic.
+
+    Not flagged, although the retired D107 reported them: module-level
+    snippets that reach no sink (``xs = sorted(objs, key=id)`` at import
+    time).  The engine analyzes function and method bodies only.
     """
 
     rule_id = "N704"
@@ -233,6 +263,7 @@ class IdentityOrderDependence(_TaintRule):
     def matches(self, finding) -> bool:
         return "ident" in finding.kinds and finding.sink in (
             "tiebreak",
+            "compare",
             "schedule",
             "emit",
         )

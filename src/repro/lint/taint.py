@@ -44,9 +44,16 @@ recorded as an accumulation hazard (N703).
 Sinks
 -----
 ``schedule``   ``env.schedule(ev, delay, priority)`` / ``env.timeout``
-               delays / ``env.process`` arguments — values that steer
-               the DES kernel.
+               delays / ``env.process`` arguments (and the arguments of
+               the generator call it starts) — values that steer the
+               DES kernel; and the receiver or arguments of
+               ``.succeed``/``.fail``/``.interrupt``/``.put``, which
+               queue an event when called, so calling them in an
+               arbitrary order orders the queue.
 ``tiebreak``   ``key=`` of ``sorted``/``.sort()``/``min``/``max``.
+``compare``    the operands of an ordering comparison (``<``, ``<=``,
+               ``>``, ``>=``) — a branch, comparator or flag that orders
+               values.
 ``emit``       metric/trace emission — ``.observe/.inc/.add/.set`` on a
                receiver whose name looks like an instrument or span.
 ``accum``      float accumulation (``sum(...)`` or ``+=`` in a loop)
@@ -100,7 +107,7 @@ __all__ = [
 
 #: Bumped whenever the engine's semantics change: cached per-module
 #: summaries recorded under another version are recomputed.
-TAINT_VERSION = 1
+TAINT_VERSION = 2
 
 #: The reportable taint kinds (internal markers normalize into these).
 KINDS = frozenset({"order", "host", "ident"})
@@ -131,7 +138,15 @@ _EMIT_RECEIVERS = ("span", "tracer", "trace", "metric", "gauge",
                    "hist", "counter", "stat")
 _EMIT_ATTRS = frozenset({"observe", "inc", "add", "set"})
 
+#: Calls that queue a kernel event on their receiver's behalf.
+_EVENT_TRIGGERS = frozenset({"succeed", "fail", "interrupt", "put"})
+
+_ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Nodes whose bodies run in another frame (only the binding is ours).
+_SCOPE_NODES = _FUNC_NODES + (ast.ClassDef, ast.Lambda)
+_COMP_NODES = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +483,30 @@ class _Intra:
     def _eval_comp(
         self, node: ast.AST, results: list, state: dict
     ) -> frozenset:
-        """Comprehensions: bind each target from its (element-tainted)
-        iterable, then evaluate the result expression(s).  The produced
-        sequence inherits ``order`` when any generator is order-ish."""
+        """Comprehensions: evaluate the result expression(s) in the
+        comprehension's scope.  The produced sequence inherits ``order``
+        when any generator is order-ish."""
+        ext, out = self._comp_scope(node, state)
+        for res in results:
+            out |= self.eval(res, ext)
+        return frozenset(out)
+
+    def _comp_scope(self, node: ast.AST, state: dict) -> tuple[dict, set]:
+        """Bind each comprehension target from its (element-tainted)
+        iterable: the inner state, and the order kinds the produced
+        sequence inherits."""
         ext = dict(state)
         seq_taint: set = set()
         for gen in node.generators:
             it = self.eval(gen.iter, ext)
-            elem = _seq_of(it) - {"uset"} if it & _ORDERISH else it
             if it & _ORDERISH:
                 seq_taint.add("order")
                 if "completion" in it:
                     seq_taint.add("completion")
-            self._bind(gen.target, elem, ext)
+            self._bind(gen.target, self._elem_of(it), ext)
             for cond in gen.ifs:
                 self.eval(cond, ext)  # conditions don't taint the result
-        out: set = set(seq_taint)
-        for res in results:
-            out |= self.eval(res, ext)
-        return frozenset(out)
+        return ext, seq_taint
 
     def _eval_Call(self, node: ast.Call, state: dict) -> frozenset:
         func = node.func
@@ -728,10 +748,32 @@ class _Intra:
                 self.out.merges.append(
                     (stmt.lineno, stmt.col_offset, self._merge_barrier(stmt))
                 )
-        for node in block.walk_nodes():
-            if isinstance(node, ast.Call):
-                self._check_sinks(node, state)
-                self._record_call(node, state)
+        for part in block.nodes:
+            self._scan(part, state)
+
+    def _scan(self, node: ast.AST, state: dict) -> None:
+        """Check every call and ordering comparison evaluated in
+        ``node`` at this function's own level; inside a comprehension,
+        its targets carry their iterables' element taint."""
+        if isinstance(node, _COMP_NODES):
+            state, _ = self._comp_scope(node, state)
+        elif isinstance(node, ast.Call):
+            self._check_sinks(node, state)
+            self._record_call(node, state)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, _ORDERING_OPS) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            self._hit(node, "compare", self._union(operands, state))
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, _SCOPE_NODES):
+                self._scan(child, state)
+
+    def _union(self, exprs: Iterable[ast.AST], state: dict) -> frozenset:
+        out: set = set()
+        for e in exprs:
+            out |= self.eval(e, state)
+        return frozenset(out)
 
     def _check_sinks(self, call: ast.Call, state: dict) -> None:
         func = call.func
@@ -752,18 +794,19 @@ class _Intra:
                         if kw.arg in ("delay", "priority")
                     ]
                 else:  # process: the generator's arguments steer the work
-                    exprs = list(call.args)
-                tokens: set = set()
-                for e in exprs:
-                    tokens |= self.eval(e, state)
-                self._hit(call, "schedule", frozenset(tokens))
+                    for arg in call.args:
+                        exprs.append(arg)
+                        if isinstance(arg, ast.Call):
+                            exprs += arg.args + [kw.value for kw in arg.keywords]
+                self._hit(call, "schedule", self._union(exprs, state))
+            elif attr in _EVENT_TRIGGERS:
+                exprs = [func.value, *call.args, *(kw.value for kw in call.keywords)]
+                self._hit(call, "schedule", self._union(exprs, state))
             elif attr in _EMIT_ATTRS and any(
                 frag in _receiver_names(func.value) for frag in _EMIT_RECEIVERS
             ):
-                tokens = set()
-                for e in list(call.args) + [kw.value for kw in call.keywords]:
-                    tokens |= self.eval(e, state)
-                self._hit(call, "emit", frozenset(tokens))
+                exprs = [*call.args, *(kw.value for kw in call.keywords)]
+                self._hit(call, "emit", self._union(exprs, state))
             elif attr == "sort":
                 self._check_tiebreak(call, state)
         elif isinstance(func, ast.Name) and func.id in ("sorted", "min", "max"):

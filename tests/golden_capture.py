@@ -11,11 +11,13 @@ This module captures one campaign's full observable fingerprint into a
 JSON payload and round-trips it through reproducible gzip files.  The
 checked-in goldens under ``tests/goldens/`` were recorded on the
 pre-optimization paths; ``tests/test_golden_traces.py`` replays each
-campaign on the current code and compares.
+campaign on the current code and compares.  It is test code: the
+package ships without it.
 
-Regenerate (only when campaign *behaviour* legitimately changes)::
+Regenerate (only when campaign *behaviour* legitimately changes), from
+the repository root::
 
-    PYTHONPATH=src python -c "from repro.core.goldens import record_all; \\
+    PYTHONPATH=src python -c "from tests.golden_capture import record_all; \\
         record_all('tests/goldens')"
 """
 
@@ -113,11 +115,11 @@ def capture_golden(
     duration_s: float = 3600.0,
 ) -> dict[str, Any]:
     """Run one shipped campaign and capture its full fingerprint."""
-    from ..chaos import delivery_breakdown, run_chaos_campaign
-    from ..obs import spans_to_jsonl
-    from .campaign import run_campaign
-    from .sanitize import campaign_trace
-    from .stats import fig4_samples
+    from repro.chaos import delivery_breakdown, run_chaos_campaign
+    from repro.core.campaign import run_campaign
+    from repro.core.sanitize import campaign_trace
+    from repro.core.stats import fig4_samples
+    from repro.obs import spans_to_jsonl
 
     if kind == "campaign":
         res = run_campaign(

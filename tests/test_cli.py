@@ -61,3 +61,18 @@ def test_unknown_chaos_scenario_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert "unknown scenario" in captured.err and "bogus" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("grid", ["campaign", "chaos"])
+def test_unknown_sweep_use_case_is_a_usage_error(grid, jobs, capsys):
+    argv = [
+        "sweep", grid, "--use-cases", "hyperspectral,bogus",
+        "--scenarios", "outage", "--seeds", "0", "--duration", "300",
+        "--jobs", jobs,
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown use case" in captured.err and "bogus" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""

@@ -23,36 +23,31 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.goldens import (
-    GOLDEN_SPECS,
-    capture_golden,
-    golden_filename,
-    read_golden,
-    stream_outcome,
-)
+from tests import golden_capture
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 _PARAMS = ("kind", "use_case", "seed", "tiebreak", "ingest")
-_IDS = [golden_filename(*spec)[: -len(".json.gz")] for spec in GOLDEN_SPECS]
+_SPECS = golden_capture.GOLDEN_SPECS
+_IDS = [golden_capture.golden_filename(*spec)[: -len(".json.gz")] for spec in _SPECS]
 
 
 def _load(*spec) -> dict:
-    path = os.path.join(GOLDEN_DIR, golden_filename(*spec))
+    path = os.path.join(GOLDEN_DIR, golden_capture.golden_filename(*spec))
     assert os.path.exists(path), f"missing golden: {path}"
-    return read_golden(path)
+    return golden_capture.read_golden(path)
 
 
 def test_golden_set_is_complete():
     recorded = sorted(f for f in os.listdir(GOLDEN_DIR) if f.endswith(".json.gz"))
-    expected = sorted(golden_filename(*spec) for spec in GOLDEN_SPECS)
+    expected = sorted(golden_capture.golden_filename(*spec) for spec in _SPECS)
     assert recorded == expected
 
 
-@pytest.mark.parametrize(_PARAMS, GOLDEN_SPECS, ids=_IDS)
+@pytest.mark.parametrize(_PARAMS, _SPECS, ids=_IDS)
 def test_replay_is_bit_identical(kind, use_case, seed, tiebreak, ingest):
     golden = _load(kind, use_case, seed, tiebreak, ingest)
-    replay = capture_golden(kind, use_case, seed, tiebreak, ingest)
+    replay = golden_capture.capture_golden(kind, use_case, seed, tiebreak, ingest)
     # Compare the event trace first and with counts, so a divergence
     # fails with a readable position instead of a giant dict diff.
     g_events, r_events = golden["events"], replay["events"]
@@ -64,7 +59,7 @@ def test_replay_is_bit_identical(kind, use_case, seed, tiebreak, ingest):
 
 @pytest.mark.parametrize(
     _PARAMS,
-    [spec for spec in GOLDEN_SPECS if spec[2] == 1],
+    [spec for spec in _SPECS if spec[2] == 1],
     ids=[i for i in _IDS if "-s1-" in i],
 )
 def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
@@ -85,7 +80,7 @@ def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
         )
     assert res.trace is None  # really the uninstrumented path
     if ingest == "stream":
-        outcome = stream_outcome(res)
+        outcome = golden_capture.stream_outcome(res)
         assert outcome == {k: golden[k] for k in outcome}
         return
     if kind != "campaign":

@@ -13,6 +13,15 @@ from repro.lint import cli as lint_cli
 from repro.lint.cli import main as lint_main
 
 
+@pytest.fixture(autouse=True)
+def _cache_under_tmp(tmp_path, monkeypatch):
+    """Runs that keep the default ``--cache`` write it under the test's
+    temporary directory, not into the working directory."""
+    monkeypatch.setattr(
+        lint_cli, "DEFAULT_CACHE_PATH", str(tmp_path / ".repro-lint-cache.json")
+    )
+
+
 @pytest.fixture()
 def dirty_tree(tmp_path):
     (tmp_path / "dirty.py").write_text("import time\nt = time.time()\n")
@@ -76,8 +85,10 @@ def test_select_restricts_rules(dirty_tree, capsys):
 
 
 def test_unknown_rule_id_is_a_usage_error(dirty_tree, capsys):
-    assert lint_main([str(dirty_tree), "--select", "Z123"]) == 2
-    assert "unknown rule id" in capsys.readouterr().out
+    # D106/D107/S202/F303 were folded into N701/N703, N704, R504, F401
+    for rid in ("Z123", "D106", "D107", "S202", "F303"):
+        assert lint_main([str(dirty_tree), "--select", rid]) == 2
+        assert f"unknown rule id: {rid}" in capsys.readouterr().out
 
 
 def test_nonexistent_path_is_a_usage_error_not_a_traceback(capsys):
@@ -88,8 +99,9 @@ def test_nonexistent_path_is_a_usage_error_not_a_traceback(capsys):
 def test_list_rules_prints_catalog(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rid in ("D101", "D106", "S201", "S202", "F301", "F304"):
-        assert rid in out
+    listed = {line.split()[0] for line in out.splitlines()}
+    assert {"D101", "S201", "F301", "F304", "F401", "R504", "N701"} <= listed
+    assert not listed & {"D106", "D107", "S202", "F303"}
 
 
 def test_fail_on_warn_threshold(tmp_path, capsys):

@@ -124,6 +124,22 @@ def test_n704_fires_on_hash_tiebreak():
     assert "N704" in rule_ids(src)
 
 
+def test_n704_fires_on_identity_comparison_through_a_helper():
+    # flow-sensitive: the address travels through a helper's return
+    # before an ordering comparison decides which process starts
+    src = (
+        "def _addr(obj):\n"
+        "    return id(obj)\n"
+        "\n"
+        "def start_first(env, a, b, work):\n"
+        "    first = a if _addr(a) < _addr(b) else b\n"
+        "    env.process(work(env, first))\n"
+    )
+    diags = [d for d in Analyzer().lint_source(src) if d.rule_id == "N704"]
+    # the comparison, and the process whose argument it picked
+    assert [d.line for d in diags] == [5, 6]
+
+
 def test_n704_silent_on_stable_attribute_key():
     src = "def rank(items):\n    return sorted(items, key=lambda i: i.seq)\n"
     assert "N704" not in rule_ids(src)

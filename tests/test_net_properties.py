@@ -266,12 +266,11 @@ def test_micro_fix_table1_identical():
     import os
 
     from repro.core.campaign import run_campaign
-    from repro.core.goldens import golden_filename, read_golden
+    from tests import golden_capture
 
     gdir = os.path.join(os.path.dirname(__file__), "goldens")
     for use_case in ("hyperspectral", "spatiotemporal"):
-        golden = read_golden(
-            os.path.join(gdir, golden_filename("campaign", use_case, 1, "fifo"))
-        )
+        name = golden_capture.golden_filename("campaign", use_case, 1, "fifo")
+        golden = golden_capture.read_golden(os.path.join(gdir, name))
         res = run_campaign(use_case, duration_s=3600.0, seed=1)
         assert asdict(res.table1()) == golden["table1"], use_case

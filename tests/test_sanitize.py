@@ -3,12 +3,36 @@ tie-break reversal, and the campaign-level driver."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.sanitize import SanitizeResult, campaign_trace, sanitize_campaign
 from repro.errors import SimulationError
 from repro.lint import Severity
 from repro.sim import NORMAL, URGENT, Environment, Resource, Store
+
+
+def test_import_repro_does_not_load_the_linter():
+    # campaign processes import repro (and the sanitizer) but never the
+    # analyzer; SanitizeResult.diagnostics() loads it on first use
+    code = (
+        "import sys, repro, repro.core.sanitize\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # -- kernel plumbing ----------------------------------------------------------

@@ -61,6 +61,10 @@ def test_grids():
     assert [v.kind for v in default] == sorted(v.kind for v in default)
     with pytest.raises(ChaosError):  # validated before any worker spawns
         chaos_grid(scenarios=("outage", "bogus"), seeds=(0,))
+    with pytest.raises(ValueError, match="bogus"):
+        chaos_grid(use_cases=("hyperspectral", "bogus"), seeds=(0,))
+    with pytest.raises(ValueError, match="bogus"):
+        campaign_grid(use_cases=("bogus",))
 
 
 def test_render_sweep_aggregates():
