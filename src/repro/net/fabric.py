@@ -159,7 +159,7 @@ class NetworkFabric:
             raise EndpointError(f"negative transfer size: {nbytes}")
         if not 0 < efficiency <= 1.0:
             raise EndpointError(f"efficiency must be in (0, 1], got {efficiency}")
-        links = tuple(self.topology.route(src, dst))
+        links, latency = self.topology.path(src, dst)
         done = self.env.event()
         stream = Stream(
             stream_id=next(self._ids),
@@ -181,7 +181,6 @@ class NetworkFabric:
             .set("bytes", float(nbytes))
         )
         self._m_streams.inc()
-        latency = sum(l.latency_s for l in links)
         self.env.process(self._admit_after(stream, latency))
         return done
 
@@ -362,6 +361,11 @@ class NetworkFabric:
         restricted recomputation reproduces the global allocation's
         floats bit for bit.  ``None`` recomputes everything (the
         pre-index behaviour).
+
+        A one-stream component skips the allocator: progressive filling
+        would freeze it in one round at its tightest link's
+        ``capacity / 1`` — exactly ``min(capacity × health)`` — times
+        its efficiency, or at ``inf`` with no links (same host).
         """
         self._settle()
         if seeds is None:
@@ -370,8 +374,17 @@ class NetworkFabric:
             comp = self._component(seeds)
             if not comp:
                 return
-        caps: dict[tuple[str, str], float] = {}
         scale = self._link_scale
+        if len(comp) == 1:
+            (s,) = comp
+            if s.links:
+                s.rate = min(
+                    link.capacity_bps * scale.get(link.key, 1.0) for link in s.links
+                ) * s.efficiency
+            else:
+                s.rate = float("inf")
+            return
+        caps: dict[tuple[str, str], float] = {}
         for s in comp:
             for link in s.links:
                 caps[link.key] = link.capacity_bps * scale.get(link.key, 1.0)

@@ -352,15 +352,17 @@ class Condition(Event):
         if not self._events:
             self.succeed({})
             return
+        check = self._check
         for e in self._events:
-            if e.processed:
-                self._check(e)
+            cbs = e.callbacks
+            if cbs is None:  # already processed
+                check(e)
             elif self._value is not PENDING:
                 # Triggered by an earlier constituent mid-loop: watch the
                 # rest only for failures to defuse.
-                e.callbacks.append(_defuse_stale)
+                cbs.append(_defuse_stale)
             else:
-                e.callbacks.append(self._check)
+                cbs.append(check)
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self._events if e.processed and e._ok}
@@ -396,13 +398,21 @@ class Condition(Event):
         self._detach_pending()
 
 
+def _all_fired(done: int, total: int) -> bool:
+    return done == total
+
+
+def _any_fired(done: int, total: int) -> bool:
+    return done >= 1
+
+
 class AllOf(Condition):
     """Fires when all constituent events have fired."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda done, total: done == total, events)
+        super().__init__(env, _all_fired, events)
 
 
 class AnyOf(Condition):
@@ -411,7 +421,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda done, total: done >= 1, events)
+        super().__init__(env, _any_fired, events)
 
 
 class _StopRun(BaseException):

@@ -27,7 +27,7 @@ import itertools
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
-from ..errors import EndpointError, ServiceUnavailable
+from ..errors import EndpointError, ServiceUnavailable, StreamError
 from ..flows.backoff import ExponentialBackoff
 from ..integrity.digest import chunk_digest, mangle
 from ..net import NetworkFabric
@@ -97,6 +97,10 @@ class StreamPublisher:
         renegotiation).
     efficiency:
         Protocol efficiency applied to each chunk's fair share.
+
+    Raises :class:`~repro.errors.StreamError` up front for a parameter
+    outside its range (a zero timeout or poll interval would livelock
+    the session instead).
     """
 
     def __init__(
@@ -134,6 +138,20 @@ class StreamPublisher:
         #: NAK'd retransmits allowed per sequence number before the
         #: session is declared unrepairable and fails.
         self.max_retransmits = int(max_retransmits)
+        # Comparisons written so that NaN fails them too.
+        for name, ok, rule in (
+            ("chunk_bytes", self.chunk_bytes > 0, "> 0"),
+            ("window", self.window >= 1, ">= 1"),
+            ("threshold_chunks", self.threshold_chunks >= 1, ">= 1"),
+            ("chunk_timeout_s", self.chunk_timeout_s > 0, "> 0"),
+            ("abort_poll_s", self.abort_poll_s > 0, "> 0"),
+            ("handshake_s", self.handshake_s >= 0, ">= 0"),
+            ("handshake_sigma", self.handshake_sigma >= 0, ">= 0"),
+            ("efficiency", 0 < self.efficiency <= 1, "in (0, 1]"),
+            ("max_retransmits", self.max_retransmits >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise StreamError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         #: Chaos hook: a duck-typed outage gate (see
         #: :class:`repro.chaos.ServiceGate`).  ``None`` means always up.
         self.gate: Any = None

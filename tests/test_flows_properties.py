@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.auth import AuthClient
@@ -41,7 +41,11 @@ class TimedProvider:
 
     def status(self, action_id):
         start, duration = self._start[int(action_id)]
-        if self.env.now - start < duration:
+        # A poll that lands on the completion instant can read ``now`` a
+        # few ulps early: poll k's time is a chain of k rounded sums, not
+        # ``start + duration``.  Use the same 1e-9 slack as the asserted
+        # properties so such a poll counts as done.
+        if self.env.now < start + duration - 1e-9:
             return ActionStatus(state=ActionState.ACTIVE)
         return ActionStatus(
             state=ActionState.SUCCEEDED, result={}, active_seconds=duration
@@ -122,6 +126,9 @@ def test_detection_at_poll_boundaries(duration):
     st.lists(st.floats(min_value=0.5, max_value=60), min_size=1, max_size=4),
     st.floats(min_value=0.0, max_value=5.0),
 )
+# Completion exactly on the first and on the third cumulative poll.
+@example([1.0], 0.644)
+@example([7.0], 0.503037601080481)
 def test_transition_latency_additivity(durations, transition):
     """Total runtime grows by exactly (n_states + 1) * transition when a
     deterministic transition latency is added."""

@@ -14,11 +14,19 @@ numbers — the two dispatch paths must be observably indistinguishable.
 Stream-mode goldens (``stream-*``) pin each session's terminal record,
 the quarantine list and the indexed subjects in place of Table 1 /
 Fig. 4, which stream campaigns do not produce.
+
+A short traced campaign per ingest mode is also replayed in two
+subprocesses under different ``PYTHONHASHSEED`` values: string-keyed
+dicts on the hot path (the fabric's route memo among them) must not let
+hash order reach the schedule.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -87,3 +95,50 @@ def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
         assert delivery_breakdown(res) == golden["breakdown"]
     assert asdict(res.table1()) == golden["table1"]
     assert fig4_samples(res.runs) == golden["fig4"]
+
+
+#: Replays one short traced hyperspectral campaign per ingest mode and
+#: prints the digests of its event trace and span stream.
+_HASHSEED_REPLAY = """
+import hashlib, json
+from tests.golden_capture import capture_golden
+
+out = {"hash_probe": hash("picoprobe")}
+for ingest in ("file", "stream"):
+    g = capture_golden("campaign", "hyperspectral", 1, "fifo", ingest, duration_s=600.0)
+    events = json.dumps(g["events"]).encode("utf-8")
+    out[ingest] = {
+        "n_events": len(g["events"]),
+        "events_sha256": hashlib.sha256(events).hexdigest(),
+        "spans_sha256": g["spans_sha256"],
+    }
+print(json.dumps(out))
+"""
+
+
+def _replay_under_hash_seed(seed: int) -> dict:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), root, os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASHSEED_REPLAY],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=root,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_replay_is_independent_of_hash_seed():
+    """No string-hash order leaks into the schedule: the same campaign
+    under two ``PYTHONHASHSEED`` values dispatches the same events and
+    records the same spans, in file and in stream mode."""
+    a = _replay_under_hash_seed(0)
+    b = _replay_under_hash_seed(12345)
+    assert a.pop("hash_probe") != b.pop("hash_probe")  # the seeds took effect
+    assert a["file"]["n_events"] > 0 and a["stream"]["n_events"] > 0
+    assert a == b

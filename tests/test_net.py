@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.errors import EndpointError
 from repro.net import NetworkFabric, Topology, max_min_fair_rates
 from repro.net.fabric import Stream
 from repro.sim import Environment
+from repro.stream import StreamPublisher, StreamReceiver
 from repro.units import MB, Gbps, Mbps
 
 
@@ -73,6 +75,103 @@ def test_duplicate_node_and_link_rejected():
         t.add_link("a", "a", 100)
     with pytest.raises(EndpointError):
         t.add_link("a", "b", 0)
+
+
+@pytest.mark.parametrize(
+    "capacity, latency",
+    [
+        (float("nan"), 0.0),
+        (float("inf"), 0.0),
+        (100, -0.5),
+        (100, float("nan")),
+        (100, float("inf")),
+    ],
+)
+def test_add_link_rejects_non_finite_capacity_and_bad_latency(capacity, latency):
+    """A NaN or infinite capacity used to pass and later break the
+    allocator; a negative or NaN latency used to be charged as zero."""
+    t = Topology()
+    t.add_node("a")
+    t.add_node("b")
+    with pytest.raises(EndpointError):
+        t.add_link("a", "b", capacity, latency_s=latency)
+    assert t.links() == []
+
+
+@pytest.fixture
+def count_searches(monkeypatch):
+    """Count networkx shortest-path searches made by the topology."""
+    calls: list[tuple[str, str]] = []
+    real = nx.shortest_path
+
+    def counting(g, source=None, target=None, *args, **kwargs):
+        calls.append((source, target))
+        return real(g, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "shortest_path", counting)
+    return calls
+
+
+def test_route_returns_a_fresh_list(count_searches):
+    t = star_topology()
+    first = t.route("user", "eagle")
+    first.clear()
+    first.append("junk")
+    second = t.route("user", "eagle")
+    assert second is not first
+    assert [l.key for l in second] == [
+        ("switch", "user"), ("core", "switch"), ("core", "eagle")
+    ]
+    assert t.path_latency("user", "eagle") == pytest.approx(0.0025)
+    assert count_searches == [("user", "eagle")]  # memoized after the first
+
+
+def test_topology_change_invalidates_memoized_routes(count_searches):
+    """A memoized route must not outlive a change to the graph: a new
+    lower-latency path shows in route, path_latency and a transfer
+    started afterwards."""
+    t = Topology()
+    for n in ("a", "b", "c"):
+        t.add_node(n)
+    t.add_link("a", "b", Gbps(1), latency_s=1.0)
+    assert [l.key for l in t.route("a", "b")] == [("a", "b")]
+    assert t.path_latency("a", "b") == 1.0
+    assert len(count_searches) == 1
+
+    t.add_node("d")
+    t.route("a", "b")
+    assert len(count_searches) == 2  # add_node cleared the memo
+
+    t.add_link("a", "c", Gbps(1), latency_s=0.1)
+    t.add_link("c", "b", Gbps(1), latency_s=0.1)
+    assert [l.key for l in t.route("a", "b")] == [("a", "c"), ("b", "c")]
+    assert t.path_latency("a", "b") == 0.1 + 0.1
+    env = Environment()
+    done = NetworkFabric(env, t).transfer("a", "b", 0)
+    env.run(until=done)
+    assert env.now == 0.1 + 0.1
+
+
+def test_stream_session_routes_each_pair_once(count_searches):
+    """Per-chunk transfers reuse the memoized route: a 100-chunk session
+    makes one shortest-path search, not one per chunk."""
+    env = Environment()
+    topo = Topology()
+    topo.add_node("inst")
+    topo.add_node("sw", kind="switch")
+    topo.add_node("node")
+    topo.add_link("inst", "sw", Gbps(1), latency_s=0.0005)
+    topo.add_link("sw", "node", Gbps(10), latency_s=0.001)
+    fabric = NetworkFabric(env, topo)
+    receiver = StreamReceiver(env, host="node")
+    publisher = StreamPublisher(
+        env, fabric, receiver, src_host="inst", chunk_bytes=MB(1)
+    )
+    session = publisher.start("/acq.emd", MB(100))
+    env.run()
+    assert session.status == "DELIVERED"
+    assert session.chunks_sent == 100
+    assert count_searches == [("inst", "node")]
 
 
 # -- max-min fairness -------------------------------------------------------------

@@ -11,7 +11,8 @@ same-host (infinite-rate) streams, and links degraded or blacked out
 Randomized scenarios drive admissions, completions, and link-health
 flaps on random multi-switch topologies, and a monitor compares the
 incremental rates against the reference allocation at random checkpoint
-times (1e-9 relative tolerance; in practice they are bit-identical).
+times, for exact float equality.  Fixed one-stream scenarios pin the
+fabric's one-stream shortcut to the same floats.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +44,7 @@ def check_against_reference(fabric: NetworkFabric, failures: "list[str]") -> Non
     ref = reference_rates(fabric)
     for s in fabric.active_streams:
         want = ref[s.stream_id]
-        if not math.isclose(s.rate, want, rel_tol=1e-9, abs_tol=1e-12):
+        if s.rate != want:
             failures.append(
                 f"t={fabric.env.now}: stream {s.stream_id} "
                 f"({s.src}->{s.dst}, eff={s.efficiency}) "
@@ -200,6 +202,61 @@ def test_blackout_stalls_and_restore_resumes():
     env.process(chaos(env))
     env.run()
     assert done.triggered and not failures
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.62])
+@pytest.mark.parametrize("scale", [0.0, 0.15, 0.5, 1.0])
+def test_one_stream_shortcut_equals_reference(scale, efficiency):
+    """A lone stream skips the allocator; its rate must still be the
+    allocator's float — with its tightest link degraded or blacked out
+    (the bottleneck moves between hops as ``scale`` changes)."""
+    env = Environment()
+    topo = Topology()
+    topo.add_node("a")
+    topo.add_node("sw", kind="switch")
+    topo.add_node("b")
+    topo.add_link("a", "sw", Gbps(1))
+    topo.add_link("sw", "b", Gbps(0.5))
+    fabric = NetworkFabric(env, topo)
+    failures: "list[str]" = []
+    done = fabric.transfer("a", "b", MB(200), efficiency=efficiency)
+
+    def chaos(env):
+        yield env.timeout(0.1)
+        check_against_reference(fabric, failures)
+        fabric.set_link_health("a", "sw", scale)
+        check_against_reference(fabric, failures)
+        (s,) = fabric.active_streams
+        assert s.rate == min(Gbps(1) * scale, Gbps(0.5)) * efficiency
+        yield env.timeout(1.0)
+        fabric.set_link_health("a", "sw", 1.0)
+        check_against_reference(fabric, failures)
+
+    env.process(chaos(env))
+    env.run()
+    assert done.triggered and not failures
+
+
+def test_one_stream_shortcut_same_host_is_infinite():
+    """A lone same-host stream gets the allocator's ``inf`` rate."""
+    env = Environment()
+    topo = Topology()
+    topo.add_node("a")
+    fabric = NetworkFabric(env, topo)
+    failures: "list[str]" = []
+    done = fabric.transfer("a", "a", MB(10))
+    seen: "list[float]" = []
+
+    def probe(env):
+        # Runs in the admission tick, after the stream was admitted.
+        seen.extend(s.rate for s in fabric.active_streams)
+        check_against_reference(fabric, failures)
+        yield done
+
+    env.process(probe(env))
+    env.run()
+    assert seen == [math.inf] and not failures
+    assert done.value.remaining_bytes == 0.0
 
 
 def test_active_streams_cache_is_stable_between_changes():

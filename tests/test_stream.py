@@ -126,6 +126,33 @@ def test_threshold_fires_before_full_delivery():
     assert session.status == "DELIVERED"
 
 
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("chunk_bytes", 0),
+        ("chunk_bytes", float("nan")),
+        ("window", 0),
+        ("threshold_chunks", 0),
+        ("chunk_timeout_s", 0),  # used to livelock in renegotiations
+        ("chunk_timeout_s", float("nan")),
+        ("abort_poll_s", 0),  # used to hang env.run at one sim time
+        ("handshake_s", -0.05),
+        ("handshake_sigma", -0.2),
+        ("efficiency", 0),
+        ("efficiency", 1.5),
+        ("efficiency", float("nan")),
+        ("max_retransmits", -1),
+    ],
+)
+def test_publisher_rejects_bad_parameters_up_front(param, value):
+    """Every parameter is checked at construction, before any session
+    could livelock, hang the run or fail from inside it."""
+    env, fabric = _fabric_world()
+    receiver = StreamReceiver(env, host="node")
+    with pytest.raises(StreamError, match=param):
+        StreamPublisher(env, fabric, receiver, src_host="inst", **{param: value})
+
+
 def test_receiver_rejects_reopen_and_unknown_session():
     env, fabric = _fabric_world()
     receiver = StreamReceiver(env, host="node")
