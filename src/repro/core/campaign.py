@@ -79,6 +79,9 @@ class CampaignResult:
     #: ran with end-to-end verification (always set under chaos
     #: corruption); None otherwise.
     ledger: Any = None
+    #: The :class:`~repro.sim.trace.EventTraceRecorder` of a
+    #: ``trace=True`` campaign; None otherwise.
+    trace: Any = None
 
     @property
     def runs(self) -> list[FlowRun]:
@@ -92,13 +95,6 @@ class CampaignResult:
         if self.ingest != "stream":
             return []
         return self.app.sessions
-
-    @property
-    def trace(self):
-        """The attached :class:`~repro.sim.trace.EventTraceRecorder`
-        (``trace=True`` campaigns), else None."""
-        hook = self.testbed.env._trace_hook
-        return getattr(hook, "__self__", None)
 
     @property
     def completed_runs(self) -> list[FlowRun]:
@@ -195,10 +191,11 @@ def run_campaign(
     if isinstance(use_case, str):
         use_case = use_case_by_name(use_case)
     env = Environment(sanitize=sanitize, tiebreak=tiebreak)
+    recorder = None
     if trace:
         from ..sim.trace import EventTraceRecorder
 
-        EventTraceRecorder(env)
+        recorder = EventTraceRecorder(env)
     chaos_on = chaos.enabled
     corruption_on = (
         chaos_on and chaos.corruption is not None and chaos.corruption.enabled
@@ -363,4 +360,5 @@ def run_campaign(
         observer=observer,
         ingest=ingest,
         ledger=ledger,
+        trace=recorder,
     )

@@ -1,11 +1,11 @@
 """Per-directory analyzer configuration.
 
-Some files may legitimately touch what a rule forbids: the wall-clock
-pacing layer (``sim/realtime.py``) and the real-filesystem polling
-observer (``watcher/observer.py``) exist precisely to bridge simulated
-and real time.  Rather than scattering ``noqa`` comments, the config
-carries **path-scoped rule allowances**: glob patterns (matched against
-the file's POSIX path *suffix*) mapping to the rule ids permitted there.
+Some files may legitimately touch what a rule forbids: the
+real-filesystem polling observer (``watcher/observer.py``) exists
+precisely to bridge simulated and real time.  Rather than scattering
+``noqa`` comments, the config carries **path-scoped rule allowances**:
+glob patterns (matched against the file's POSIX path *suffix*) mapping
+to the rule ids permitted there.
 
 The flow-validation packs (``F3xx`` name checks and the ``F4xx``
 dataflow pass) also need the action-provider registry: which provider
@@ -38,12 +38,11 @@ __all__ = [
 ]
 
 #: Default path-scoped allowances. Keys are glob patterns, values the rule
-#: ids those files may violate.  ``sim/realtime.py`` *is* the wall clock
-#: bridge; ``watcher/observer.py`` polls a real directory tree (its loop
-#: takes injectable clock/sleep callables, but the defaults reference the
-#: real clock and demos drive it for wall-clock durations).
+#: ids those files may violate.  ``watcher/observer.py`` polls a real
+#: directory tree (its loop takes injectable clock/sleep callables, but
+#: the defaults reference the real clock and demos drive it for
+#: wall-clock durations).
 DEFAULT_ALLOW: dict[str, frozenset[str]] = {
-    "sim/realtime.py": frozenset({"D101", "D102"}),
     "watcher/observer.py": frozenset({"D101", "D102"}),
 }
 

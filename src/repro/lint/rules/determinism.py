@@ -75,11 +75,11 @@ class WallClockCall(Rule):
 @register
 class WallSleep(Rule):
     """D102: blocking sleeps stall the event loop and tie tests to real
-    time; only the realtime pacing layer may sleep."""
+    time; only the real-filesystem polling observer may sleep."""
 
     rule_id = "D102"
     severity = Severity.ERROR
-    summary = "time.sleep outside the realtime allowlist"
+    summary = "time.sleep outside the wall-clock allowlist"
     interests = (ast.Call,)
 
     def visit(self, ctx: FileContext, node: ast.Call) -> None:

@@ -2,8 +2,10 @@
 
 The kernel executes the paper's 1-hour campaigns deterministically in
 milliseconds while preserving event ordering, queueing, and overlap.  See
-:mod:`repro.sim.core` for the process model, :mod:`repro.sim.resources`
-for shared resources, and :mod:`repro.sim.realtime` for wall-clock pacing.
+:mod:`repro.sim.core` for the process model and its one dispatch loop,
+:mod:`repro.sim.resources` for shared resources, and
+:mod:`repro.sim.trace` / :mod:`repro.sim.sanitize` for the observers
+that attach to that loop as dispatch hooks.
 """
 
 from .core import (
@@ -18,14 +20,12 @@ from .core import (
     Process,
     Timeout,
 )
-from .realtime import RealtimeEnvironment
 from .resources import Request, Resource, Store
 from .sanitize import RaceReport, ScheduleSanitizer
 from .trace import EventTraceRecorder
 
 __all__ = [
     "Environment",
-    "RealtimeEnvironment",
     "ScheduleSanitizer",
     "RaceReport",
     "EventTraceRecorder",

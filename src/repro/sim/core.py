@@ -32,6 +32,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -133,7 +134,6 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        env._live += 1
         env._lane_normal_append((env._now, NORMAL, env._tiebreak_sign * seq, self))
         if env.sanitizer is not None:
             env.sanitizer.on_schedule(self)
@@ -168,8 +168,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True
@@ -434,7 +434,7 @@ class Environment:
     Parameters
     ----------
     initial_time:
-        Starting simulation time (seconds).
+        Starting simulation time (seconds); must be finite.
     sanitize:
         Attach a :class:`~repro.sim.sanitize.ScheduleSanitizer` that
         records same-``(time, priority)`` event cohorts and shared-state
@@ -446,6 +446,11 @@ class Environment:
         insertion order).  A model free of schedule races produces
         identical traces under both — reversing the tie-break is how
         ``python -m repro sanitize`` confirms suspected races.
+
+    Observers (the sanitizer, :class:`~repro.sim.trace.EventTraceRecorder`)
+    attach as dispatch hooks: ``hook(now, priority, event)`` callables in
+    ``_hooks``, called in attach order just before each event's callbacks
+    run, by :meth:`run` and :meth:`step` alike.
     """
 
     def __init__(
@@ -460,6 +465,8 @@ class Environment:
                 f"tiebreak must be 'fifo' or 'lifo', got {tiebreak!r}"
             )
         self._now = float(initial_time)
+        if not math.isfinite(self._now):
+            raise SimulationError(f"initial_time must be finite, got {initial_time}")
         # The queue is split three ways by traffic class, preserving the
         # single total order (time, priority, tiebreak_sign * seq) the
         # old one-heap design had:
@@ -506,22 +513,16 @@ class Environment:
         self._has_exotic = False
         self._seq = 0
         self._cancelled_count = 0
-        #: Live (scheduled, not yet dispatched, not cancelled) entries —
-        #: maintained incrementally at every schedule/cancel/dispatch
-        #: site so the run loop's "any work left?" test is O(1) instead
-        #: of an O(#buckets) scan per event.  Invariant:
-        #: ``_n_pending() - _cancelled_count == _live``.
-        self._live = 0
         self._active_process: Optional[Process] = None
-        #: Optional ``(now, priority, event)`` callable invoked as each
-        #: event is dispatched (see :mod:`repro.sim.trace`).
-        self._trace_hook: Optional[Callable[[float, int, "Event"], None]] = None
         self.tiebreak = tiebreak
         self._tiebreak_sign = 1 if tiebreak == "fifo" else -1
+        #: Dispatch hooks, ``hook(now, priority, event)``, in attach order.
+        self._hooks: tuple[Callable[[float, int, Event], None], ...] = ()
         if sanitize:
             from .sanitize import ScheduleSanitizer
 
             self.sanitizer: Optional[ScheduleSanitizer] = ScheduleSanitizer(self)
+            self._hooks = (self.sanitizer.begin_event,)
         else:
             self.sanitizer = None
 
@@ -535,64 +536,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    def peek(self) -> float:
-        """Timestamp of the next scheduled event, or ``inf`` if none."""
-        queue = self._queue
-        while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
-            self._cancelled_count -= 1
-        best = queue[0][0] if queue else float("inf")
-        fifo = self._tiebreak_sign == 1
-        for lane in (self._lane_urgent, self._lane_normal):
-            while lane and (lane[0] if fifo else lane[-1])[3]._cancelled:
-                if fifo:
-                    lane.popleft()
-                else:
-                    lane.pop()
-                self._cancelled_count -= 1
-            if lane:
-                t = (lane[0] if fifo else lane[-1])[0]
-                if t < best:
-                    best = t
-        cur = self._cur
-        if cur is not None:
-            if fifo:
-                idx = self._cur_idx
-                while idx < len(cur) and cur[idx]._cancelled:
-                    idx += 1
-                    self._cancelled_count -= 1
-                self._cur_idx = idx
-                if idx >= len(cur):
-                    self._cur = None
-                elif self._now < best:
-                    best = self._now
-            else:
-                while cur and cur[-1]._cancelled:
-                    cur.pop()
-                    self._cancelled_count -= 1
-                if not cur:
-                    self._cur = None
-                elif self._now < best:
-                    best = self._now
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            while bucket and (bucket[0] if fifo else bucket[-1])._cancelled:
-                if fifo:
-                    del bucket[0]
-                else:
-                    bucket.pop()
-                self._cancelled_count -= 1
-            if bucket:
-                if t < best:
-                    best = t
-                break
-            heapq.heappop(times)
-            del buckets[t]
-        return best
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -615,8 +558,8 @@ class Environment:
         # (every simulated wait), so skip the Event.__init__ super-call
         # chain and the schedule() indirection.  Timeout(...) remains the
         # equivalent spelled-out path for direct constructor use.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         ev = _new(_Timeout)
         ev.env = self
         ev.callbacks = []
@@ -627,7 +570,6 @@ class Environment:
         ev.delay = delay = delay if delay.__class__ is _float else _float(delay)
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         t = self._now + delay
         if t == self._now:
             # delay == 0, or small enough to underflow the addition:
@@ -674,8 +616,8 @@ class Environment:
             else:
                 self._lane_urgent.append(entry)
         elif priority == NORMAL:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
+            if not delay >= 0:
+                raise SimulationError(f"schedule delay must be >= 0, got {delay}")
             # Timer store: bucket by exact target timestamp.  A delay
             # small enough to underflow (t == now) belongs on the
             # immediate lane, like timeout().
@@ -693,15 +635,14 @@ class Environment:
                 else:
                     bucket.append(event)
         else:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
+            if not delay >= 0:
+                raise SimulationError(f"schedule delay must be >= 0, got {delay}")
             if priority != URGENT:
                 self._has_exotic = True
             heapq.heappush(
                 self._queue,
                 (self._now + delay, priority, self._tiebreak_sign * seq, event),
             )
-        self._live += 1
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(event)
 
@@ -725,7 +666,6 @@ class Environment:
             return
         event._cancelled = True
         self._cancelled_count += 1
-        self._live -= 1
         if self._cancelled_count > 8 and self._cancelled_count * 2 > self._n_pending():
             self._compact()
 
@@ -945,33 +885,28 @@ class Environment:
             if entry is not None:
                 return entry
 
-    def _has_pending(self) -> bool:
-        return self._live > 0
-
     def step(self) -> None:
         """Process the next scheduled event.
 
+        The one-event reference for :meth:`run`'s drain loop: the same
+        pop order, hooks and failure propagation, one event at a time.
         Raises :class:`SimulationError` if the queue is empty, and
         re-raises the exception of any failed event nobody defused.
         """
         entry = self._pop_entry()
         if entry is None:
             raise SimulationError("no more events")
-        self._live -= 1
         now, priority, _, event = entry
         self._now = now
-        if self._trace_hook is not None:
-            self._trace_hook(now, priority, event)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_event(self._now, priority, event)
+        for hook in self._hooks:
+            hook(now, priority, event)
         callbacks, event.callbacks = event.callbacks, None
         try:
             for callback in callbacks:
                 callback(event)
         finally:
-            if sanitizer is not None:
-                sanitizer.end_event()
+            if self.sanitizer is not None:
+                self.sanitizer.end_event()
         if event._ok is False and not event._defused:
             exc = event._value
             raise exc
@@ -991,7 +926,7 @@ class Environment:
                 stop.callbacks.append(self._stop_callback)
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # also rejects NaN
                     raise SimulationError(
                         f"run(until={at}) is in the past (now={self._now})"
                     )
@@ -1001,19 +936,14 @@ class Environment:
                 self.schedule(stop, delay=at - self._now, priority=URGENT)
                 stop.callbacks.append(self._stop_callback)
         try:
-            if (
-                self.sanitizer is None
-                and self._trace_hook is None
-                and type(self) is Environment
-            ):
-                # No observers attached and no step() override possible:
-                # dispatch in the tight loop.
-                self._run_fast()
-            else:
-                while self._has_pending():
-                    self.step()
+            self._run_fast()
         except _StopRun as stop_exc:
             return stop_exc.args[0]
+        finally:
+            if self.sanitizer is not None:
+                # Close the last firing's cohort: touches and schedules
+                # made outside a dispatch record nothing.
+                self.sanitizer.end_event()
         if stop is not None and isinstance(until, Event):
             raise SimulationError(
                 "run() finished: the until-event was never triggered"
@@ -1022,14 +952,12 @@ class Environment:
 
     # repro: hotpath
     def _run_fast(self) -> None:
-        """Drain the queue without per-event observer checks.
+        """Drain the queue: :meth:`run`'s one dispatch loop.
 
-        Byte-identical to ``while self._has_pending(): self.step()`` —
-        the same pop order, the same dispatch, the same failure
-        propagation — minus the sanitizer/trace-hook tests and the
-        method-call overhead per event.  Only entered when no sanitizer
-        or trace hook is attached and ``type(self) is Environment`` (a
-        subclass overriding :meth:`step` gets the stepping loop).
+        Byte-identical to calling :meth:`step` until no live entry is
+        left — the same pop order, the same hooks, the same failure
+        propagation — minus the method-call overhead per event.  With no
+        hook attached, an event costs one test of the local ``hooks``.
 
         The hot branch drains one timer bucket at a stretch.  While a
         bucket drains, already-queued exotic-heap entries cannot
@@ -1049,6 +977,7 @@ class Environment:
         pop_entry = self._pop_entry
         heappop = heapq.heappop
         lifo = self._tiebreak_sign != 1
+        hooks = self._hooks
         while True:
             if lane_u or lane_n:
                 if (
@@ -1082,7 +1011,11 @@ class Environment:
                         if event._cancelled:
                             self._cancelled_count -= 1
                             continue
-                        self._live -= 1
+                        if hooks:
+                            # Lane entries are at ``now``; the lane is the priority.
+                            priority = URGENT if lane is lane_u else NORMAL
+                            for hook in hooks:
+                                hook(self._now, priority, event)
                         callbacks = event.callbacks
                         event.callbacks = None
                         if len(callbacks) == 1:
@@ -1123,9 +1056,11 @@ class Environment:
             else:
                 entry = None  # resume the current bucket
             if entry is not None:
-                self._live -= 1
                 self._now = entry[0]
                 event = entry[3]
+                if hooks:
+                    for hook in hooks:
+                        hook(entry[0], entry[1], event)
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:
@@ -1151,7 +1086,7 @@ class Environment:
             # callback can shrink ``cur`` and leave ``n`` stale, so the
             # read is guarded by the (zero-cost-until-raised)
             # IndexError as a safety net — every introspection path
-            # (peek, _pop_entry, _n_pending, _compact) tolerates a
+            # (_pop_entry, _n_pending, _compact) tolerates a
             # fully-read ``_cur``, so exhaustion may be discovered
             # lazily on that read.
             nq = len(queue)
@@ -1174,7 +1109,9 @@ class Environment:
                 if event._cancelled:
                     self._cancelled_count -= 1
                     continue
-                self._live -= 1
+                if hooks:
+                    for hook in hooks:
+                        hook(self._now, NORMAL, event)
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:

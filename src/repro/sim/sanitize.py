@@ -9,8 +9,10 @@ kernel but reorder under any legitimate alternative tie-break — the
 classic schedule race that only shows up after an innocent refactor.
 
 :class:`ScheduleSanitizer` is the dynamic detector.  With
-``Environment(sanitize=True)`` the kernel calls :meth:`begin_event` /
-:meth:`end_event` around every firing, and instrumented shared state
+``Environment(sanitize=True)`` the kernel calls :meth:`begin_event` as
+a dispatch hook before every firing and :meth:`end_event` when
+``run()`` returns or raises and after each ``step()`` (a firing lasts
+until the next one begins), and instrumented shared state
 (:class:`~repro.sim.resources.Resource` / ``Store`` mutations, flow-run
 registry writes, scheduler counters) reports accesses through
 :meth:`Environment.touch`.  Touches are grouped into same-``(time,
@@ -125,6 +127,7 @@ class ScheduleSanitizer:
             self._scheduled_during[id(event)] = (self._current.ordinal, event)
 
     def begin_event(self, time: float, priority: int, event: "Event") -> None:
+        """Open the firing of ``event``; it closes the previous one."""
         ordinal = self._fired
         self._fired += 1
         parent = self._scheduled_during.pop(id(event), None)
@@ -133,6 +136,7 @@ class ScheduleSanitizer:
         self._current = _Firing((time, priority), ordinal)
 
     def end_event(self) -> None:
+        """Close the current firing: later touches have no cohort."""
         self._current = None
 
     def _ordered(self, earlier: int, later: int) -> bool:

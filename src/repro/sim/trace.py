@@ -1,10 +1,11 @@
 """Step-level event tracing for bit-identity verification.
 
-:class:`EventTraceRecorder` hooks the kernel's dispatch loop and records
-one line per processed event — ``(time, priority, event type)`` at full
-``repr`` float precision.  Two runs of the same model are *bit-identical*
-exactly when their recorded traces are byte-identical: any change in
-event ordering, count, timing, or kind shows up as a trace diff.
+:class:`EventTraceRecorder` attaches a dispatch hook to the kernel's one
+drain loop and records one line per processed event — ``(time,
+priority, event type)`` at full ``repr`` float precision.  Two runs of
+the same model are *bit-identical* exactly when their recorded traces
+are byte-identical: any change in event ordering, count, timing, or
+kind shows up as a trace diff.
 
 This is the measurement behind the golden-trace equivalence suite
 (``tests/test_golden_traces.py``): traces recorded on a previous
@@ -20,7 +21,6 @@ processes and would defeat byte comparison.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from .core import Environment, Event
 
@@ -30,10 +30,10 @@ __all__ = ["EventTraceRecorder"]
 class EventTraceRecorder:
     """Record every dispatched event of an :class:`Environment`.
 
-    Attaching a recorder routes the environment through the fully
-    instrumented dispatch path (the no-hook fast loop is bypassed), so
-    recording never changes *what* is scheduled — only how fast the
-    queue drains.  Attach before the first ``run()``::
+    The recorder is a dispatch hook on the same loop an untraced run
+    uses, so recording never changes *what* is dispatched or in which
+    order — it only adds one call per event.  Attach before the first
+    ``run()``; it stays attached for the environment's lifetime::
 
         env = Environment()
         rec = EventTraceRecorder(env)
@@ -43,19 +43,12 @@ class EventTraceRecorder:
     """
 
     def __init__(self, env: Environment) -> None:
-        if env._trace_hook is not None:
-            raise ValueError("environment already has a trace recorder")
         self.env = env
         self.lines: list[str] = []
-        env._trace_hook = self._on_step
+        env._hooks += (self._on_dispatch,)
 
-    def _on_step(self, now: float, priority: int, event: Event) -> None:
+    def _on_dispatch(self, now: float, priority: int, event: Event) -> None:
         self.lines.append(f"{now!r} {priority} {type(event).__name__}")
-
-    def detach(self) -> None:
-        """Stop recording (the environment regains its fast loop)."""
-        if self.env._trace_hook is self._on_step:
-            self.env._trace_hook = None
 
     @property
     def text(self) -> str:

@@ -6,10 +6,11 @@ transition trace, span stream hash, Table 1 and Fig. 4 numbers —
 recorded on the pre-optimization kernel and fabric.  Replaying the same
 campaign on the current code must reproduce every byte.
 
-``trace=True`` replays pin the kernel to the instrumented slow path
-(the trace hook disables ``_run_fast``), so a second set of untraced
-replays checks that the fast path lands on the same Table 1 / Fig. 4
-numbers — the two dispatch paths must be observably indistinguishable.
+``trace=True`` replays record through a dispatch hook on the kernel's
+one drain loop — the loop every untraced campaign runs — so the goldens
+pin the event order that campaigns and the benchmark actually execute.
+A second set of untraced replays, with no hook attached, checks that
+they land on the same Table 1 / Fig. 4 numbers.
 
 Stream-mode goldens (``stream-*``) pin each session's terminal record,
 the quarantine list and the indexed subjects in place of Table 1 /
@@ -71,7 +72,7 @@ def test_replay_is_bit_identical(kind, use_case, seed, tiebreak, ingest):
     ids=[i for i in _IDS if "-s1-" in i],
 )
 def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
-    """Untraced replays (fast dispatch path) land on the golden numbers."""
+    """Untraced replays (no dispatch hook) land on the golden numbers."""
     from repro.chaos import delivery_breakdown, run_chaos_campaign
     from repro.core.campaign import run_campaign
     from repro.core.stats import fig4_samples
@@ -86,7 +87,7 @@ def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
             kind, use_case=use_case, duration_s=3600.0, seed=seed,
             tiebreak=tiebreak, ingest=ingest,
         )
-    assert res.trace is None  # really the uninstrumented path
+    assert res.trace is None and res.testbed.env._hooks == ()  # really unhooked
     if ingest == "stream":
         outcome = golden_capture.stream_outcome(res)
         assert outcome == {k: golden[k] for k in outcome}

@@ -100,11 +100,10 @@ def test_select_and_ignore_config():
 
 def test_default_allowlist_covers_realtime_and_observer():
     cfg = LintConfig()
-    assert cfg.allowed_for_path("src/repro/sim/realtime.py", "D101")
-    assert cfg.allowed_for_path("src/repro/sim/realtime.py", "D102")
+    assert cfg.allowed_for_path("src/repro/watcher/observer.py", "D101")
     assert cfg.allowed_for_path("src/repro/watcher/observer.py", "D102")
     # but not for other rules or other files
-    assert not cfg.allowed_for_path("src/repro/sim/realtime.py", "D103")
+    assert not cfg.allowed_for_path("src/repro/watcher/observer.py", "D103")
     assert not cfg.allowed_for_path("src/repro/sim/core.py", "D101")
 
 

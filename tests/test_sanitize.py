@@ -76,6 +76,12 @@ def test_touch_rejects_bad_mode_and_ignores_setup_phase():
     env.process(proc(env))
     with pytest.raises(ValueError, match="touch mode"):
         env.run()
+    env.touch(object(), "x")  # after run() raised: outside any firing, ignored
+
+    env = Environment(sanitize=True)
+    env.process(proc(env))
+    env.run(until=0.5)
+    env.touch(object(), "x")  # after run() returned: outside any firing, ignored
 
 
 # -- race detection -----------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import NORMAL, URGENT, AllOf, AnyOf, Environment, Event, Interrupt, Timeout
 
 
 def test_time_starts_at_zero():
@@ -48,8 +48,30 @@ def test_timeout_value_passed_through_yield():
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(-1)
+    for delay in (-1, float("nan")):
+        with pytest.raises(SimulationError, match="timeout delay must be >= 0"):
+            env.timeout(delay)
+        with pytest.raises(SimulationError, match="timeout delay must be >= 0"):
+            Timeout(env, delay)
+    assert env.now == 0.0
+
+
+def test_negative_schedule_delay_rejected():
+    env = Environment()
+    for delay in (-1, float("nan")):
+        for priority in (NORMAL, URGENT):
+            ev = env.event()
+            ev._ok, ev._value = True, None
+            with pytest.raises(SimulationError, match="schedule delay must be >= 0"):
+                env.schedule(ev, delay=delay, priority=priority)
+    env.run()
+    assert env.now == 0.0
+
+
+def test_non_finite_initial_time_rejected():
+    for initial_time in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SimulationError, match="initial_time must be finite"):
+            Environment(initial_time=initial_time)
 
 
 def test_processes_interleave_in_time_order():
@@ -111,8 +133,10 @@ def test_run_until_event_returns_value():
 
 def test_run_until_past_raises():
     env = Environment(initial_time=10)
-    with pytest.raises(SimulationError):
-        env.run(until=5)
+    for until in (5, float("nan")):
+        with pytest.raises(SimulationError, match="is in the past"):
+            env.run(until=until)
+    assert env.now == 10
 
 
 def test_run_until_never_triggered_event_raises():
@@ -342,13 +366,6 @@ def test_step_empty_queue_raises():
         env.step()
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(7)
-    assert env.peek() == 7
-
-
 # ---------------------------------------------------------------------------
 # Property-based tests
 # ---------------------------------------------------------------------------
@@ -431,14 +448,6 @@ def test_cancelled_timeout_never_fires():
     env.run()
     assert fired == ["keeper"]
     assert env.now == 3.0  # the clock never advanced to the cancelled event
-
-
-def test_peek_skips_cancelled_events():
-    env = Environment()
-    first = env.timeout(1.0)
-    env.timeout(2.0)
-    env.cancel(first)
-    assert env.peek() == 2.0
 
 
 def test_cancel_is_idempotent_and_queue_compacts():

@@ -14,8 +14,10 @@ from __future__ import annotations
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Environment
+from repro.sim import Environment, EventTraceRecorder, Interrupt
 from repro.sim.core import NORMAL, URGENT
 from repro.sim.core import _defuse_stale
 
@@ -177,17 +179,6 @@ def test_mass_cancel_compacts_every_structure():
     assert order == sorted(keep, key=lambda i: (1.0 + (i % 5), i))
 
 
-def test_peek_skips_cancelled_bucket_heads():
-    env = Environment()
-    early = env.timeout(1.0)
-    env.timeout(2.0)
-    assert env.peek() == 1.0
-    env.cancel(early)
-    assert env.peek() == 2.0
-    env.run()
-    assert env.now == 2.0
-
-
 def test_fired_condition_detaches_from_pending_timers():
     """Once an AnyOf fires, its long-lived constituents must not keep a
     reference to the condition (or its result dict) alive: the ``_check``
@@ -212,38 +203,15 @@ def test_fired_condition_detaches_from_pending_timers():
     assert env.now == 1001.0
 
 
-def test_run_fast_disabled_by_trace_hook():
-    """Attaching a trace hook must route through the instrumented step
-    path — the hook sees every dispatch, in order."""
-    env = Environment()
-    seen = []
-    env._trace_hook = lambda now, prio, event: seen.append(
-        (now, prio, type(event).__name__)
-    )
-
-    def proc(env):
-        yield env.timeout(1.0)
-        yield env.timeout(0.0)
-
-    env.process(proc(env))
-    env.run()
-    assert [s for s in seen if s[2] == "Timeout"] == [
-        (1.0, NORMAL, "Timeout"),
-        (1.0, NORMAL, "Timeout"),
-    ]
-    assert seen[0][1] == URGENT  # process-init event
-
-
 def test_traced_cohort_drain_matches_manual_step_loop():
-    """The traced run's O(1) "any live work left?" test dispatches
-    exactly what a manual ``step()`` loop does, with one cancelled
-    far-future deadline per flow keeping many buckets live."""
+    """A traced ``run()`` dispatches exactly what a manual ``step()``
+    loop does, with one cancelled far-future deadline per flow keeping
+    many buckets live."""
     n_flows, n_ticks, period = 400, 20, 10.0
 
     def build():
         env = Environment()
-        dispatched = []
-        env._trace_hook = lambda now, prio, event: dispatched.append(now)
+        dispatched = EventTraceRecorder(env).lines
 
         def flow(env, i):
             deadline = env.timeout(10_000.0 + i)  # one live bucket per flow
@@ -279,3 +247,123 @@ def test_exotic_priorities_total_order():
     env.timeout(1.0).callbacks.append(_tag(order, "normal"))
     env.run()
     assert order == ["normal", "exotic", "late-exotic", "next-tick"]
+
+
+# -- run() against step() on drawn schedules ----------------------------------
+
+#: Drawn delays: repeats, zero, and — from ``initial_time=1e16``, where
+#: one ulp is 2.0 — positive delays that underflow to the current time.
+_DELAYS = st.sampled_from([0.0, 1e-3, 1.0, 2.0, 2.0, 3.5])
+
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("succeed")),
+    st.tuples(st.just("fail")),
+    st.tuples(st.just("schedule"), st.sampled_from([URGENT, -1, 2]), _DELAYS),
+    st.tuples(st.just("process"), st.lists(_DELAYS, max_size=4).map(tuple)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=8)),
+)
+
+#: A schedule is a tuple of ``(op, children)`` nodes; an op that creates
+#: an event runs its children inside that event's callback.
+_SCHEDULES = st.recursive(
+    st.just(()),
+    lambda children: st.lists(st.tuples(_OPS, children), max_size=4).map(tuple),
+    max_leaves=24,
+)
+
+
+def _dispatch_order(schedule, initial_time, tiebreak, mode):
+    """Build ``schedule`` and drain it; return the ``(now, priority, kind,
+    label)`` of every dispatched event and the final ``now``.
+
+    ``mode`` is ``"hooked"`` (a dispatch hook records, ``run()`` drains),
+    ``"callbacks"`` (a callback on every event records, no hook attached)
+    or ``"step"`` (the hook records, a manual ``step()`` loop drains).
+    """
+    env = Environment(initial_time=initial_time, tiebreak=tiebreak)
+    order = []
+    labels = {}
+    events = []  # cancel targets, in creation order
+    processes = []
+
+    def watch(event, priority, label, children=()):
+        labels[event] = label
+
+        def fired(ev):
+            if mode == "callbacks":
+                order.append((env.now, priority, type(ev).__name__, label))
+            build(children, label)
+
+        event.callbacks.append(fired)
+        return event
+
+    def worker(label, delays):
+        for i, delay in enumerate(delays):
+            timer = watch(env.timeout(delay), NORMAL, f"{label}.t{i}")
+            events.append(timer)
+            try:
+                yield timer
+            except Interrupt:
+                pass
+
+    def build(nodes, parent):
+        for i, ((kind, *args), children) in enumerate(nodes):
+            label = f"{parent}/{i}{kind}"
+            if kind == "timeout":
+                events.append(watch(env.timeout(args[0]), NORMAL, label, children))
+            elif kind == "succeed":
+                events.append(watch(env.event(), NORMAL, label, children).succeed())
+            elif kind == "fail":
+                ev = watch(env.event(), NORMAL, label, children)
+                ev.fail(RuntimeError(label))
+                ev.defused()
+                events.append(ev)
+            elif kind == "schedule":
+                priority, delay = args
+                ev = watch(env.event(), priority, label, children)
+                ev._ok, ev._value = True, None
+                env.schedule(ev, delay=delay, priority=priority)
+                events.append(ev)
+            elif kind == "process":
+                proc = env.process(worker(label, args[0]))
+                watch(proc.target, URGENT, f"{label}.init")
+                processes.append(watch(proc, NORMAL, label, children))
+            elif kind == "cancel" and events:
+                victim = events[args[0] % len(events)]
+                if not victim.processed:
+                    env.cancel(victim)
+            elif kind == "interrupt" and processes:
+                proc = processes[args[0] % len(processes)]
+                if proc.is_alive:
+                    proc.interrupt(label)
+                    # the delivery event interrupt() just queued
+                    watch(env._lane_urgent[-1][3], URGENT, f"{label}.delivery")
+
+    def hook(now, priority, event):
+        order.append((now, priority, type(event).__name__, labels[event]))
+
+    if mode != "callbacks":
+        env._hooks += (hook,)
+    build(schedule, "")
+    try:
+        if mode == "step":
+            while env._n_pending() > env._cancelled_count:
+                env.step()
+        else:
+            env.run()
+    except Interrupt as exc:  # a process interrupted before it started
+        order.append(("raised", exc.cause))
+    return order, env.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCHEDULES, st.sampled_from([0.0, 1e16]))
+def test_run_dispatches_exactly_what_step_does(schedule, initial_time):
+    """``run()``'s loop, with or without a hook, dispatches the same
+    events in the same order at the same times as ``step()``."""
+    for tiebreak in ("fifo", "lifo"):
+        hooked = _dispatch_order(schedule, initial_time, tiebreak, "hooked")
+        assert _dispatch_order(schedule, initial_time, tiebreak, "callbacks") == hooked
+        assert _dispatch_order(schedule, initial_time, tiebreak, "step") == hooked
