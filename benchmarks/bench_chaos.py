@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro.chaos import NO_CHAOS, delivery_breakdown, run_chaos_campaign
+from repro.chaos import NO_CHAOS, delivery_breakdown
 from repro.core import run_campaign
 from repro.core.sanitize import campaign_trace
 
@@ -81,8 +81,8 @@ def test_chaos_disabled_is_free(benchmark, output_dir):
 
 def test_chaos_recovery_latency(benchmark, output_dir):
     result = benchmark.pedantic(
-        lambda: run_chaos_campaign(
-            "outage", use_case="hyperspectral", duration_s=DURATION, seed=5
+        lambda: run_campaign(
+            "hyperspectral", chaos="outage", duration_s=DURATION, seed=5
         ),
         rounds=1,
         iterations=1,

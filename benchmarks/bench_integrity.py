@@ -9,7 +9,8 @@ the end-to-end ``campaign-chaos`` workload in ``benchmarks/e2e``.)
 
 from __future__ import annotations
 
-from repro.integrity import format_audit, run_integrity_campaign
+from repro.core import run_campaign
+from repro.integrity import audit_campaign, format_audit
 
 from conftest import report
 
@@ -17,13 +18,15 @@ DURATION = 1800.0
 
 
 def test_corruption_campaign_audit(benchmark, output_dir):
-    result, audit = benchmark.pedantic(
-        lambda: run_integrity_campaign(
-            duration_s=DURATION, seed=5, ingest="stream"
+    result = benchmark.pedantic(
+        lambda: run_campaign(
+            "hyperspectral", chaos="corruption", duration_s=DURATION, seed=5,
+            ingest="stream", obs=True,
         ),
         rounds=1,
         iterations=1,
     )
+    audit = audit_campaign(result)
     sessions = result.app.sessions
     lines = [
         f"sessions: {len(sessions)}  "

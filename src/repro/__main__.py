@@ -34,15 +34,19 @@ Commands
     Run a grid of campaign variants across worker processes with a
     deterministic, submission-ordered merge (parallel == serial).
 
-An unknown chaos scenario name (``chaos``, ``stream --scenario``,
-``integrity``, ``sweep --scenarios``) or sweep use case (``sweep
---use-cases``) is a usage error: exit status 2.
+An invalid setting (a non-finite ``--duration``, a sweep use case not in
+:data:`~repro.core.campaign.USE_CASES`, ...) or an unknown chaos scenario
+name (``chaos``, ``stream --scenario``, ``integrity``, ``sweep
+--scenarios``) is a usage error: exit status 2, checked before the
+campaign is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from .core.campaign import USE_CASES
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -177,7 +181,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .chaos import SCENARIOS, delivery_breakdown, run_chaos_campaign
+    from .chaos import SCENARIOS, delivery_breakdown
+    from .core import run_campaign
 
     if args.list:
         for name in sorted(SCENARIOS):
@@ -196,8 +201,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{name:15s} {', '.join(parts)}")
         return 0
 
-    result = run_chaos_campaign(
-        args.scenario, use_case=args.use_case, duration_s=args.duration,
+    result = run_campaign(
+        args.use_case, chaos=args.scenario, duration_s=args.duration,
         seed=args.seed,
     )
     breakdown = delivery_breakdown(result)
@@ -238,7 +243,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .chaos import NO_CHAOS, scenario
+    from .chaos import NO_CHAOS
     from .core import run_campaign
     from .obs import (
         derive_runs,
@@ -247,7 +252,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ingest_comparison,
     )
 
-    plan = NO_CHAOS if args.scenario is None else scenario(args.scenario)
     results = {}
     for mode in ("file", "stream"):
         results[mode] = run_campaign(
@@ -255,7 +259,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             duration_s=args.duration,
             seed=args.seed,
             obs=True,
-            chaos=plan,
+            chaos=NO_CHAOS if args.scenario is None else args.scenario,
             ingest=mode,
         )
     runs = derive_runs(results["file"].testbed.obs.tracer.spans)
@@ -273,18 +277,21 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrity(args: argparse.Namespace) -> int:
-    from .integrity import format_audit, run_integrity_campaign
+    from .core import run_campaign
+    from .integrity import audit_campaign, format_audit
 
     modes = ["file", "stream"] if args.ingest == "both" else [args.ingest]
     all_ok = True
     for mode in modes:
-        result, report = run_integrity_campaign(
-            scenario=args.scenario,
-            use_case=args.use_case,
+        result = run_campaign(
+            args.use_case,
+            chaos=args.scenario,
             duration_s=args.duration,
             seed=args.seed,
+            obs=True,
             ingest=mode,
         )
+        report = audit_campaign(result)
         print(
             f"scenario {args.scenario!r} on {args.use_case} "
             f"({mode} ingest), {args.duration:.0f} s, seed {args.seed}"
@@ -317,10 +324,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p = sub.add_parser("campaign", help="run the Sec. 3.3 campaigns (Table 1)")
     p.add_argument(
-        "use_case",
-        nargs="?",
-        default="both",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie", "both"],
+        "use_case", nargs="?", default="both", choices=[*USE_CASES, "both"]
     )
     p.add_argument("--duration", type=float, default=3600.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=1)
@@ -351,10 +355,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="detect DES schedule races by reversing the same-tick tie-break",
     )
     p.add_argument(
-        "use_case",
-        nargs="?",
-        default="hyperspectral",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie"],
+        "use_case", nargs="?", default="hyperspectral", choices=list(USE_CASES)
     )
     p.add_argument("--duration", type=float, default=600.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=1)
@@ -371,10 +372,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "trace", help="run a traced campaign and export spans + metrics"
     )
     p.add_argument(
-        "use_case",
-        nargs="?",
-        default="hyperspectral",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie"],
+        "use_case", nargs="?", default="hyperspectral", choices=list(USE_CASES)
     )
     p.add_argument("--duration", type=float, default=1800.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=1)
@@ -394,9 +392,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="scenario name (see --list)",
     )
     p.add_argument(
-        "--use-case",
-        default="hyperspectral",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie"],
+        "--use-case", default="hyperspectral", choices=list(USE_CASES)
     )
     p.add_argument("--duration", type=float, default=3600.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -410,10 +406,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="compare file vs streaming ingest latency head-to-head",
     )
     p.add_argument(
-        "use_case",
-        nargs="?",
-        default="hyperspectral",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie"],
+        "use_case", nargs="?", default="hyperspectral", choices=list(USE_CASES)
     )
     p.add_argument("--duration", type=float, default=900.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=1)
@@ -434,9 +427,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="chaos scenario to audit (see `chaos --list`)",
     )
     p.add_argument(
-        "--use-case",
-        default="hyperspectral",
-        choices=["hyperspectral", "spatiotemporal", "spectral-movie"],
+        "--use-case", default="hyperspectral", choices=list(USE_CASES)
     )
     p.add_argument("--duration", type=float, default=3600.0, help="simulated seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -473,11 +464,11 @@ def main(argv: "list[str] | None" = None) -> int:
     p.set_defaults(fn=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    from .errors import ChaosError
+    from .errors import ChaosError, ConfigError
 
     try:
         return args.fn(args)
-    except ChaosError as exc:
+    except (ChaosError, ConfigError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

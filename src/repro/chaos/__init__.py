@@ -9,8 +9,8 @@ The subsystem has three layers:
 * :mod:`repro.chaos.controller` — arms a plan against a live testbed
   and reports what recovered.
 
-:mod:`repro.chaos.scenarios` ships named, campaign-sized plans and
-``run_chaos_campaign`` (the ``python -m repro chaos`` entry point).
+:mod:`repro.chaos.scenarios` ships named, campaign-sized plans;
+``run_campaign(..., chaos=name)`` runs one.
 """
 
 from .controller import ChaosController

@@ -204,10 +204,10 @@ class DataCorruptionSpec:
       freshly acquired file's payload never matched its declared
       checksum in the first place.
 
-    Arming any of these requires the campaign's integrity ledger (the
-    campaign builder enforces it): corruption without verification
-    would be *silent*, which is the failure mode this subsystem exists
-    to rule out.
+    Arming any of these requires the campaign's integrity ledger
+    (:class:`~repro.core.campaign.CampaignConfig` enforces it):
+    corruption without verification would be *silent*, which is the
+    failure mode this subsystem exists to rule out.
     """
 
     chunk_corrupt_prob: float = 0.0
@@ -305,10 +305,16 @@ class ChaosPlan:
             or self.degradations
             or self.watcher_crashes
             or (self.node_failures is not None and self.node_failures.prob > 0)
-            or self.transfer_faults is not NO_FAULTS
-            or (self.corruption is not None and self.corruption.enabled)
+            or self.transfer_faults != NO_FAULTS
+            or self.corrupts
             or self.retry_policies
         )
+
+    @property
+    def corrupts(self) -> bool:
+        """True when the plan injects data corruption, which the
+        campaign's integrity ledger must then detect."""
+        return self.corruption is not None and self.corruption.enabled
 
     def policy_map(self) -> dict[str, RetryPolicy]:
         return dict(self.retry_policies)

@@ -1,8 +1,9 @@
-"""Named chaos scenarios and the chaos campaign runner.
+"""Named chaos scenarios.
 
 Each scenario is a complete :class:`~repro.chaos.plan.ChaosPlan` sized
-for the standard 1-hour campaign; ``python -m repro chaos`` runs one by
-name and prints the delivered-vs-dropped breakdown.
+for the standard 1-hour campaign; ``run_campaign(..., chaos=name)`` runs
+one by name, and ``python -m repro chaos`` prints its delivered-vs-dropped
+breakdown.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from ..errors import ChaosError
 from ..flows.backoff import ExponentialBackoff
 from ..flows.retry import RetryPolicy
 from ..transfer.faults import FaultPlan
-from ..units import hours, minutes
+from ..units import minutes
 from .plan import (
     BitRotWindow,
     ChaosPlan,
@@ -143,41 +144,14 @@ def scenario(name: str) -> ChaosPlan:
 
 
 def run_chaos_campaign(
-    plan: "ChaosPlan | str",
-    use_case: str = "hyperspectral",
-    duration_s: float = hours(1),
-    seed: int = 0,
-    obs: bool = False,
-    tiebreak: str = "fifo",
-    trace: bool = False,
-    ingest: str = "file",
+    plan: "ChaosPlan | str", use_case: str = "hyperspectral", **settings: Any
 ):
-    """Run a campaign under ``plan`` and drain it to quiescence.
-
-    After the timed window closes, the event queue is run dry so every
-    in-flight run reaches a terminal state — the no-hung-runs guarantee
-    — and any backlog entries still pending (their outage outlived the
-    campaign) are caught up.  Returns the
-    :class:`~repro.core.campaign.CampaignResult`; the controller (and
-    its :meth:`~repro.chaos.controller.ChaosController.report`) is at
-    ``result.chaos``.
-    """
+    """``run_campaign(use_case, chaos=plan, **settings)``, kept for the
+    callers of this older entry point (the end-to-end benchmark).  An
+    enabled plan drains inside :func:`repro.core.run_campaign`."""
     from ..core.campaign import run_campaign  # deferred: core imports chaos
 
-    if isinstance(plan, str):
-        plan = scenario(plan)
-    result = run_campaign(
-        use_case, duration_s=duration_s, seed=seed, chaos=plan, obs=obs,
-        tiebreak=tiebreak, trace=trace, ingest=ingest,
-    )
-    env = result.testbed.env
-    env.run()  # drain in-flight work past the campaign window
-    ctrl = result.chaos
-    if ctrl is not None and ctrl.flows is not None:
-        if any(e for e in ctrl.flows.backlog if not e.recovered and e.error is None):
-            env.process(ctrl.drain_remaining())
-            env.run()
-    return result
+    return run_campaign(use_case, chaos=plan, **settings)
 
 
 def delivery_breakdown(result: Any) -> dict[str, Any]:

@@ -3,12 +3,19 @@
 Gladier tools composing the Transfer → Analyze → Publish flow
 (``tools``), the combined analysis functions with calibrated cost models
 (``functions``), the watcher-triggered client application (``app``), the
-Sec. 3.3 performance campaigns (``campaign``), and the Table 1 / Fig. 4
+Sec. 3.3 performance campaigns declared as :class:`CampaignConfig` and
+run by :func:`run_campaign` (``campaign``), and the Table 1 / Fig. 4
 statistics (``stats``).
 """
 
 from .app import FlowTriggerApp, TriggerApp
-from .campaign import CampaignResult, run_campaign, use_case_by_name
+from .campaign import (
+    USE_CASES,
+    CampaignConfig,
+    CampaignResult,
+    run_campaign,
+    use_case_by_name,
+)
 from .sanitize import SanitizeResult, campaign_trace, sanitize_campaign
 from .functions import (
     analyze_hyperspectral_file,
@@ -40,6 +47,8 @@ from .tools import (
 __all__ = [
     "FlowTriggerApp",
     "TriggerApp",
+    "USE_CASES",
+    "CampaignConfig",
     "CampaignResult",
     "run_campaign",
     "use_case_by_name",

@@ -1,7 +1,9 @@
 """The Sec. 3.3 performance campaigns, end to end.
 
-``run_campaign`` reproduces one of the paper's two independent 1-hour
-experiments: build the Argonne testbed, register the use case's combined
+A :class:`CampaignConfig` declares one campaign: the use case, its
+duration and seed, the ingest path, the chaos plan and every other
+setting, all checked before anything is built.  ``run_campaign`` runs
+it: build the Argonne testbed, register the use case's combined
 analysis function with its calibrated cost model, compose the Gladier
 flow, start the periodic file copier and the watcher-triggered app, run
 the simulated hour, and return the completed flow runs plus everything
@@ -10,10 +12,13 @@ needed for Table 1 / Fig. 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..chaos import ChaosController, ChaosPlan, NO_CHAOS
+from ..chaos import ChaosController, ChaosPlan, NO_CHAOS, scenario
+from ..errors import ConfigError
 from ..flows import FlowDefinition, FlowRun
 from ..instrument import (
     HYPERSPECTRAL_USE_CASE,
@@ -24,10 +29,17 @@ from ..instrument import (
 from ..obs import Observability
 from ..sim import Environment
 from ..testbed import DEFAULT_CALIBRATION, Calibration, Testbed, build_testbed
-from ..transfer import NO_FAULTS, FaultPlan
 from ..units import hours
-from ..watcher import CheckpointStore, SimObserver
+from ..watcher import SimObserver
 from .app import FlowTriggerApp
+from .extensions import (
+    SPECTRAL_MOVIE_USE_CASE,
+    CompressionSpec,
+    LocalCompressProvider,
+    analyze_virtual_spectral_movie,
+    compressed_picoprobe_flow,
+    spectral_movie_cost_model,
+)
 from .functions import (
     analyze_virtual_hyperspectral,
     analyze_virtual_spatiotemporal,
@@ -37,28 +49,163 @@ from .functions import (
 from .stats import Table1Row, table1_row
 from .tools import picoprobe_flow
 
-__all__ = ["CampaignResult", "run_campaign", "use_case_by_name"]
+__all__ = [
+    "USE_CASES",
+    "CampaignConfig",
+    "CampaignResult",
+    "run_campaign",
+    "use_case_by_name",
+]
+
+#: The named use cases: the paper's two Sec. 3.3 campaigns and the 4-D
+#: future-work acquisition.  Every CLI ``use_case`` choice reads it.
+USE_CASES: dict[str, UseCaseSpec] = {
+    "hyperspectral": HYPERSPECTRAL_USE_CASE,
+    "spatiotemporal": SPATIOTEMPORAL_USE_CASE,
+    "spectral-movie": SPECTRAL_MOVIE_USE_CASE,
+}
+
+#: Signal type -> (combined analysis function, cost-model factory).
+_ANALYSES = {
+    "hyperspectral": (analyze_virtual_hyperspectral, hyperspectral_cost_model),
+    "spatiotemporal": (analyze_virtual_spatiotemporal, spatiotemporal_cost_model),
+    "spectral-movie": (analyze_virtual_spectral_movie, spectral_movie_cost_model),
+}
 
 
 def use_case_by_name(name: str) -> UseCaseSpec:
-    from .extensions import SPECTRAL_MOVIE_USE_CASE
-
     try:
-        return {
-            "hyperspectral": HYPERSPECTRAL_USE_CASE,
-            "spatiotemporal": SPATIOTEMPORAL_USE_CASE,
-            "spectral-movie": SPECTRAL_MOVIE_USE_CASE,
-        }[name]
+        return USE_CASES[name]
     except KeyError:
-        raise ValueError(f"unknown use case {name!r}") from None
+        raise ConfigError(f"unknown use case {name!r}") from None
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """One campaign, declared: every setting :func:`run_campaign` reads.
+
+    Construction checks each field and every combination of them, so an
+    invalid campaign fails here, before a testbed is built: a bad
+    setting raises :class:`~repro.errors.ConfigError`, an unknown chaos
+    scenario name :class:`~repro.errors.ChaosError`.
+    """
+
+    #: A :class:`~repro.instrument.UseCaseSpec`, or a :data:`USE_CASES` name.
+    use_case: "UseCaseSpec | str"
+    #: Simulated seconds the copier emits files for (finite, >= 0).
+    duration_s: float = hours(1)
+    #: Seeds every random stream of the testbed (a non-negative int).
+    seed: int = 0
+    #: ``"file"``: the paper's watcher -> transfer -> polled-flow
+    #: pipeline.  ``"stream"``: chunked acquisitions go straight from the
+    #: instrument host to the compute host over :mod:`repro.stream`, and
+    #: the analysis starts on partial data.
+    ingest: str = "file"
+    #: A :class:`~repro.chaos.ChaosPlan`, or a
+    #: :data:`~repro.chaos.SCENARIOS` name.  An enabled plan arms a
+    #: :class:`~repro.chaos.ChaosController` before the clock starts and
+    #: makes the campaign drain (see :func:`run_campaign`); the default
+    #: :data:`~repro.chaos.NO_CHAOS` builds nothing.
+    chaos: "ChaosPlan | str" = NO_CHAOS
+    #: Arms the :class:`~repro.integrity.IntegrityLedger` (per-chunk
+    #: stream digests with NAK/retransmit, transfer re-verification,
+    #: verify-on-read and the digest-chain gate on search publication).
+    #: ``None`` arms it exactly when the plan corrupts data; ``False``
+    #: under a corrupting plan is refused, since every fault would be
+    #: silent.
+    integrity: Optional[bool] = None
+    #: A :class:`~repro.core.extensions.CompressionSpec` inserts a
+    #: compress-before-transfer flow state (file mode only).
+    compression: Optional[CompressionSpec] = None
+    #: ``"gated"``: the paper's pacing, next file at ``max(period,
+    #: previous flow completion)`` (see DESIGN.md).  ``"periodic"``:
+    #: strictly every period, so flows overlap (the contention ablation).
+    copier_mode: str = "gated"
+    calibration: Calibration = DEFAULT_CALIBRATION
+    #: The kernel's same-tick order, ``"fifo"`` or ``"lifo"`` (see
+    #: :mod:`repro.core.sanitize`).
+    tiebreak: str = "fifo"
+    #: Runs the kernel's schedule-race sanitizer; the result's
+    #: ``testbed.env.sanitizer`` holds the same-tick hazards it saw.
+    sanitize: bool = False
+    #: Attaches an :class:`~repro.obs.Observability` bundle (span tracer
+    #: and metrics registry) at ``result.testbed.obs``.
+    obs: bool = False
+    #: Attaches an :class:`~repro.sim.trace.EventTraceRecorder` at
+    #: ``result.trace``: the event trace behind the golden traces.
+    trace: bool = False
+
+    def __post_init__(self) -> None:
+        if self.ingest not in ("file", "stream"):
+            raise ConfigError(f"unknown ingest mode {self.ingest!r}")
+        if self.spec.signal_type not in _ANALYSES:
+            raise ConfigError(f"unknown signal type {self.spec.signal_type!r}")
+        d = self.duration_s
+        if not (isinstance(d, numbers.Real) and math.isfinite(d) and d >= 0):
+            raise ConfigError(f"duration_s must be finite and >= 0, got {d!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
+        if self.tiebreak not in ("fifo", "lifo"):
+            raise ConfigError(
+                f"tiebreak must be 'fifo' or 'lifo', got {self.tiebreak!r}"
+            )
+        if self.copier_mode not in ("gated", "periodic"):
+            raise ConfigError(
+                f"copier_mode must be 'gated' or 'periodic', got {self.copier_mode!r}"
+            )
+        if self.compression is not None:
+            if self.ingest == "stream":
+                raise ConfigError(
+                    "compression is a file-mode flow state; streaming ingest "
+                    "sends raw chunks"
+                )
+            if not isinstance(self.compression, CompressionSpec):
+                raise ConfigError("compression must be a CompressionSpec")
+        if self.plan.corrupts and not self.verified:
+            raise ConfigError(
+                "the chaos plan injects data corruption; running it without "
+                "the integrity ledger (integrity=False) would make every "
+                "fault silent"
+            )
+
+    @property
+    def spec(self) -> UseCaseSpec:
+        """The use case, resolved from its name if given one."""
+        if isinstance(self.use_case, UseCaseSpec):
+            return self.use_case
+        return use_case_by_name(self.use_case)
+
+    @property
+    def plan(self) -> ChaosPlan:
+        """The chaos plan, resolved from its scenario name if given one."""
+        return self.chaos if isinstance(self.chaos, ChaosPlan) else scenario(self.chaos)
+
+    @property
+    def verified(self) -> bool:
+        """Whether the campaign runs with the integrity ledger."""
+        return self.plan.corrupts if self.integrity is None else bool(self.integrity)
+
+    @property
+    def name(self) -> str:
+        """``<scenario>/<use case>-s<seed>-<tiebreak>-<duration>s``.  The
+        scenario reads ``campaign`` for a clean run and ``chaos`` for an
+        unnamed plan."""
+        if isinstance(self.chaos, str):
+            kind = self.chaos
+        else:
+            kind = "chaos" if self.chaos.enabled else "campaign"
+        return (
+            f"{kind}/{self.spec.name}"
+            f"-s{self.seed}-{self.tiebreak}-{self.duration_s:.0f}s"
+        )
 
 
 @dataclass
 class CampaignResult:
     """Everything one campaign produced."""
 
-    use_case: UseCaseSpec
-    duration_s: float
+    #: The settings the campaign ran with.
+    config: CampaignConfig
     testbed: Testbed
     #: The trigger application (a :class:`~repro.core.app.TriggerApp`):
     #: a :class:`FlowTriggerApp` launching flow runs in file mode, a
@@ -73,8 +220,6 @@ class CampaignResult:
     chaos: Optional[ChaosController] = None
     #: The campaign's directory observer (chaos watcher crashes target it).
     observer: Optional[SimObserver] = None
-    #: Which ingest path the campaign ran ("file" | "stream").
-    ingest: str = "file"
     #: The :class:`~repro.integrity.IntegrityLedger`, when the campaign
     #: ran with end-to-end verification (always set under chaos
     #: corruption); None otherwise.
@@ -82,6 +227,19 @@ class CampaignResult:
     #: The :class:`~repro.sim.trace.EventTraceRecorder` of a
     #: ``trace=True`` campaign; None otherwise.
     trace: Any = None
+
+    @property
+    def use_case(self) -> UseCaseSpec:
+        return self.config.spec
+
+    @property
+    def duration_s(self) -> float:
+        return self.config.duration_s
+
+    @property
+    def ingest(self) -> str:
+        """Which ingest path the campaign ran (``"file"`` | ``"stream"``)."""
+        return self.config.ingest
 
     @property
     def runs(self) -> list[FlowRun]:
@@ -117,109 +275,49 @@ class CampaignResult:
 
 
 def run_campaign(
-    use_case: "UseCaseSpec | str",
-    duration_s: float = hours(1),
-    seed: int = 0,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    fault_plan: FaultPlan = NO_FAULTS,
-    copier_mode: str = "gated",
-    checkpoint: Optional[CheckpointStore] = None,
-    compression: "object | None" = None,
-    sanitize: bool = False,
-    tiebreak: str = "fifo",
-    obs: bool = False,
-    chaos: ChaosPlan = NO_CHAOS,
-    trace: bool = False,
-    ingest: str = "file",
-    integrity: Optional[bool] = None,
+    use_case: "CampaignConfig | UseCaseSpec | str", **settings: Any
 ) -> CampaignResult:
-    """Run one use case for ``duration_s`` simulated seconds.
+    """Run one campaign: ``run_campaign(config)``, or
+    ``run_campaign(use_case, **settings)``, which passes the settings on
+    to :class:`CampaignConfig`.  A config runs as given; derive a changed
+    one with :func:`dataclasses.replace`.  The config is checked before
+    anything is built.
 
-    ``ingest`` selects the data path per flow: ``"file"`` (default) is
-    the paper's watcher → transfer → polled-flow pipeline; ``"stream"``
-    sends chunked acquisitions straight from the instrument host to the
-    compute host over :mod:`repro.stream`, starting the analysis on
-    partial data.  The default path is untouched by the streaming code
-    (golden-trace gated).
-
-    ``copier_mode="gated"`` reproduces the paper's pacing (next file at
-    ``max(period, previous flow completion)`` — see DESIGN.md);
-    ``"periodic"`` emits strictly every period, which overlaps flows and
-    is used by the contention ablation.  Passing a
-    :class:`~repro.core.extensions.CompressionSpec` as ``compression``
-    inserts a compress-before-transfer state (future-work item 2).
-    ``sanitize``/``tiebreak`` configure the kernel's schedule-race
-    sanitizer (see :mod:`repro.core.sanitize`): with ``sanitize=True``
-    the returned result's ``testbed.env.sanitizer`` holds any detected
-    same-tick ordering hazards.  ``obs=True`` attaches an
-    :class:`~repro.obs.Observability` bundle (span tracer + metrics
-    registry) to the testbed; find it at ``result.testbed.obs``.
-
-    ``chaos`` takes a :class:`~repro.chaos.ChaosPlan`: when the plan is
-    enabled, the testbed is built with the plan's retry policies and
-    transfer faults, and a :class:`~repro.chaos.ChaosController` is
-    armed before the clock starts (find it at ``result.chaos``).  The
-    default :data:`~repro.chaos.NO_CHAOS` builds nothing and leaves the
-    campaign bit-identical to a chaos-unaware one.
-
-    ``trace=True`` attaches an
-    :class:`~repro.sim.trace.EventTraceRecorder` before the clock starts
-    (find it at ``result.trace``) — the step-level event trace behind
-    the golden-trace bit-identity suite.
-
-    ``integrity`` arms the end-to-end verification layer: an
-    :class:`~repro.integrity.IntegrityLedger` threaded through the data
-    plane (per-chunk stream digests with NAK/retransmit, transfer
-    source re-verification, verify-on-read before analysis, and the
-    digest-chain gate on search publication).  The default ``None``
-    enables it exactly when the chaos plan injects data corruption —
-    corruption without verification would be silent, so forcing
-    ``integrity=False`` under a corrupting plan raises ``ValueError``.
-    Clean campaigns default to ``integrity=None`` → off, keeping the
-    golden traces bit-identical.
+    The copier emits files for ``duration_s`` simulated seconds, and a
+    clean campaign stops there: the paper's hour.  A campaign whose
+    chaos plan is enabled then drains.  The event queue runs dry, so
+    every in-flight record reaches a terminal state (the no-hung-runs
+    guarantee), and backlog entries still pending because their outage
+    outlived the window are caught up.  The controller, with its
+    :meth:`~repro.chaos.controller.ChaosController.report`, is at
+    ``result.chaos``.
     """
-    from .extensions import (
-        CompressionSpec,
-        LocalCompressProvider,
-        analyze_virtual_spectral_movie,
-        compressed_picoprobe_flow,
-        spectral_movie_cost_model,
-    )
-
-    if ingest not in ("file", "stream"):
-        raise ValueError(f"unknown ingest mode {ingest!r}")
-    if isinstance(use_case, str):
-        use_case = use_case_by_name(use_case)
-    env = Environment(sanitize=sanitize, tiebreak=tiebreak)
+    if isinstance(use_case, CampaignConfig):
+        if settings:
+            raise ConfigError(
+                f"run_campaign(config) takes no other settings, got "
+                f"{sorted(settings)}; use dataclasses.replace(config, ...)"
+            )
+        config = use_case
+    else:
+        config = CampaignConfig(use_case, **settings)
+    spec, plan, calibration = config.spec, config.plan, config.calibration
+    env = Environment(sanitize=config.sanitize, tiebreak=config.tiebreak)
     recorder = None
-    if trace:
+    if config.trace:
         from ..sim.trace import EventTraceRecorder
 
         recorder = EventTraceRecorder(env)
-    chaos_on = chaos.enabled
-    corruption_on = (
-        chaos_on and chaos.corruption is not None and chaos.corruption.enabled
-    )
-    if integrity is None:
-        integrity = corruption_on
-    if corruption_on and not integrity:
-        raise ValueError(
-            "the chaos plan injects data corruption; running it without "
-            "the integrity ledger (integrity=False) would make every "
-            "fault silent"
-        )
-    if chaos_on and chaos.transfer_faults is not NO_FAULTS:
-        fault_plan = chaos.transfer_faults
     tb = build_testbed(
         env=env,
-        seed=seed,
+        seed=config.seed,
         calibration=calibration,
-        fault_plan=fault_plan,
-        obs=Observability(env) if obs else None,
-        retry_policies=chaos.policy_map() if chaos_on else None,
+        fault_plan=plan.transfer_faults,
+        obs=Observability(env) if config.obs else None,
+        retry_policies=plan.policy_map(),
     )
     ledger = None
-    if integrity:
+    if config.verified:
         from ..integrity import IntegrityLedger
 
         ledger = IntegrityLedger(
@@ -227,21 +325,9 @@ def run_campaign(
         )
         tb.transfer.ledger = ledger
 
-    if use_case.signal_type == "hyperspectral":
-        fn, cost = analyze_virtual_hyperspectral, hyperspectral_cost_model(
-            calibration, tb.rngs
-        )
-    elif use_case.signal_type == "spatiotemporal":
-        fn, cost = analyze_virtual_spatiotemporal, spatiotemporal_cost_model(
-            calibration, tb.rngs
-        )
-    elif use_case.signal_type == "spectral-movie":
-        fn, cost = analyze_virtual_spectral_movie, spectral_movie_cost_model(
-            calibration, tb.rngs
-        )
-    else:
-        raise ValueError(f"unknown signal type {use_case.signal_type!r}")
-    if ledger is not None and ingest == "file":
+    fn, cost_model = _ANALYSES[spec.signal_type]
+    cost = cost_model(calibration, tb.rngs)
+    if ledger is not None and config.ingest == "file":
         # Verify-on-read: the analysis re-checks the staged copy's
         # payload against its declared checksum before computing, and
         # attests the ``analyzed`` chain hop on success.  (Stream mode
@@ -258,11 +344,11 @@ def run_campaign(
             return result
 
         fn = verified_fn
-    function_id = tb.compute.register_function(fn, cost, name=f"{use_case.name}-analysis")
+    function_id = tb.compute.register_function(fn, cost, name=f"{spec.name}-analysis")
 
     definition: Optional[FlowDefinition] = None
     publisher = None
-    if ingest == "stream":
+    if config.ingest == "stream":
         from ..stream import (
             StreamIngestActionProvider,
             StreamIngestApp,
@@ -270,11 +356,6 @@ def run_campaign(
             StreamReceiver,
         )
 
-        if compression is not None:
-            raise ValueError(
-                "compression is a file-mode flow state; streaming ingest "
-                "sends raw chunks"
-            )
         receiver = StreamReceiver(
             env,
             host="polaris-mom",
@@ -297,35 +378,29 @@ def run_campaign(
             # Wire digests come from the payload as it is at send time,
             # so at-rest rot mid-session surfaces on the wire.
             publisher.source_fs = tb.user_fs
-        app = StreamIngestApp(
-            tb, publisher, function_id, checkpoint=checkpoint, ledger=ledger
-        )
+        app = StreamIngestApp(tb, publisher, function_id, ledger=ledger)
         tb.flows.register_provider(StreamIngestActionProvider(app))
     else:
-        if compression is not None:
-            if not isinstance(compression, CompressionSpec):
-                raise ValueError("compression must be a CompressionSpec")
+        if config.compression is not None:
             tb.flows.register_provider(
                 LocalCompressProvider(tb.env, tb.user_fs, tb.rngs)
             )
             definition = compressed_picoprobe_flow(
-                tb.gladier, f"picoprobe-{use_case.name}-compressed", compression
+                tb.gladier, f"picoprobe-{spec.name}-compressed", config.compression
             )
         else:
-            definition = picoprobe_flow(tb.gladier, f"picoprobe-{use_case.name}")
-        app = FlowTriggerApp(
-            tb, definition, function_id, checkpoint=checkpoint, ledger=ledger
-        )
+            definition = picoprobe_flow(tb.gladier, f"picoprobe-{spec.name}")
+        app = FlowTriggerApp(tb, definition, function_id, ledger=ledger)
     if ledger is not None:
         tb.flows.provider("search_ingest").ledger = ledger
     observer = SimObserver(tb.user_fs, prefix="/transfer")
     app.attach(observer)
 
     controller: Optional[ChaosController] = None
-    if chaos_on:
+    if plan.enabled:
         controller = ChaosController(
             env,
-            chaos,
+            plan,
             transfer=tb.transfer,
             compute=tb.compute,
             search=tb.search,
@@ -342,23 +417,26 @@ def run_campaign(
         controller.install()
 
     copier = FileCopier(
-        tb.env, tb.user_fs, use_case, instrument=tb.instrument, mode=copier_mode
+        tb.env, tb.user_fs, spec, instrument=tb.instrument, mode=config.copier_mode
     )
-    if copier_mode == "gated":
+    if config.copier_mode == "gated":
         app.on_complete.append(lambda run: copier.notify_flow_complete())
-    tb.env.process(copier.run(until=duration_s))
+    tb.env.process(copier.run(until=config.duration_s))
 
-    tb.env.run(until=duration_s)
+    env.run(until=config.duration_s)
+    if controller is not None:
+        env.run()  # drain in-flight work past the campaign window
+        if any(not e.recovered and e.error is None for e in tb.flows.backlog):
+            env.process(controller.drain_remaining())
+            env.run()
     return CampaignResult(
-        use_case=use_case,
-        duration_s=duration_s,
+        config=config,
         testbed=tb,
         app=app,
         copier=copier,
         definition=definition,
         chaos=controller,
         observer=observer,
-        ingest=ingest,
         ledger=ledger,
         trace=recorder,
     )

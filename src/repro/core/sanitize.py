@@ -19,13 +19,13 @@ sarif`` / ``--output`` machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Optional
 
+from ..errors import ConfigError
+from ..instrument import UseCaseSpec
 from ..sim.sanitize import RaceReport
-from ..testbed import DEFAULT_CALIBRATION, Calibration
-from ..transfer import NO_FAULTS, FaultPlan
-from .campaign import CampaignResult, run_campaign
+from .campaign import CampaignConfig, CampaignResult, run_campaign
 
 if TYPE_CHECKING:
     from ..lint.diagnostics import Diagnostic
@@ -167,41 +167,36 @@ class SanitizeResult:
 
 
 def sanitize_campaign(
-    use_case: str = "hyperspectral",
-    duration_s: float = 600.0,
-    seed: int = 0,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    fault_plan: FaultPlan = NO_FAULTS,
-    copier_mode: str = "gated",
+    use_case: "UseCaseSpec | str" = "hyperspectral", **settings: Any
 ) -> SanitizeResult:
-    """Run ``use_case`` twice — FIFO and reversed (LIFO) same-tick
-    ordering, both under the schedule sanitizer — and diff the traces."""
-    forward = run_campaign(
-        use_case,
-        duration_s=duration_s,
-        seed=seed,
-        calibration=calibration,
-        fault_plan=fault_plan,
-        copier_mode=copier_mode,
-        sanitize=True,
-        tiebreak="fifo",
-    )
-    reverse = run_campaign(
-        use_case,
-        duration_s=duration_s,
-        seed=seed,
-        calibration=calibration,
-        fault_plan=fault_plan,
-        copier_mode=copier_mode,
-        sanitize=True,
-        tiebreak="lifo",
-    )
-    name = use_case if isinstance(use_case, str) else use_case.name
+    """Run a campaign twice — FIFO and reversed (LIFO) same-tick
+    ordering, both under the schedule sanitizer — and diff the traces.
+
+    Takes the settings of :class:`~repro.core.campaign.CampaignConfig`,
+    with ``duration_s`` defaulting to 600 s, except ``tiebreak`` and
+    ``sanitize``, which it sets itself.  File mode only: a stream
+    campaign's :func:`campaign_trace` is one copier line, so the diff
+    would compare nothing.
+    """
+    fixed = sorted({"tiebreak", "sanitize"} & settings.keys())
+    if fixed:
+        raise ConfigError(
+            f"sanitize_campaign sets {fixed} itself: it runs the campaign "
+            f"sanitized under both tie-breaks"
+        )
+    config = CampaignConfig(use_case, **{"duration_s": 600.0, **settings})
+    if config.ingest != "file":
+        raise ConfigError(
+            "sanitize_campaign diffs flow-run traces; a stream campaign "
+            "has none to compare"
+        )
+    forward = run_campaign(replace(config, sanitize=True, tiebreak="fifo"))
+    reverse = run_campaign(replace(config, sanitize=True, tiebreak="lifo"))
     sanitizer_f = forward.testbed.env.sanitizer
     sanitizer_r = reverse.testbed.env.sanitizer
     assert sanitizer_f is not None and sanitizer_r is not None
     return SanitizeResult(
-        campaign=name,
+        campaign=config.spec.name,
         forward=forward,
         reverse=reverse,
         races_forward=sanitizer_f.races(),

@@ -1,12 +1,13 @@
 """Parallel deterministic campaign sweeps.
 
-A *sweep* runs a grid of campaign variants — (kind, use case, seed,
-tie-break, duration) tuples — and collects one deterministic outcome
-payload per variant.  Because every campaign is a sealed DES (its result
-is a pure function of its variant), variants can run in worker
-*processes* with no shared state; the merge is by submission order, so
+A *sweep* runs a list of :class:`~repro.core.campaign.CampaignConfig`
+cells — built by :func:`sweep_grid` as scenario x use case x seed x
+tie-break — and collects one deterministic outcome payload per cell.
+Because every campaign is a sealed DES (its result is a pure function
+of its config), cells can run in worker *processes* with no shared
+state; the merge is by submission order, so
 
-    run_sweep(variants, jobs=8) == run_sweep(variants, jobs=1)
+    run_sweep(configs, jobs=8) == run_sweep(configs, jobs=1)
 
 payload for payload, regardless of which worker finished first.  That
 equality is the parallel runner's correctness gate, asserted by
@@ -14,7 +15,7 @@ equality is the parallel runner's correctness gate, asserted by
 
 ``python -m repro sweep`` is the CLI: by default it runs the chaos
 scenario grid (every named scenario x seeds) and prints one line per
-variant plus an aggregate delivery table.
+cell plus an aggregate delivery table.
 """
 
 # repro: noqa-file[D101]  sweep outcomes exclude wall-clock on purpose
@@ -26,49 +27,30 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Optional, Sequence
 
+from ..chaos import NO_CHAOS, SCENARIOS, ChaosPlan, delivery_breakdown
+from ..errors import ConfigError
+from ..units import hours
+from .campaign import CampaignConfig, run_campaign
+
 __all__ = [
     "SweepOutcome",
-    "SweepVariant",
-    "campaign_grid",
-    "chaos_grid",
     "run_sweep",
     "run_variant",
+    "sweep_grid",
 ]
-
-
-@dataclass(frozen=True)
-class SweepVariant:
-    """One cell of a sweep grid.
-
-    ``kind`` is ``"campaign"`` for a clean run or the name of a chaos
-    scenario (see :data:`repro.chaos.SCENARIOS`).
-    """
-
-    kind: str = "campaign"
-    use_case: str = "hyperspectral"
-    seed: int = 0
-    duration_s: float = 3600.0
-    tiebreak: str = "fifo"
-
-    @property
-    def name(self) -> str:
-        return (
-            f"{self.kind}/{self.use_case}"
-            f"-s{self.seed}-{self.tiebreak}-{self.duration_s:.0f}s"
-        )
 
 
 @dataclass
 class SweepOutcome:
-    """One variant's deterministic result.
+    """One cell's deterministic result.
 
     :meth:`payload` is the bit-stable comparison surface — everything in
-    it is a pure function of the variant (no wall-clock, no pids, no
+    it is a pure function of the config (no wall-clock, no pids, no
     object ids), so serial and parallel sweeps can be compared with
     ``==``.
     """
 
-    variant: SweepVariant
+    variant: CampaignConfig
     table1: dict[str, Any]
     n_runs: int
     n_completed: int
@@ -77,7 +59,7 @@ class SweepOutcome:
 
     def payload(self) -> dict[str, Any]:
         out: dict[str, Any] = {
-            "variant": asdict(self.variant),
+            "variant": self.variant.name,
             "table1": self.table1,
             "n_runs": self.n_runs,
             "n_completed": self.n_completed,
@@ -87,121 +69,61 @@ class SweepOutcome:
         return out
 
 
-def run_variant(variant: SweepVariant) -> SweepOutcome:
-    """Run one variant to completion (executed inside worker processes)."""
-    from ..chaos import delivery_breakdown, run_chaos_campaign
-    from .campaign import run_campaign
-
-    if variant.kind == "campaign":
-        res = run_campaign(
-            variant.use_case,
-            duration_s=variant.duration_s,
-            seed=variant.seed,
-            tiebreak=variant.tiebreak,
-        )
-        breakdown = None
-    else:
-        res = run_chaos_campaign(
-            variant.kind,
-            use_case=variant.use_case,
-            duration_s=variant.duration_s,
-            seed=variant.seed,
-            tiebreak=variant.tiebreak,
-        )
-        breakdown = delivery_breakdown(res)
+def run_variant(config: CampaignConfig) -> SweepOutcome:
+    """Run one cell to completion (executed inside worker processes)."""
+    res = run_campaign(config)
     return SweepOutcome(
-        variant=variant,
+        variant=config,
         table1=asdict(res.table1()),
         n_runs=len(res.runs),
         n_completed=len(res.completed_runs),
-        breakdown=breakdown,
+        breakdown=delivery_breakdown(res) if res.chaos is not None else None,
     )
 
 
 def run_sweep(
-    variants: Sequence[SweepVariant], jobs: int = 1
+    configs: Sequence[CampaignConfig], jobs: int = 1
 ) -> list[SweepOutcome]:
-    """Run every variant; return outcomes in ``variants`` order.
+    """Run every config; return outcomes in ``configs`` order.
 
-    ``jobs > 1`` fans the variants out over a
+    ``jobs > 1`` fans the configs out over a
     :class:`~concurrent.futures.ProcessPoolExecutor`.  ``Executor.map``
     yields results in submission order — not completion order — so the
     merge is deterministic by construction and the returned list is
-    payload-identical to a serial run.
+    payload-identical to a serial run.  Outcomes are Table 1 rows, so a
+    stream-mode config is refused before any worker starts.
     """
-    variants = list(variants)
-    if jobs <= 1 or len(variants) <= 1:
-        return [run_variant(v) for v in variants]
-    workers = min(jobs, len(variants))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_variant, variants))
-
-
-def _checked_use_cases(use_cases: Iterable[str]) -> list[str]:
-    """``use_cases`` as a list; an unknown name raises ``ValueError``
-    here, not as an exception propagated out of a worker mid-sweep."""
-    from .campaign import use_case_by_name
-
-    use_cases = list(use_cases)
-    for uc in use_cases:
-        use_case_by_name(uc)
-    return use_cases
-
-
-def campaign_grid(
-    use_cases: Iterable[str] = ("hyperspectral", "spatiotemporal"),
-    seeds: Iterable[int] = (1,),
-    duration_s: float = 3600.0,
-    tiebreaks: Iterable[str] = ("fifo",),
-) -> list[SweepVariant]:
-    """The clean-campaign grid: use cases x seeds x tie-breaks."""
-    use_cases = _checked_use_cases(use_cases)
-    return [
-        SweepVariant(
-            kind="campaign",
-            use_case=uc,
-            seed=seed,
-            duration_s=duration_s,
-            tiebreak=tb,
+    configs = list(configs)
+    stream = [c.name for c in configs if c.ingest != "file"]
+    if stream:
+        raise ConfigError(
+            f"sweep outcomes are Table 1 rows, which stream-mode campaigns "
+            f"do not produce: {stream}"
         )
-        for uc in use_cases
-        for seed in seeds
-        for tb in tiebreaks
-    ]
+    if jobs <= 1 or len(configs) <= 1:
+        return [run_variant(c) for c in configs]
+    workers = min(jobs, len(configs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_variant, configs))
 
 
-def chaos_grid(
-    scenarios: Optional[Iterable[str]] = None,
+def sweep_grid(
+    scenarios: Iterable["ChaosPlan | str"],
     use_cases: Iterable[str] = ("hyperspectral",),
     seeds: Iterable[int] = (0, 1),
-    duration_s: float = 3600.0,
+    duration_s: float = hours(1),
     tiebreaks: Iterable[str] = ("fifo",),
-) -> list[SweepVariant]:
-    """The resilience grid: chaos scenarios x use cases x seeds."""
-    from ..chaos import SCENARIOS
+) -> list[CampaignConfig]:
+    """Scenarios x use cases x seeds x tie-breaks, one config per cell.
 
-    if scenarios is None:
-        scenarios = sorted(SCENARIOS)
-    else:
-        # Validate up front: an unknown name should fail here, not as an
-        # exception propagated out of a worker process mid-sweep.
-        scenarios = list(scenarios)
-        unknown = [s for s in scenarios if s not in SCENARIOS]
-        if unknown:
-            from ..errors import ChaosError
-
-            raise ChaosError(
-                f"unknown scenario(s) {unknown}; available: {sorted(SCENARIOS)}"
-            )
-    use_cases = _checked_use_cases(use_cases)
+    A scenario is a chaos plan or a scenario name
+    (:data:`~repro.chaos.NO_CHAOS` for the clean grid).  Constructing
+    each cell checks it, so an unknown name fails here, not as an
+    exception propagated out of a worker process mid-sweep.
+    """
+    use_cases, seeds, tiebreaks = list(use_cases), list(seeds), list(tiebreaks)
     return [
-        SweepVariant(
-            kind=sc,
-            use_case=uc,
-            seed=seed,
-            duration_s=duration_s,
-            tiebreak=tb,
-        )
+        CampaignConfig(uc, duration_s=duration_s, seed=seed, chaos=sc, tiebreak=tb)
         for sc in scenarios
         for uc in use_cases
         for seed in seeds
@@ -210,7 +132,7 @@ def chaos_grid(
 
 
 def render_sweep(outcomes: Sequence[SweepOutcome]) -> str:
-    """One line per variant plus an aggregate delivery summary."""
+    """One line per cell plus an aggregate delivery summary."""
     lines = []
     agg = {"delivered": 0, "degraded": 0, "dead_lettered": 0,
            "failed_other": 0, "still_active": 0, "runs": 0}
@@ -243,34 +165,27 @@ def render_sweep(outcomes: Sequence[SweepOutcome]) -> str:
 
 
 def run_sweep_cli(args: Any) -> int:
-    """The ``python -m repro sweep`` entry point.  An unknown use case is
-    a usage error: exit status 2 with the message on stderr, before any
-    worker starts."""
+    """The ``python -m repro sweep`` entry point.  The grid is checked
+    before any worker starts; an invalid cell raises and
+    :func:`repro.__main__.main` exits 2."""
     import json
-    import sys
     import time
 
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    use_cases = tuple(args.use_cases.split(","))
-    try:
-        if args.grid == "chaos":
-            scenarios = tuple(args.scenarios.split(",")) if args.scenarios else None
-            variants = chaos_grid(
-                scenarios=scenarios,
-                use_cases=use_cases,
-                seeds=seeds,
-                duration_s=args.duration,
-            )
-        else:
-            variants = campaign_grid(
-                use_cases=use_cases, seeds=seeds, duration_s=args.duration
-            )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    if args.grid == "campaign":
+        scenarios = [NO_CHAOS]
+    elif args.scenarios:
+        scenarios = args.scenarios.split(",")
+    else:
+        scenarios = sorted(SCENARIOS)
+    configs = sweep_grid(
+        scenarios,
+        use_cases=args.use_cases.split(","),
+        seeds=[int(s) for s in args.seeds.split(",")],
+        duration_s=args.duration,
+    )
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.perf_counter()
-    outcomes = run_sweep(variants, jobs=jobs)
+    outcomes = run_sweep(configs, jobs=jobs)
     wall = time.perf_counter() - t0
     print(render_sweep(outcomes))
     print(

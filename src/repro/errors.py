@@ -28,6 +28,7 @@ __all__ = [
     "WatcherError",
     "CheckpointError",
     "CalibrationError",
+    "ConfigError",
     "ChaosError",
     "StreamError",
     "IntegrityError",
@@ -99,6 +100,14 @@ class ServiceUnavailable(ReproError):
     def __init__(self, message: str, connect_timeout_s: float = 0.0) -> None:
         super().__init__(message)
         self.connect_timeout_s = float(connect_timeout_s)
+
+
+class ConfigError(ReproError, ValueError):
+    """A campaign setting is invalid (unknown use case or ingest mode, a
+    non-finite duration, a negative seed, ...).  Raised by
+    :class:`~repro.core.campaign.CampaignConfig` before anything is
+    built; a ``ValueError`` too, so callers that catch bad arguments as
+    such keep working."""
 
 
 class ChaosError(ReproError):

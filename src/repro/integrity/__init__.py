@@ -17,16 +17,17 @@ portal); this subsystem makes each hop *verifiable* and the whole chain
   end-of-campaign scrub;
 * :mod:`~repro.integrity.audit` — the span-walking proof that every
   injected corruption was repaired or quarantined (zero silent
-  acceptances), with the file-vs-stream detection-latency breakdown
-  behind ``python -m repro integrity``.
+  acceptances), with the file-vs-stream detection-latency breakdown;
+  :func:`audit_campaign` scrubs a traced campaign's stores and runs it
+  (``python -m repro integrity``).
 """
 
 from .audit import (
     InjectionRecord,
     IntegrityAuditReport,
+    audit_campaign,
     audit_spans,
     format_audit,
-    run_integrity_campaign,
 )
 from .chain import STAGES, ChainLink, DigestChain
 from .digest import chunk_digest, mangle
@@ -40,9 +41,9 @@ __all__ = [
     "IntegrityAuditReport",
     "IntegrityLedger",
     "QuarantineRecord",
+    "audit_campaign",
     "audit_spans",
     "chunk_digest",
     "format_audit",
     "mangle",
-    "run_integrity_campaign",
 ]

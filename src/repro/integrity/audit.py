@@ -32,14 +32,15 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..obs.analysis import derive_integrity_events
 
 __all__ = [
     "InjectionRecord",
     "IntegrityAuditReport",
+    "audit_campaign",
     "audit_spans",
     "format_audit",
-    "run_integrity_campaign",
 ]
 
 
@@ -294,35 +295,20 @@ def format_audit(report: IntegrityAuditReport) -> str:
     return "\n".join(lines)
 
 
-def run_integrity_campaign(
-    scenario: str = "corruption",
-    use_case: str = "hyperspectral",
-    duration_s: Optional[float] = None,
-    seed: int = 0,
-    ingest: str = "stream",
-) -> tuple[Any, IntegrityAuditReport]:
-    """Run a corruption campaign, scrub the stores, and audit it.
+def audit_campaign(result: Any) -> IntegrityAuditReport:
+    """Scrub a campaign's stores, then audit its spans.
 
-    Convenience wrapper behind ``python -m repro integrity``: runs the
-    named chaos scenario with observability on (the audit needs spans),
-    sweeps both filesystems for dormant at-rest rot, then proves the
-    zero-silent-acceptance invariant.  Returns ``(result, report)``.
+    A campaign with a ledger has both filesystems swept first: dormant
+    rot (landed after its record was last consumed) is detected and
+    quarantined there, so the audit's join is total.  The audit reads
+    spans, so the campaign must have run with ``obs=True``; an untraced
+    campaign is refused rather than passed with nothing to check.
     """
-    from ..chaos import run_chaos_campaign  # deferred: chaos imports core
-    from ..units import hours
-
-    result = run_chaos_campaign(
-        scenario,
-        use_case=use_case,
-        duration_s=duration_s if duration_s is not None else hours(1),
-        seed=seed,
-        obs=True,
-        ingest=ingest,
-    )
+    if not result.config.obs:
+        raise ConfigError(
+            "the integrity audit reads spans; run the campaign with obs=True"
+        )
     tb = result.testbed
     if result.ledger is not None:
-        # Dormant rot (landed after its record was last consumed) gets
-        # detected + quarantined here, so the audit's join is total.
         result.ledger.scrub((tb.user_fs, tb.eagle_fs))
-    report = audit_spans(tb.obs.tracer.spans)
-    return result, report
+    return audit_spans(tb.obs.tracer.spans)

@@ -115,35 +115,25 @@ def capture_golden(
     duration_s: float = 3600.0,
 ) -> dict[str, Any]:
     """Run one shipped campaign and capture its full fingerprint."""
-    from repro.chaos import delivery_breakdown, run_chaos_campaign
+    from repro.chaos import NO_CHAOS, delivery_breakdown
     from repro.core.campaign import run_campaign
     from repro.core.sanitize import campaign_trace
     from repro.core.stats import fig4_samples
     from repro.obs import spans_to_jsonl
 
-    if kind == "campaign":
-        res = run_campaign(
-            use_case,
-            duration_s=duration_s,
-            seed=seed,
-            tiebreak=tiebreak,
-            obs=True,
-            trace=True,
-            ingest=ingest,
-        )
-        breakdown = None
-    else:
-        res = run_chaos_campaign(
-            kind,
-            use_case=use_case,
-            duration_s=duration_s,
-            seed=seed,
-            obs=True,
-            tiebreak=tiebreak,
-            trace=True,
-            ingest=ingest,
-        )
-        breakdown = delivery_breakdown(res) if ingest == "file" else None
+    res = run_campaign(
+        use_case,
+        duration_s=duration_s,
+        seed=seed,
+        tiebreak=tiebreak,
+        obs=True,
+        trace=True,
+        ingest=ingest,
+        chaos=NO_CHAOS if kind == "campaign" else kind,
+    )
+    breakdown = (
+        delivery_breakdown(res) if kind != "campaign" and ingest == "file" else None
+    )
     recorder = res.trace
     assert recorder is not None
     spans_text = spans_to_jsonl(res.testbed.obs.tracer.spans)

@@ -22,6 +22,7 @@ import pytest
 from repro.auth import AuthClient
 from repro.auth.identity import FLOWS_SCOPE
 from repro.chaos import (
+    SCENARIOS,
     ChaosPlan,
     LinkDegradation,
     NO_CHAOS,
@@ -48,6 +49,7 @@ from repro.flows import (
 )
 from repro.rng import RngRegistry
 from repro.sim import Environment
+from repro.transfer import FaultPlan
 
 
 # -- plan validation -----------------------------------------------------------
@@ -108,6 +110,13 @@ def test_plan_enabled_flag():
     ).enabled
     assert ChaosPlan(node_failures=NodeFailureSpec(prob=0.1)).enabled
     assert ChaosPlan(watcher_crashes=(WatcherCrash(at_s=1, down_s=1),)).enabled
+    # transfer faults compare by value: a fresh inject-nothing FaultPlan
+    # is as disabled as NO_FAULTS itself
+    assert not ChaosPlan(transfer_faults=FaultPlan()).enabled
+    assert ChaosPlan(transfer_faults=FaultPlan(transient_prob=0.1)).enabled
+    assert not NO_CHAOS.corrupts
+    assert SCENARIOS["corruption"].corrupts
+    assert not SCENARIOS["full-storm"].corrupts
 
 
 # -- gate unit -----------------------------------------------------------------
@@ -263,17 +272,19 @@ def test_default_policy_is_single_attempt():
 
 def test_no_chaos_campaign_is_bit_identical():
     base = run_campaign("hyperspectral", duration_s=400.0, seed=3, obs=True)
-    off = run_campaign(
-        "hyperspectral", duration_s=400.0, seed=3, obs=True, chaos=NO_CHAOS
-    )
-    assert off.chaos is None  # the controller is never even built
-    assert campaign_trace(base) == campaign_trace(off)
     spans = lambda r: [
         (s.name, s.start, s.end, tuple(sorted(s.attrs.items())))
         for s in r.testbed.obs.tracer.spans
     ]
-    assert spans(base) == spans(off)
-    assert base.table1() == off.table1()
+    # NO_CHAOS itself, and an equal plan built afresh
+    for plan in (NO_CHAOS, ChaosPlan(transfer_faults=FaultPlan())):
+        off = run_campaign(
+            "hyperspectral", duration_s=400.0, seed=3, obs=True, chaos=plan
+        )
+        assert off.chaos is None  # the controller is never even built
+        assert campaign_trace(base) == campaign_trace(off)
+        assert spans(base) == spans(off)
+        assert base.table1() == off.table1()
 
 
 # -- scenario determinism and the no-hung-runs guarantee -----------------------
@@ -297,8 +308,8 @@ def _fingerprint(result):
 
 @pytest.fixture(scope="module")
 def outage_results():
-    kw = dict(use_case="hyperspectral", duration_s=1800.0, seed=5)
-    return run_chaos_campaign("outage", **kw), run_chaos_campaign("outage", **kw)
+    kw = dict(duration_s=1800.0, seed=5, chaos="outage")
+    return run_campaign("hyperspectral", **kw), run_campaign("hyperspectral", **kw)
 
 
 def test_outage_scenario_deterministic_under_seed(outage_results):
@@ -331,7 +342,28 @@ def test_outage_scenario_actually_injects(outage_results):
     assert report["backlog_pending"] == 0
 
 
+@pytest.mark.parametrize("ingest", ["file", "stream"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_drains_to_terminal_records(name, ingest):
+    """The drain contract of ``run_campaign``: under every shipped
+    scenario, in both ingest modes, no run or session is left ACTIVE and
+    no quarantined record reached the search index."""
+    res = run_campaign(
+        "hyperspectral", chaos=name, ingest=ingest, duration_s=900.0, seed=1
+    )
+    assert res.chaos is not None
+    assert all(r.status.terminal for r in res.runs)
+    assert all(s.terminal for s in res.stream_sessions)
+    assert res.runs or res.stream_sessions
+    if res.ledger is not None:
+        index = res.testbed.portal_index
+        indexed = set(index.query(limit=len(index)).subjects())
+        assert not {q.subject for q in res.ledger.quarantined} & indexed
+
+
 def test_unknown_scenario_rejected():
+    with pytest.raises(ChaosError, match="unknown scenario"):
+        run_campaign("hyperspectral", chaos="nope", duration_s=10.0)
     with pytest.raises(ChaosError, match="unknown scenario"):
         run_chaos_campaign("nope", duration_s=10.0)
 
@@ -339,23 +371,15 @@ def test_unknown_scenario_rejected():
 # -- watcher crash mid-campaign ------------------------------------------------
 
 
-def test_watcher_crash_no_duplicate_no_lost_dispatch(tmp_path):
-    """Kill the observer mid-campaign and restart it from a file-backed
+def test_watcher_crash_no_duplicate_no_lost_dispatch():
+    """Kill the observer mid-campaign and restart it from the app's
     CheckpointStore: every dataset the instrument produced is dispatched
     into exactly one flow — none doubled by the restart replay, none
-    lost to the downtime window."""
-    from repro.chaos import scenario
-    from repro.watcher import CheckpointStore
-
-    checkpoint = CheckpointStore(tmp_path / "ckpt.json")
+    lost to the downtime window.  (File persistence of the store is
+    ``tests/test_watcher.py::test_checkpoint_persists_across_restart``.)"""
     result = run_campaign(
-        "hyperspectral",
-        duration_s=1800.0,
-        seed=7,
-        chaos=scenario("watcher-crash"),
-        checkpoint=checkpoint,
+        "hyperspectral", duration_s=1800.0, seed=7, chaos="watcher-crash"
     )
-    result.testbed.env.run()  # drain
 
     crashes = [
         inj for inj in result.chaos.injections

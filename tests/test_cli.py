@@ -76,3 +76,26 @@ def test_unknown_sweep_use_case_is_a_usage_error(grid, jobs, capsys):
     assert "unknown use case" in captured.err and "bogus" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "hyperspectral", "--duration", "inf"],
+        ["trace", "--duration", "inf"],
+        ["campaign", "--duration", "-5"],
+        ["chaos", "outage", "--duration", "nan"],
+        ["sweep", "campaign", "--duration", "-1"],
+        ["integrity", "--seed", "-1"],
+    ],
+    ids=["campaign-inf", "trace-inf", "campaign-negative", "chaos-nan",
+         "sweep-negative", "integrity-seed"],
+)
+def test_invalid_setting_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    """Refused before the campaign is built.  Checked any later, the
+    ``inf`` runs hang and the others exit 1 with a kernel traceback."""
+    monkeypatch.chdir(tmp_path)  # a regressed `trace` writes trace_out/ here
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""

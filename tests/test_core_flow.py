@@ -3,13 +3,17 @@ Sec. 3.3 campaigns over all substrates."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosPlan
 from repro.core import (
     ANALYZE_STATE,
     PUBLISH_STATE,
     TRANSFER_STATE,
+    CampaignConfig,
     FlowTriggerApp,
     analyze_virtual_hyperspectral,
     fig4_samples,
@@ -21,6 +25,8 @@ from repro.core import (
     table1_row,
     use_case_by_name,
 )
+from repro.core.extensions import ZSTD_LIKE
+from repro.errors import ChaosError, ConfigError
 from repro.flows import RunStatus
 from repro.instrument import HYPERSPECTRAL_USE_CASE, FileCopier
 from repro.portal import Portal
@@ -175,7 +181,7 @@ def test_campaign_with_faults_still_completes():
         "hyperspectral",
         duration_s=900,
         seed=4,
-        fault_plan=FaultPlan(transient_prob=0.3, max_attempts=5),
+        chaos=ChaosPlan(transfer_faults=FaultPlan(transient_prob=0.3, max_attempts=5)),
     )
     done = res.completed_runs
     assert len(done) >= 3
@@ -209,8 +215,57 @@ def test_render_table1_text():
 
 def test_use_case_lookup():
     assert use_case_by_name("hyperspectral").period_s == 30
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a ConfigError is a ValueError
         use_case_by_name("tomography")
+
+
+def test_config_runs_like_its_keywords():
+    config = CampaignConfig("hyperspectral", duration_s=600.0, seed=2)
+    a, b = run_campaign(config), run_campaign("hyperspectral", duration_s=600.0, seed=2)
+    assert a.config == b.config == config
+    assert a.table1() == b.table1()
+    with pytest.raises(ConfigError, match="seed"):  # a config runs as given
+        run_campaign(config, seed=3)
+
+
+#: One invalid setting per row (on top of the hyperspectral use case),
+#: and the error it must raise.
+_INVALID = {
+    "duration-inf": ({"duration_s": float("inf")}, ConfigError),
+    "duration-nan": ({"duration_s": float("nan")}, ConfigError),
+    "duration-negative": ({"duration_s": -5.0}, ConfigError),
+    "duration-str": ({"duration_s": "600"}, ConfigError),
+    "seed-negative": ({"seed": -1}, ConfigError),
+    "seed-float": ({"seed": 1.5}, ConfigError),
+    "tiebreak": ({"tiebreak": "random"}, ConfigError),
+    "copier-mode": ({"copier_mode": "burst"}, ConfigError),
+    "ingest": ({"ingest": "carrier-pigeon"}, ConfigError),
+    "use-case-name": ({"use_case": "tomography"}, ConfigError),
+    "use-case-type": ({"use_case": 3}, ConfigError),
+    "signal-type": (
+        {"use_case": replace(HYPERSPECTRAL_USE_CASE, signal_type="tomography")},
+        ConfigError,
+    ),
+    "compression-type": ({"compression": object()}, ConfigError),
+    "compression-stream": ({"compression": ZSTD_LIKE, "ingest": "stream"}, ConfigError),
+    "chaos-type": ({"chaos": 3}, ChaosError),
+    "corruption-unverified": ({"chaos": "corruption", "integrity": False}, ConfigError),
+    "scenario": ({"chaos": "bogus"}, ChaosError),
+}
+
+
+@pytest.mark.parametrize(
+    "settings, error", list(_INVALID.values()), ids=list(_INVALID)
+)
+def test_invalid_settings_fail_before_anything_is_built(monkeypatch, settings, error):
+    import repro.core.campaign as campaign
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an environment was built for an invalid config")
+
+    monkeypatch.setattr(campaign, "Environment", no_build)
+    with pytest.raises(error):
+        run_campaign(**{"use_case": "hyperspectral", **settings})
 
 
 def test_table1_requires_completed_runs():

@@ -87,13 +87,14 @@ def test_invalid_record_fails_publication_step():
 
 def test_failed_flow_still_releases_gating():
     """A gated campaign must not stall when a flow fails."""
+    from repro.chaos import ChaosPlan
     from repro.core import run_campaign
 
     res = run_campaign(
         "hyperspectral",
         duration_s=1200,
         seed=6,
-        fault_plan=FaultPlan(transient_prob=0.45, max_attempts=2),
+        chaos=ChaosPlan(transfer_faults=FaultPlan(transient_prob=0.45, max_attempts=2)),
     )
     statuses = {r.status for r in res.runs if r.status.terminal}
     # Some fail permanently (p=0.2 per flow), yet the campaign continues.

@@ -73,20 +73,15 @@ def test_replay_is_bit_identical(kind, use_case, seed, tiebreak, ingest):
 )
 def test_fast_path_matches_goldens(kind, use_case, seed, tiebreak, ingest):
     """Untraced replays (no dispatch hook) land on the golden numbers."""
-    from repro.chaos import delivery_breakdown, run_chaos_campaign
+    from repro.chaos import NO_CHAOS, delivery_breakdown
     from repro.core.campaign import run_campaign
     from repro.core.stats import fig4_samples
 
     golden = _load(kind, use_case, seed, tiebreak, ingest)
-    if kind == "campaign":
-        res = run_campaign(
-            use_case, duration_s=3600.0, seed=seed, tiebreak=tiebreak, ingest=ingest
-        )
-    else:
-        res = run_chaos_campaign(
-            kind, use_case=use_case, duration_s=3600.0, seed=seed,
-            tiebreak=tiebreak, ingest=ingest,
-        )
+    res = run_campaign(
+        use_case, duration_s=3600.0, seed=seed, tiebreak=tiebreak, ingest=ingest,
+        chaos=NO_CHAOS if kind == "campaign" else kind,
+    )
     assert res.trace is None and res.testbed.env._hooks == ()  # really unhooked
     if ingest == "stream":
         outcome = golden_capture.stream_outcome(res)

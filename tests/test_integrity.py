@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import SCENARIOS, run_chaos_campaign
+from repro.chaos import SCENARIOS
 from repro.core import run_campaign
-from repro.errors import IntegrityError
+from repro.errors import ConfigError, IntegrityError
 from repro.integrity import (
     DigestChain,
     IntegrityLedger,
+    audit_campaign,
     audit_spans,
     chunk_digest,
     format_audit,
     mangle,
-    run_integrity_campaign,
 )
 from repro.obs import Observability, derive_integrity_events
 from repro.sim import Environment
@@ -226,10 +226,15 @@ def test_integrity_on_clean_campaign_publishes_closed_chains():
 # -- the tentpole: zero silent acceptances under chaos corruption ------------
 
 
-def test_corruption_campaign_stream_audit_zero_silent():
-    result, report = run_integrity_campaign(
-        duration_s=600.0, seed=3, ingest="stream"
+def _audited(ingest, **settings):
+    result = run_campaign(
+        "hyperspectral", chaos="corruption", obs=True, ingest=ingest, **settings
     )
+    return result, audit_campaign(result)
+
+
+def test_corruption_campaign_stream_audit_zero_silent():
+    result, report = _audited("stream", duration_s=600.0, seed=3)
     assert report.counts["injections"] > 0  # the scenario actually fired
     assert report.ok, format_audit(report)
     assert not report.silent and not report.publish_violations
@@ -252,9 +257,7 @@ def test_corruption_campaign_stream_audit_zero_silent():
 
 
 def test_corruption_campaign_file_audit_zero_silent():
-    result, report = run_integrity_campaign(
-        duration_s=600.0, seed=3, ingest="file"
-    )
+    result, report = _audited("file", duration_s=600.0, seed=3)
     assert report.counts["injections"] > 0
     assert report.ok, format_audit(report)
     # at-rest rot in file mode is caught by the transfer's re-stat or
@@ -262,11 +265,28 @@ def test_corruption_campaign_file_audit_zero_silent():
     assert report.latency_breakdown()["file"]["n"] > 0
 
 
+def test_audit_refuses_an_untraced_campaign():
+    """Without spans the audit would join nothing and pass: an untraced
+    corruption campaign (600 s, seed 3) holds detections and quarantines
+    in its ledger, yet ``audit_spans`` over its (empty) spans reads
+    PASS with zero injections."""
+    res = run_campaign(
+        "hyperspectral", chaos="corruption", ingest="stream", duration_s=600.0,
+        seed=3,
+    )
+    assert res.ledger.detections and res.ledger.quarantined
+    assert audit_spans(res.testbed.obs.tracer.spans).ok  # the vacuous pass
+    with pytest.raises(ConfigError, match="obs=True"):
+        audit_campaign(res)
+
+
 def test_flow_level_transfer_retry_repairs_the_wire_detection():
     """A transfer task that exhausts its wire-fault attempts leaves its
     checksum-mismatch detection open; the task the flow's retry policy
     resubmits delivers verified bytes and must emit the repair."""
-    res = run_chaos_campaign("corruption", ingest="file", seed=11004, obs=True)
+    res = run_campaign(
+        "hyperspectral", chaos="corruption", ingest="file", seed=11004, obs=True
+    )
     assert audit_spans(res.testbed.obs.tracer.spans).unresolved_paths == []
 
 
@@ -283,8 +303,9 @@ def test_ledger_is_open_tracks_the_last_detection():
 
 
 def test_chaos_corruption_arms_publisher_and_receiver():
-    res = run_chaos_campaign(
-        "corruption", duration_s=300.0, seed=1, obs=True, ingest="stream"
+    res = run_campaign(
+        "hyperspectral", chaos="corruption", duration_s=300.0, seed=1, obs=True,
+        ingest="stream",
     )
     assert res.ledger is not None
     assert res.app.publisher.corruptor is not None

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.core.sanitize import SanitizeResult, campaign_trace, sanitize_campaign
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.lint import Severity
 from repro.sim import NORMAL, URGENT, Environment, Resource, Store
 
@@ -230,6 +230,25 @@ def test_campaign_trace_is_deterministic_and_nonempty():
     b = campaign_trace(run_campaign("hyperspectral", duration_s=400.0, seed=3))
     assert a == b
     assert len(a) > 1 and a[-1].startswith("copier files=")
+
+
+def test_sanitize_campaign_refuses_stream_mode(monkeypatch):
+    """A stream campaign's trace is its one copier line, so the S902
+    diff would compare nothing and pass.  The tie-break and the
+    sanitizer switch are the function's own, so a caller's value would
+    be silently ignored: refused too."""
+    import repro.core.sanitize as sanitize
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(sanitize, "run_campaign", no_run)
+    with pytest.raises(ConfigError, match="stream"):
+        sanitize_campaign("hyperspectral", ingest="stream")
+    with pytest.raises(ConfigError, match="tiebreak"):
+        sanitize_campaign("hyperspectral", tiebreak="lifo")
+    with pytest.raises(ConfigError, match="sanitize"):
+        sanitize_campaign("hyperspectral", sanitize=False)
 
 
 def test_sanitize_result_diagnostics_render_s901_and_s902():

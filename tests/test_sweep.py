@@ -12,24 +12,16 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.errors import ChaosError
-from repro.core.sweep import (
-    SweepVariant,
-    campaign_grid,
-    chaos_grid,
-    render_sweep,
-    run_sweep,
-    run_variant,
-)
+from repro.chaos import NO_CHAOS, SCENARIOS
+from repro.core import CampaignConfig
+from repro.errors import ChaosError, ConfigError
+from repro.core.sweep import render_sweep, run_sweep, run_variant, sweep_grid
 
 #: Small but heterogeneous grid: clean + chaos, two seeds, both tie-breaks.
 GRID = [
-    SweepVariant(kind="campaign", use_case="hyperspectral", seed=1,
-                 duration_s=900.0),
-    SweepVariant(kind="campaign", use_case="hyperspectral", seed=2,
-                 duration_s=900.0, tiebreak="lifo"),
-    SweepVariant(kind="outage", use_case="hyperspectral", seed=1,
-                 duration_s=900.0),
+    CampaignConfig("hyperspectral", seed=1, duration_s=900.0),
+    CampaignConfig("hyperspectral", seed=2, duration_s=900.0, tiebreak="lifo"),
+    CampaignConfig("hyperspectral", seed=1, duration_s=900.0, chaos="outage"),
 ]
 
 
@@ -52,19 +44,52 @@ def test_run_variant_is_reproducible():
 
 
 def test_grids():
-    cg = campaign_grid(seeds=(1, 2), tiebreaks=("fifo", "lifo"))
+    cg = sweep_grid(
+        [NO_CHAOS], use_cases=("hyperspectral", "spatiotemporal"),
+        seeds=(1, 2), tiebreaks=("fifo", "lifo"),
+    )
     assert len(cg) == 2 * 2 * 2
-    assert len({v.name for v in cg}) == len(cg)
-    xg = chaos_grid(scenarios=("outage", "degraded-net"), seeds=(0,))
-    assert [v.kind for v in xg] == ["outage", "degraded-net"]
-    default = chaos_grid(seeds=(0,))
-    assert [v.kind for v in default] == sorted(v.kind for v in default)
+    assert len({c.name for c in cg}) == len(cg)
+    assert all(c.name.startswith("campaign/") for c in cg)
+    xg = sweep_grid(("outage", "degraded-net"), seeds=(0,))
+    assert [c.chaos for c in xg] == ["outage", "degraded-net"]
+    assert xg[0].name == "outage/hyperspectral-s0-fifo-3600s"
     with pytest.raises(ChaosError):  # validated before any worker spawns
-        chaos_grid(scenarios=("outage", "bogus"), seeds=(0,))
+        sweep_grid(("outage", "bogus"), seeds=(0,))
     with pytest.raises(ValueError, match="bogus"):
-        chaos_grid(use_cases=("hyperspectral", "bogus"), seeds=(0,))
-    with pytest.raises(ValueError, match="bogus"):
-        campaign_grid(use_cases=("bogus",))
+        sweep_grid(sorted(SCENARIOS), use_cases=("hyperspectral", "bogus"))
+    with pytest.raises(ConfigError, match="tiebreak"):
+        sweep_grid([NO_CHAOS], tiebreaks=("random",))
+
+
+def test_sweep_cli_default_grid_is_every_scenario_sorted(monkeypatch):
+    """``sweep chaos`` without ``--scenarios`` runs every named scenario,
+    in sorted order."""
+    import repro.core.sweep as sweep
+
+    seen = []
+
+    def capture(configs, jobs=1):
+        seen.extend(configs)
+        return []
+
+    monkeypatch.setattr(sweep, "run_sweep", capture)
+    assert main(["sweep", "chaos", "--seeds", "0", "--jobs", "1"]) == 0
+    assert [c.chaos for c in seen] == sorted(SCENARIOS)
+    assert all(c.seed == 0 for c in seen)
+
+
+def test_sweep_refuses_stream_mode_before_any_worker(monkeypatch):
+    import repro.core.sweep as sweep
+
+    def no_worker(config):
+        raise AssertionError("a worker ran")
+
+    monkeypatch.setattr(sweep, "run_variant", no_worker)
+    configs = [GRID[0], CampaignConfig("hyperspectral", ingest="stream")]
+    for jobs in (1, 2):
+        with pytest.raises(ConfigError, match="stream"):
+            run_sweep(configs, jobs=jobs)
 
 
 def test_render_sweep_aggregates():
