@@ -65,11 +65,6 @@ class DetectorParams:
             raise ReproError("invalid detector parameters")
 
 
-def _center_inside(inner: Box, outer: Box) -> bool:
-    cx, cy = inner.center
-    return outer.x0 <= cx <= outer.x1 and outer.y0 <= cy <= outer.y1
-
-
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy non-maximum suppression by confidence.
 

@@ -46,11 +46,6 @@ class ServiceGate:
     def down(self, now: float) -> bool:
         return self.window_at(now) is not None
 
-    def next_restore(self, now: float) -> Optional[float]:
-        """End of the window covering ``now`` (None when the service is up)."""
-        w = self.window_at(now)
-        return None if w is None else w.end_s
-
     def check(self, now: float) -> None:
         w = self.window_at(now)
         if w is None:

@@ -180,10 +180,6 @@ class FlowsService:
     def runs(self) -> list[FlowRun]:
         return sorted(self._runs.values(), key=lambda r: r.run_id)
 
-    @property
-    def active_run_count(self) -> int:
-        return sum(1 for r in self._runs.values() if not r.status.terminal)
-
     # -- internals ---------------------------------------------------------------
     def _counter(self, name: str):
         """Lazily registered counter (see ``_lazy_counters``)."""

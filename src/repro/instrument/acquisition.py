@@ -17,6 +17,7 @@ Two pacing modes (see DESIGN.md, "Campaign gating"):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -46,10 +47,13 @@ class UseCaseSpec:
     sample: SampleInfo = field(default_factory=SampleInfo)
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ReproError(f"period must be positive, got {self.period_s}")
-        if self.file_size_bytes <= 0:
-            raise ReproError(f"file size must be positive, got {self.file_size_bytes}")
+        # ``0 < x < inf`` also rejects NaN.
+        if not 0 < self.period_s < math.inf:
+            raise ReproError(f"period must be finite and positive, got {self.period_s}")
+        if not 0 < self.file_size_bytes < math.inf:
+            raise ReproError(
+                f"file size must be finite and positive, got {self.file_size_bytes}"
+            )
 
 
 #: Table 1, column "Hyperspectral": 91 MB files every 30 s.  A 256×256 map

@@ -14,13 +14,13 @@ event that fires when the last byte arrives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from ..errors import EndpointError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
-from ..sim import Environment, Event, Interrupt, Process
+from ..sim import Environment, Event, Process
 from .topology import Link, Topology
 
 __all__ = ["NetworkFabric", "Stream", "max_min_fair_rates"]
@@ -46,12 +46,6 @@ class Stream:
     last_update: float = 0.0
     started_at: float = 0.0
     span: Any = NULL_SPAN  # tracing handle (NULL_SPAN when tracing is off)
-
-    @property
-    def eta(self) -> float:
-        if self.rate <= _EPS_RATE:
-            return float("inf")
-        return self.remaining_bytes / self.rate
 
 
 def max_min_fair_rates(
@@ -115,21 +109,8 @@ class NetworkFabric:
         self._m_bytes = m.counter("net.bytes_delivered")
         self._m_active = m.gauge("net.active_streams")
         self._m_aborted: Any = None  # lazy; only aborting campaigns register it
+        #: Admitted streams, in admission order.
         self._streams: dict[int, Stream] = {}
-        #: Link key -> set of active stream ids crossing it.  The index
-        #: behind component-restricted reallocation: a membership or
-        #: link-health change only recomputes the connected component
-        #: (streams coupled through shared links) it touches.
-        self._users: dict[tuple[str, str], set[int]] = {}
-        #: (src, dst) -> insertion-ordered {sid: Stream}; makes
-        #: :meth:`throughput` proportional to the pair's streams, not
-        #: the whole fabric, while preserving the summation order of
-        #: the old full scan (both are admission-ordered).
-        self._by_pair: dict[tuple[str, str], dict[int, Stream]] = {}
-        #: Cached :attr:`active_streams` view; None after membership
-        #: changes.  Admission order is ascending stream_id, so the
-        #: rebuild's sort is a no-op pass over an already-sorted dict.
-        self._active_cache: Optional[list[Stream]] = []
         #: Timestamp of the last full settle; settling twice at one
         #: timestamp is arithmetically the identity (zero elapsed time),
         #: so repeat calls return immediately.
@@ -155,8 +136,8 @@ class NetworkFabric:
         transfer completes.  The path's one-way latency is charged before
         bytes start flowing.
         """
-        if nbytes < 0:
-            raise EndpointError(f"negative transfer size: {nbytes}")
+        if not 0 <= nbytes < float("inf"):  # also rejects NaN
+            raise EndpointError(f"transfer size must be finite and >= 0, got {nbytes}")
         if not 0 < efficiency <= 1.0:
             raise EndpointError(f"efficiency must be in (0, 1], got {efficiency}")
         links, latency = self.topology.path(src, dst)
@@ -186,24 +167,12 @@ class NetworkFabric:
 
     @property
     def active_streams(self) -> list[Stream]:
-        """Active streams ordered by stream id.
-
-        The list is a cached view rebuilt only after membership changes;
-        treat it as read-only.
-        """
-        cache = self._active_cache
-        if cache is None:
-            cache = self._active_cache = sorted(
-                self._streams.values(), key=lambda s: s.stream_id
-            )
-        return cache
+        """Active streams ordered by stream id (a fresh list)."""
+        return sorted(self._streams.values(), key=lambda s: s.stream_id)
 
     def throughput(self, src: str, dst: str) -> float:
         """Aggregate current rate (bytes/s) of active src→dst streams."""
-        pair = self._by_pair.get((src, dst))
-        if not pair:
-            return 0.0
-        return sum(s.rate for s in pair.values())
+        return sum(s.rate for s in self.active_streams if s.src == src and s.dst == dst)
 
     def set_link_health(self, a: str, b: str, scale: float) -> None:
         """Scale the ``a``–``b`` link's capacity by ``scale`` in [0, 1].
@@ -222,12 +191,8 @@ class NetworkFabric:
         else:
             self._link_scale[link.key] = float(scale)
         if self._streams:
-            self._reallocate(self._users.get(link.key, ()))
+            self._reallocate()
             self._kick()
-
-    def link_health(self, a: str, b: str) -> float:
-        """Current health scale of the ``a``–``b`` link (1.0 = healthy)."""
-        return self._link_scale.get(self.topology.link(a, b).key, 1.0)
 
     def abort(self, done: Event) -> bool:
         """Withdraw the in-flight transfer whose completion event is
@@ -256,20 +221,7 @@ class NetworkFabric:
         if stream is None:
             return False
         self._settle()
-        sid = stream.stream_id
-        del self._streams[sid]
-        del self._by_pair[(stream.src, stream.dst)][sid]
-        users = self._users
-        seeds: set[int] = set()
-        for link in stream.links:
-            key = link.key
-            remaining = users[key]
-            remaining.discard(sid)
-            if remaining:
-                seeds |= remaining
-            else:
-                del users[key]
-        self._active_cache = None
+        del self._streams[stream.stream_id]
         self._m_active.set(len(self._streams))
         # Aborted partials do not count toward ``net.bytes_delivered``;
         # aborts get their own (lazily created) counter so the chaos
@@ -281,7 +233,7 @@ class NetworkFabric:
         stream.span.set("status", "aborted").finish()
         done.succeed(stream)
         if self._streams:
-            self._reallocate(seeds)
+            self._reallocate()
         self._kick()
         return True
 
@@ -294,14 +246,9 @@ class NetworkFabric:
             stream.done.succeed(stream)
             return
         stream.last_update = self.env.now
-        sid = stream.stream_id
-        self._streams[sid] = stream
-        for link in stream.links:
-            self._users.setdefault(link.key, set()).add(sid)
-        self._by_pair.setdefault((stream.src, stream.dst), {})[sid] = stream
-        self._active_cache = None
+        self._streams[stream.stream_id] = stream
         self._m_active.set(len(self._streams))
-        self._reallocate((sid,))
+        self._reallocate()
         self._kick()
 
     def _settle(self) -> None:
@@ -322,61 +269,24 @@ class NetworkFabric:
             s.last_update = now
         self._last_settle = now
 
-    def _component(self, seeds: "Iterable[int]") -> list[Stream]:
-        """Every active stream fair-share-coupled to ``seeds``.
-
-        Breadth-first over the per-link user index: two streams are
-        coupled when they share a link, directly or transitively.
-        Returned in ascending stream-id order — identical to the
-        relative order the old full-fabric scan presented to
-        :func:`max_min_fair_rates` (ids are assigned in admission
-        order), so link tie-breaking inside the allocator is preserved
-        bit for bit.
-        """
-        comp: set[int] = set()
-        stack = [sid for sid in seeds if sid in self._streams]
-        streams = self._streams
-        users = self._users
-        while stack:
-            sid = stack.pop()
-            if sid in comp:
-                continue
-            comp.add(sid)
-            for link in streams[sid].links:
-                for other in users[link.key]:
-                    if other not in comp:
-                        stack.append(other)
-        return [streams[sid] for sid in sorted(comp)]
-
     # repro: hotpath
-    def _reallocate(self, seeds: "Iterable[int] | None" = None) -> None:
-        """Settle, then recompute fair shares.
+    def _reallocate(self) -> None:
+        """Settle, then recompute every active stream's fair share.
 
-        With ``seeds`` (stream ids whose membership, size, or link
-        health changed) only their connected component is recomputed.
-        Progressive filling decomposes exactly across components — a
-        link's residual capacity evolves only through freezes of its
-        own users, and the freeze order *within* a component is
-        independent of how other components interleave — so the
-        restricted recomputation reproduces the global allocation's
-        floats bit for bit.  ``None`` recomputes everything (the
-        pre-index behaviour).
+        A lone stream skips the allocator: progressive filling would
+        freeze it in one round at its tightest link's ``capacity / 1``
+        — exactly ``min(capacity × health)`` — times its efficiency, or
+        at ``inf`` with no links (same host).
 
-        A one-stream component skips the allocator: progressive filling
-        would freeze it in one round at its tightest link's
-        ``capacity / 1`` — exactly ``min(capacity × health)`` — times
-        its efficiency, or at ``inf`` with no links (same host).
+        Two or more streams go through :func:`max_min_fair_rates` over
+        the whole fabric, in stream-id order: the allocator breaks ties
+        between equally contended links by first appearance, so the
+        order is part of the result.
         """
         self._settle()
-        if seeds is None:
-            comp = list(self._streams.values())
-        else:
-            comp = self._component(seeds)
-            if not comp:
-                return
         scale = self._link_scale
-        if len(comp) == 1:
-            (s,) = comp
+        if len(self._streams) == 1:
+            (s,) = self._streams.values()
             if s.links:
                 s.rate = min(
                     link.capacity_bps * scale.get(link.key, 1.0) for link in s.links
@@ -384,12 +294,13 @@ class NetworkFabric:
             else:
                 s.rate = float("inf")
             return
+        streams = self.active_streams
         caps: dict[tuple[str, str], float] = {}
-        for s in comp:
+        for s in streams:
             for link in s.links:
                 caps[link.key] = link.capacity_bps * scale.get(link.key, 1.0)
-        rates = max_min_fair_rates(comp, caps)
-        for s in comp:
+        rates = max_min_fair_rates(streams, caps)
+        for s in streams:
             s.rate = rates.get(s.stream_id, 0.0)
 
     def _kick(self) -> None:
@@ -405,9 +316,8 @@ class NetworkFabric:
                 self._wake = self.env.event()
                 yield self._wake
                 continue
-            # Inlined ``min(s.eta for ...)``: one pass, no property
-            # dispatch per stream.  Same expression, same order, same
-            # minimum.
+            # Earliest completion: the minimum over streams with a
+            # non-zero rate of remaining bytes over rate.
             dt = inf
             for s in self._streams.values():
                 rate = s.rate
@@ -461,31 +371,17 @@ class NetworkFabric:
                         if s.remaining_bytes <= _EPS_BYTES:
                             finished.append(s)
                     self._last_settle = now
-                # Batched removal: one index update and (below) one
-                # component-restricted reallocation for the whole
-                # same-tick completion batch.
-                users = self._users
-                seeds: set[int] = set()
+                # Batched removal: one reallocation (below) for the
+                # whole same-tick completion batch.
                 for s in finished:
                     del self._streams[s.stream_id]
-                    del self._by_pair[(s.src, s.dst)][s.stream_id]
-                    for link in s.links:
-                        key = link.key
-                        remaining = users[key]
-                        remaining.discard(s.stream_id)
-                        if remaining:
-                            seeds |= remaining
-                        else:
-                            del users[key]
-                if finished:
-                    self._active_cache = None
                 self._m_active.set(len(self._streams))
                 for s in finished:
                     self._m_bytes.inc(s.total_bytes)
                     s.span.set("status", "done").finish()
                     s.done.succeed(s)
                 if self._streams:
-                    self._reallocate(seeds)
+                    self._reallocate()
             else:
                 # New stream admitted mid-flight: rates are already
                 # updated, but the per-iteration timer is now stale —

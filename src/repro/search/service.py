@@ -16,7 +16,7 @@ from ..auth.identity import SEARCH_INGEST_SCOPE, SEARCH_QUERY_SCOPE, AuthClient
 from ..obs.metrics import NULL_METRICS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment
-from .index import FieldFilter, SearchIndex, SearchResults
+from .index import FieldFilter, SearchIndex
 
 __all__ = ["SearchService"]
 
@@ -120,13 +120,3 @@ class SearchService:
             offset=offset,
             facet_fields=facet_fields,
         )
-
-    # -- immediate variants (no simulated latency; tooling/portal use) --------
-    def query_now(
-        self,
-        token: Token,
-        index: str,
-        **kwargs: Any,
-    ) -> SearchResults:
-        identity = self._query_auth.authorize(token, self.env.now)
-        return self.index(index).query(identity=identity, **kwargs)

@@ -53,6 +53,8 @@ __all__ = [
 
 #: Scheduling priority for same-timestamp ordering: urgent events (process
 #: initialization, interrupts) fire before normal events (timeouts).
+#: These are the only two priorities, and an urgent event always fires
+#: at the current timestamp (see :meth:`Environment.schedule`).
 URGENT = 0
 NORMAL = 1
 
@@ -429,7 +431,7 @@ class _StopRun(BaseException):
 
 
 class Environment:
-    """The event loop: a priority queue of (time, priority, seq, event).
+    """The event loop: a total order on (time, priority, seq, event).
 
     Parameters
     ----------
@@ -467,36 +469,33 @@ class Environment:
         self._now = float(initial_time)
         if not math.isfinite(self._now):
             raise SimulationError(f"initial_time must be finite, got {initial_time}")
-        # The queue is split three ways by traffic class, preserving the
-        # single total order (time, priority, tiebreak_sign * seq) the
-        # old one-heap design had:
+        # The queue is split by traffic class, preserving one total order
+        # (time, priority, tiebreak_sign * seq):
         #
-        # * ``_queue`` — a 4-tuple heap, now only for *exotic* entries:
-        #   future URGENT events (the run-until stop event) and any
-        #   priority outside {URGENT, NORMAL}.  Near-empty in practice.
-        # * ``_lane_urgent`` / ``_lane_normal`` — deques of delay-0
-        #   events (the dominant traffic: every succeed()/fail()/
-        #   process-termination).  Invariant: dispatch always pops the
-        #   global minimum, so time cannot advance while a lane is
-        #   non-empty — all lane entries share the current timestamp,
-        #   and within a lane the (priority, seq) key is monotone in
-        #   append order.  fifo reads from the left end, lifo from the
-        #   right.
+        # * ``_lane_urgent`` / ``_lane_normal`` — deques of events due at
+        #   the current timestamp (every URGENT event, and the dominant
+        #   NORMAL traffic: every succeed()/fail()/process-termination).
+        #   Invariant: dispatch always pops the global minimum, so time
+        #   cannot advance while a lane is non-empty — all lane entries
+        #   share the current timestamp, and within a lane the
+        #   (priority, seq) key is monotone in append order.  fifo reads
+        #   from the left end, lifo from the right.
         # * ``_buckets``/``_times`` — the timer store: NORMAL events
         #   with delay > 0 are grouped into per-timestamp buckets
         #   (``{time: [event, ...]}``, append order = seq order; the
         #   tie-break key rides on the event's ``_skey`` slot, saving a
-        #   tuple per timer), with a heap over the *distinct* times.  Timestamps
-        #   in simulated campaigns repeat heavily (synchronized ticks,
-        #   common periods), so heap traffic drops from one push+pop of
-        #   a 4-tuple per event to one push+pop of a bare float per
-        #   distinct timestamp.  Bucketing by exact float equality is
-        #   the same equivalence the heap's tuple comparison applied, so
-        #   the dispatch order is bit-identical.
+        #   tuple per timer), with a heap over the *distinct* times.
+        #   Timestamps in simulated campaigns repeat heavily
+        #   (synchronized ticks, common periods), so heap traffic is one
+        #   push+pop of a bare float per distinct timestamp.  Bucketing
+        #   by exact float equality is the equivalence a tuple heap's
+        #   comparison would apply, so the dispatch order is the same.
         # * ``_cur``/``_cur_idx`` — the bucket currently being drained
         #   (its time == ``_now``); ``_cur_idx`` is the fifo read
         #   cursor (lifo consumes from the right with ``pop()``).
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #
+        # ``run(until=t)`` queues nothing for its stop: the drain loop
+        # fires it at ``t`` before opening any bucket due at ``t``.
         self._lane_urgent: deque[tuple[float, int, int, Event]] = deque()
         self._lane_normal: deque[tuple[float, int, int, Event]] = deque()
         self._buckets: dict[float, list[Event]] = {}
@@ -507,10 +506,6 @@ class Environment:
         # mutated in place, never replaced, so these stay valid).
         self._lane_normal_append = self._lane_normal.append
         self._buckets_get = self._buckets.get
-        #: Set once any entry with a priority outside {URGENT, NORMAL}
-        #: is scheduled; the fast drain falls back to the general pop
-        #: path so such entries keep their exact ordering.
-        self._has_exotic = False
         self._seq = 0
         self._cancelled_count = 0
         self._active_process: Optional[Process] = None
@@ -604,28 +599,36 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Schedule ``event`` to fire ``delay`` seconds from now."""
+        """Schedule ``event`` to fire ``delay`` seconds from now.
+
+        ``NORMAL`` takes any delay >= 0.  ``URGENT`` (process start,
+        interrupt delivery) takes delay 0 only: it jumps ahead of the
+        NORMAL events due now.  Anything else raises
+        :class:`SimulationError` and queues nothing.
+        """
         seq = self._seq
         self._seq = seq + 1
         if delay == 0.0 and (priority == NORMAL or priority == URGENT):
-            # Immediate lane: same (time, priority, seq) key the heap
-            # would assign, minus the heap.
+            # Immediate lane: the events due now.
             entry = (self._now, priority, self._tiebreak_sign * seq, event)
             if priority == NORMAL:
                 self._lane_normal.append(entry)
             else:
                 self._lane_urgent.append(entry)
-        elif priority == NORMAL:
+        else:
             if not delay >= 0:
                 raise SimulationError(f"schedule delay must be >= 0, got {delay}")
+            if priority != NORMAL:
+                raise SimulationError(
+                    "schedule takes NORMAL at any delay or URGENT at delay 0, "
+                    f"got priority={priority!r} delay={delay!r}"
+                )
             # Timer store: bucket by exact target timestamp.  A delay
             # small enough to underflow (t == now) belongs on the
             # immediate lane, like timeout().
             t = self._now + delay
             if t == self._now:
-                self._lane_normal.append(
-                    (t, NORMAL, self._tiebreak_sign * seq, event)
-                )
+                self._lane_normal.append((t, NORMAL, self._tiebreak_sign * seq, event))
             else:
                 event._skey = self._tiebreak_sign * seq
                 bucket = self._buckets.get(t)
@@ -634,15 +637,6 @@ class Environment:
                     heapq.heappush(self._times, t)
                 else:
                     bucket.append(event)
-        else:
-            if not delay >= 0:
-                raise SimulationError(f"schedule delay must be >= 0, got {delay}")
-            if priority != URGENT:
-                self._has_exotic = True
-            heapq.heappush(
-                self._queue,
-                (self._now + delay, priority, self._tiebreak_sign * seq, event),
-            )
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(event)
 
@@ -651,9 +645,9 @@ class Environment:
 
         The event's callbacks never run and its failure (if any) is
         never raised.  Lazy removal with periodic compaction keeps the
-        heap bounded by the number of *live* entries, so components that
+        queue bounded by the number of *live* entries, so components that
         routinely abandon timers (e.g. the network fabric re-planning
-        around a new stream) do not leak one heap slot per abandonment.
+        around a new stream) do not leak one slot per abandonment.
 
         Only triggered events sit in the queue; cancelling an untriggered
         or already-processed event is an error.
@@ -671,7 +665,7 @@ class Environment:
 
     def _n_pending(self) -> int:
         """Total scheduled-but-undispatched entries, tombstones included."""
-        n = len(self._queue) + len(self._lane_urgent) + len(self._lane_normal)
+        n = len(self._lane_urgent) + len(self._lane_normal)
         if self._buckets:
             # integer sum: exact and associative, so bucket-dict order
             # (which tracks timer churn) cannot perturb the count.
@@ -688,8 +682,6 @@ class Environment:
         All filtering is in-place (``[:] =`` / ``clear``+``extend``) so
         local references held by the fast run loop stay valid across a
         compaction triggered from inside a callback."""
-        self._queue[:] = [e for e in self._queue if not e[3]._cancelled]
-        heapq.heapify(self._queue)
         for lane in (self._lane_urgent, self._lane_normal):
             if lane:
                 live = [e for e in lane if not e[3]._cancelled]
@@ -735,8 +727,7 @@ class Environment:
 
         Returns None when the timer store is empty, or when the
         earliest bucket held only tombstones (it is dropped; the caller
-        must re-decide against the exotic heap, whose top may now come
-        first — skipping ahead here would leapfrog it)."""
+        re-decides, since a ``run(until=t)`` stop may now come first)."""
         fifo = self._tiebreak_sign == 1
         times = self._times
         if not times:
@@ -766,14 +757,11 @@ class Environment:
                 self._cur = bucket
         return (t, NORMAL, event._skey, event)
 
-    def _pop_entry(self) -> Optional[tuple[float, int, int, Event]]:
-        """Pop the globally-minimum live entry across all structures."""
+    def _pop_now(self) -> Optional[tuple[float, int, int, Event]]:
+        """Pop the minimum live entry due at the current timestamp; None
+        when time must advance (tombstones met on the way are dropped)."""
         fifo = self._tiebreak_sign == 1
         now = self._now
-        queue = self._queue
-        while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
-            self._cancelled_count -= 1
         lane_u = self._lane_urgent
         while lane_u and (lane_u[0] if fifo else lane_u[-1])[3]._cancelled:
             if fifo:
@@ -782,13 +770,6 @@ class Environment:
                 lane_u.pop()
             self._cancelled_count -= 1
         if lane_u:
-            # Urgent-now beats everything except an exotic heap entry at
-            # (now, priority < URGENT) or same-priority smaller seq.
-            su = (lane_u[0] if fifo else lane_u[-1])[2]
-            if queue:
-                e = queue[0]
-                if e[0] == now and (e[1] < URGENT or (e[1] == URGENT and e[2] < su)):
-                    return heapq.heappop(queue)
             return lane_u.popleft() if fifo else lane_u.pop()
         lane_n = self._lane_normal
         while lane_n and (lane_n[0] if fifo else lane_n[-1])[3]._cancelled:
@@ -800,7 +781,7 @@ class Environment:
         # NORMAL candidates at the current timestamp: the immediate
         # lane, the current bucket remainder, or an unopened bucket
         # whose time equals now (a timer landing exactly at a timestamp
-        # the clock already reached via an urgent/exotic event).
+        # the clock already reached, e.g. through a run(until=t) stop).
         sn = (lane_n[0] if fifo else lane_n[-1])[2] if lane_n else None
         cur = self._cur
         sc = None
@@ -849,41 +830,25 @@ class Environment:
             best, src = sc, 2
         if sb is not None and (best is None or sb < best):
             best, src = sb, 3
-        if best is not None:
-            if queue:
-                e = queue[0]
-                if e[0] == now and e[1] < NORMAL:
-                    return heapq.heappop(queue)
-            if src == 1:
-                return lane_n.popleft() if fifo else lane_n.pop()
-            if src == 2:
-                if fifo:
-                    idx = self._cur_idx
-                    event = cur[idx]
-                    idx += 1
-                    if idx >= len(cur):
-                        self._cur = None
-                    else:
-                        self._cur_idx = idx
+        if best is None:
+            return None
+        if src == 1:
+            return lane_n.popleft() if fifo else lane_n.pop()
+        if src == 2:
+            if fifo:
+                idx = self._cur_idx
+                event = cur[idx]
+                idx += 1
+                if idx >= len(cur):
+                    self._cur = None
                 else:
-                    event = cur.pop()
-                    if not cur:
-                        self._cur = None
-                return (now, NORMAL, event._skey, event)
-            return self._open_bucket()
-        # Nothing at the current timestamp: advance to the earliest of
-        # the exotic heap and the timer store.
-        while True:
-            t = times[0] if times else None
-            if queue:
-                e = queue[0]
-                if t is None or e[0] < t or (e[0] == t and e[1] < NORMAL):
-                    return heapq.heappop(queue)
-            elif t is None:
-                return None
-            entry = self._open_bucket()
-            if entry is not None:
-                return entry
+                    self._cur_idx = idx
+            else:
+                event = cur.pop()
+                if not cur:
+                    self._cur = None
+            return (now, NORMAL, event._skey, event)
+        return self._open_bucket()
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -893,9 +858,11 @@ class Environment:
         Raises :class:`SimulationError` if the queue is empty, and
         re-raises the exception of any failed event nobody defused.
         """
-        entry = self._pop_entry()
-        if entry is None:
-            raise SimulationError("no more events")
+        entry = self._pop_now()
+        while entry is None:
+            if not self._times:
+                raise SimulationError("no more events")
+            entry = self._open_bucket()  # None: a dead bucket was dropped
         now, priority, _, event = entry
         self._now = now
         for hook in self._hooks:
@@ -915,6 +882,8 @@ class Environment:
         """Run until the queue drains, simulation time reaches ``until``
         (a number), or ``until`` (an event) fires — returning its value."""
         stop: Optional[Event] = None
+        deferred: Optional[Event] = None
+        at = 0.0
         if until is not None:
             if isinstance(until, Event):
                 stop = until
@@ -933,10 +902,18 @@ class Environment:
                 stop = Event(self)
                 stop._ok = True
                 stop._value = None
-                self.schedule(stop, delay=at - self._now, priority=URGENT)
                 stop.callbacks.append(self._stop_callback)
+                if at == self._now:
+                    self.schedule(stop, priority=URGENT)
+                else:
+                    # Queued nowhere: _run_fast fires it as (at, URGENT)
+                    # once nothing earlier than ``at`` is left, so a run
+                    # that raises leaves no stale stop behind.
+                    deferred = stop
+                    if self.sanitizer is not None:
+                        self.sanitizer.on_schedule(stop)
         try:
-            self._run_fast()
+            self._run_fast(deferred, at)
         except _StopRun as stop_exc:
             return stop_exc.args[0]
         finally:
@@ -951,7 +928,7 @@ class Environment:
         return None
 
     # repro: hotpath
-    def _run_fast(self) -> None:
+    def _run_fast(self, stop: Optional[Event] = None, until: float = 0.0) -> None:
         """Drain the queue: :meth:`run`'s one dispatch loop.
 
         Byte-identical to calling :meth:`step` until no live entry is
@@ -959,46 +936,40 @@ class Environment:
         propagation — minus the method-call overhead per event.  With no
         hook attached, an event costs one test of the local ``hooks``.
 
+        ``stop`` (from ``run(until=t)``, ``until`` = t) is queued
+        nowhere.  Where the loop would advance time, it opens the next
+        timer bucket only if that bucket is due before ``until``;
+        otherwise it fires ``stop`` as ``(until, URGENT)``, which is
+        where an URGENT entry at ``until`` sorts: after everything
+        earlier, before every timer due at ``until``.
+
         The hot branch drains one timer bucket at a stretch.  While a
-        bucket drains, already-queued exotic-heap entries cannot
-        preempt its remainder (they lost the tie when the bucket was
-        opened, on time or on priority, and stay lost), and new
-        preemption can only arrive through the urgent lane (delay-0
-        URGENT), the normal lane under the lifo tie-break (newer seq
-        wins ties), or a fresh exotic-heap push (negative priority) —
-        so only those three are checked per event.  Under fifo a
-        lane-normal append (newer seq) sorts after every bucket entry
-        and needs no check.
+        bucket drains, preemption can only arrive through the urgent
+        lane (delay-0 URGENT) or the normal lane under the lifo
+        tie-break (newer seq wins ties), so only those two are checked
+        per event.  Under fifo a lane-normal append (newer seq) sorts
+        after every bucket entry and needs no check.
         """
-        queue = self._queue
         lane_u = self._lane_urgent
         lane_n = self._lane_normal
         times = self._times
-        pop_entry = self._pop_entry
-        heappop = heapq.heappop
+        pop_now = self._pop_now
         lifo = self._tiebreak_sign != 1
         hooks = self._hooks
         while True:
             if lane_u or lane_n:
-                if (
-                    self._has_exotic
-                    or self._cur is not None
-                    or (queue and queue[0][0] == self._now)
-                    or (times and times[0] == self._now)
-                ):
+                if self._cur is not None or (times and times[0] == self._now):
                     # Something else shares the current timestamp: full
                     # multi-way merge, one event at a time.
-                    entry = pop_entry()
+                    entry = pop_now()
                     if entry is None:
-                        return
+                        continue  # only tombstones were due now
                 else:
                     # Lean lane drain: nothing outside the lanes exists
                     # at the current timestamp, and nothing can join it
-                    # (delay-0 lands in the lanes; delay>0 lands later;
-                    # exotic priorities are excluded above).  Urgent
-                    # entries precede normal ones outright, so no key
-                    # comparisons are needed.
-                    nq = len(queue)
+                    # (delay-0 lands in the lanes; delay>0 lands later).
+                    # Urgent entries precede normal ones outright, so no
+                    # key comparisons are needed.
                     fifo = not lifo
                     while True:
                         if lane_u:
@@ -1025,34 +996,20 @@ class Environment:
                                 callback(event)
                         if event._ok is False and not event._defused:
                             raise event._value
-                        if len(queue) != nq or self._cur is not None:
-                            break  # new work may share this timestamp
+                        if self._cur is not None:
+                            break  # a nested run() or step() opened a bucket
                     continue
-            elif self._has_exotic:
-                entry = pop_entry()
-                if entry is None:
-                    return
             elif self._cur is None:
-                # Next source: exotic heap vs timer store.
-                if self._cancelled_count:
-                    while queue and queue[0][3]._cancelled:
-                        heappop(queue)
-                        self._cancelled_count -= 1
-                if queue:
-                    e = queue[0]
-                    t = times[0] if times else None
-                    if t is None or e[0] < t or (e[0] == t and e[1] < NORMAL):
-                        entry = heappop(queue)
-                    else:
-                        entry = self._open_bucket()
-                        if entry is None:
-                            continue  # dead bucket dropped; re-decide
-                else:
+                # Time advances: the earliest timer bucket, unless the
+                # stop is due first.
+                if times and (stop is None or times[0] < until):
                     entry = self._open_bucket()
                     if entry is None:
-                        if not times:
-                            return
-                        continue  # dead bucket dropped; retry
+                        continue  # dead bucket dropped; re-decide
+                elif stop is None:
+                    return
+                else:
+                    entry = (until, URGENT, 0, stop)
             else:
                 entry = None  # resume the current bucket
             if entry is not None:
@@ -1073,23 +1030,16 @@ class Environment:
                 if self._cur is None:
                     continue
             cur = self._cur
-            if (
-                cur is None
-                or lane_u
-                or (lifo and lane_n)
-                or self._has_exotic
-                or (queue and queue[0][0] == self._now)
-            ):
+            if cur is None or lane_u or (lifo and lane_n):
                 continue  # outer loop re-dispatches via the general path
             # Inline drain of the current bucket's remainder.  The
             # fifo bound is captured once (``n``); a compaction inside a
             # callback can shrink ``cur`` and leave ``n`` stale, so the
             # read is guarded by the (zero-cost-until-raised)
             # IndexError as a safety net — every introspection path
-            # (_pop_entry, _n_pending, _compact) tolerates a
+            # (_pop_now, _n_pending, _compact) tolerates a
             # fully-read ``_cur``, so exhaustion may be discovered
             # lazily on that read.
-            nq = len(queue)
             n = len(cur)
             while True:
                 if lifo:
@@ -1132,7 +1082,7 @@ class Environment:
                     break
                 if self._cur is not cur:
                     break  # swapped out by a nested run()
-                if lane_u or (lifo and lane_n) or len(queue) != nq:
+                if lane_u or (lifo and lane_n):
                     break  # new work may precede the remainder
 
     @staticmethod

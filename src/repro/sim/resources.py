@@ -22,7 +22,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .core import Environment, Event, URGENT
+from .core import Environment, Event
 
 __all__ = ["Resource", "Request", "Store"]
 

@@ -48,14 +48,6 @@ class TransferTask:
             return None
         return self.completed_at - self.requested_at
 
-    @property
-    def effective_rate(self) -> Optional[float]:
-        """Achieved bytes/s over the task's whole lifetime."""
-        d = self.duration
-        if not d:
-            return None
-        return self.nbytes / d
-
     def snapshot(self) -> dict:
         """Plain-dict view, as a polling API would return."""
         return {

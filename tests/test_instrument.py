@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,16 @@ def test_use_case_validation():
         UseCaseSpec("x", "hyperspectral", period_s=0, file_size_bytes=1, shape=(1,), dtype="<f8")
     with pytest.raises(ReproError):
         UseCaseSpec("x", "hyperspectral", period_s=1, file_size_bytes=0, shape=(1,), dtype="<f8")
+
+
+@pytest.mark.parametrize("field_name", ["period_s", "file_size_bytes"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_use_case_rejects_non_finite_period_and_size(field_name, value):
+    """A NaN or infinite period or size used to pass and fail late: a
+    NaN period in the kernel, a NaN or infinite size in the fabric's
+    scheduler, and an infinite period ran one file and reported success."""
+    with pytest.raises(ReproError, match="finite and positive"):
+        replace(HYPERSPECTRAL_USE_CASE, **{field_name: value})
 
 
 def test_periodic_copier_emits_on_schedule():

@@ -334,6 +334,18 @@ def test_transfer_validation():
         fabric.transfer("user", "eagle", 10, efficiency=1.5)
 
 
+@pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), -float("inf")])
+def test_transfer_rejects_non_finite_size(nbytes):
+    """A NaN or infinite size used to be admitted and then kill the
+    fabric's scheduler with a misleading zero-rate error."""
+    env = Environment()
+    fabric = NetworkFabric(env, star_topology())
+    with pytest.raises(EndpointError, match="finite"):
+        fabric.transfer("user", "eagle", nbytes)
+    env.run()
+    assert fabric.active_streams == []
+
+
 def test_throughput_observable():
     env = Environment()
     fabric = NetworkFabric(env, star_topology())
@@ -388,9 +400,9 @@ def test_fabric_conservation_property(jobs):
 
 def test_repeated_admissions_do_not_bloat_the_event_queue():
     """Each mid-flight admission abandons the scheduler's per-iteration
-    completion timer.  Those timers used to pile up in the event heap
+    completion timer.  Those timers used to pile up in the event queue
     (one per admission, alive until their far-future deadline); the
-    fabric now withdraws stale timers, so heap size stays bounded by
+    fabric now withdraws stale timers, so the queue stays bounded by
     live work, not admission count."""
     env = Environment()
     t = star_topology()
@@ -412,7 +424,7 @@ def test_repeated_admissions_do_not_bloat_the_event_queue():
 
     def monitor():
         while True:
-            peak[0] = max(peak[0], len(env._queue))
+            peak[0] = max(peak[0], env._n_pending())
             yield env.timeout(0.1)
 
     env.process(trickle())
@@ -440,4 +452,4 @@ def test_cancelled_fabric_timers_do_not_fire_spuriously():
     env.run()
     # Both streams completed; queue fully drained (no orphan events).
     assert done_a.processed
-    assert len(env._queue) == env._cancelled_count == 0
+    assert env._n_pending() == env._cancelled_count == 0

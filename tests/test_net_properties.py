@@ -1,16 +1,17 @@
-"""Property tests for the incremental max–min fair allocator.
+"""Property tests for the fabric's max–min fair allocation.
 
-The fabric now maintains per-link user indexes and recomputes only the
-connected component a change touches.  The correctness claim is strong:
-at *every* instant, every active stream's rate equals what a from-scratch
-global :func:`~repro.net.fabric.max_min_fair_rates` over all active
-streams would assign — including protocol ``efficiency < 1`` streams,
-same-host (infinite-rate) streams, and links degraded or blacked out
-(``scale=0``) mid-transfer.
+The fabric is the reference allocator plus two shortcuts: a lone stream
+skips :func:`~repro.net.fabric.max_min_fair_rates`, and same-tick
+completions are removed in one batch with one reallocation.  The claim
+is exact: at *every* instant, every active stream's rate equals what a
+from-scratch :func:`~repro.net.fabric.max_min_fair_rates` over all
+active streams would assign — including protocol ``efficiency < 1``
+streams, same-host (infinite-rate) streams, and links degraded or
+blacked out (``scale=0``) mid-transfer.
 
 Randomized scenarios drive admissions, completions, and link-health
 flaps on random multi-switch topologies, and a monitor compares the
-incremental rates against the reference allocation at random checkpoint
+fabric's rates against the reference allocation at random checkpoint
 times, for exact float equality.  Fixed one-stream scenarios pin the
 fabric's one-stream shortcut to the same floats.
 """
@@ -48,9 +49,9 @@ def check_against_reference(fabric: NetworkFabric, failures: "list[str]") -> Non
             failures.append(
                 f"t={fabric.env.now}: stream {s.stream_id} "
                 f"({s.src}->{s.dst}, eff={s.efficiency}) "
-                f"incremental rate {s.rate!r} != reference {want!r}"
+                f"fabric rate {s.rate!r} != reference {want!r}"
             )
-    # The cached views must agree with the allocation they cache.
+    # Per-pair throughput must agree with the allocation it sums.
     by_pair: dict[tuple[str, str], float] = {}
     for s in fabric.active_streams:
         key = (s.src, s.dst)
@@ -259,9 +260,8 @@ def test_one_stream_shortcut_same_host_is_infinite():
     assert done.value.remaining_bytes == 0.0
 
 
-def test_active_streams_cache_is_stable_between_changes():
-    """Repeated reads return the same list object until membership
-    changes; the view is always ascending by stream id."""
+def test_active_streams_are_in_stream_id_order():
+    """The view is ascending by stream id and tracks admissions."""
     env = Environment()
     topo = Topology()
     topo.add_node("hub", kind="switch")
@@ -276,13 +276,9 @@ def test_active_streams_cache_is_stable_between_changes():
 
     def probe(env):
         yield env.timeout(1.5)  # two streams in flight
-        view = fabric.active_streams
-        assert [s.stream_id for s in view] == [1, 2]
-        assert fabric.active_streams is view  # cached, not rebuilt
-        yield env.timeout(1.0)  # third admission invalidates
-        view2 = fabric.active_streams
-        assert view2 is not view
-        assert [s.stream_id for s in view2] == [1, 2, 3]
+        assert [s.stream_id for s in fabric.active_streams] == [1, 2]
+        yield env.timeout(1.0)  # third admission
+        assert [s.stream_id for s in fabric.active_streams] == [1, 2, 3]
 
     for i in range(3):
         env.process(submit(env, i))
@@ -317,7 +313,7 @@ def test_noop_settle_is_skipped_and_identity():
 
 
 def test_micro_fix_table1_identical():
-    """Satellite regression: the settle-skip and cached-view micro-fixes
+    """Satellite regression: the settle-skip and the lone-stream shortcut
     leave the shipped campaigns' Table 1 rows exactly as recorded on the
     pre-optimization fabric."""
     import os

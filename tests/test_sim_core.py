@@ -456,8 +456,8 @@ def test_cancel_is_idempotent_and_queue_compacts():
     for t in timeouts:
         env.cancel(t)
         env.cancel(t)  # idempotent
-    # Tombstone compaction keeps the heap bounded by live entries.
-    assert len(env._queue) < 60
+    # Tombstone compaction keeps the queue bounded by live entries.
+    assert env._n_pending() < 60
     env.run()
     assert env.now == 0.0  # nothing ever fired
 

@@ -1,12 +1,14 @@
 """Tests for the kernel's split queue: lanes, calendar buckets, fast drain.
 
-The optimized kernel keeps one *logical* total order —
-``(time, priority, tiebreak_sign * seq)`` — but stores entries in three
-physical structures (immediate lanes, per-timestamp timer buckets, and
-an exotic heap).  These tests pin the seams between them: underflowing
-delays, mid-drain scheduling and cancellation, exotic priorities mixed
-into bucket drains, compaction while a bucket is being read, and the
-fired-condition callback detach.
+The kernel keeps one *logical* total order —
+``(time, priority, tiebreak_sign * seq)`` — over two priorities, NORMAL
+and delay-0 URGENT, and stores entries in two physical structures
+(immediate lanes and per-timestamp timer buckets).  A ``run(until=t)``
+stop is queued nowhere: the drain loop fires it as ``(t, URGENT)``
+before opening any bucket due at ``t``.  These tests pin the seams:
+underflowing delays, mid-drain scheduling and cancellation, the
+priority check, the stop, compaction while a bucket is being read, and
+the fired-condition callback detach.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import Environment, EventTraceRecorder, Interrupt
 from repro.sim.core import NORMAL, URGENT
 from repro.sim.core import _defuse_stale
@@ -82,27 +85,58 @@ def test_mid_drain_zero_delay_preemption(tiebreak):
 
 
 def test_mid_drain_exotic_priority_is_seen():
-    """An exotic-priority event scheduled at ``now`` from inside a bucket
-    drain still respects the priority order: NORMAL entries already in
-    the bucket (priority 1) fire before the priority-2 straggler."""
+    """An exotic-priority event scheduled from inside a bucket drain is
+    seen by ``schedule()``: it raises and queues nothing, and the rest
+    of the bucket and the later timers fire in order."""
     env = Environment()
     order = []
     straggler = env.event()
+    straggler._ok, straggler._value = True, None
+    straggler.callbacks.append(_tag(order, "exotic"))
 
     def first(_event):
         order.append("first")
-        straggler._ok = True
-        straggler._value = None
-        env.schedule(straggler, delay=0.25, priority=2)
+        for priority, delay in ((2, 0.0), (2, 0.25), (URGENT, 0.25)):
+            pending = env._n_pending()
+            with pytest.raises(SimulationError, match="URGENT at delay 0"):
+                env.schedule(straggler, delay=delay, priority=priority)
+            assert env._n_pending() == pending
+            order.append(f"rejected-{priority}-{delay}")
 
     env.timeout(1.0).callbacks.append(first)
     env.timeout(1.0).callbacks.append(_tag(order, "second"))
     env.timeout(1.25).callbacks.append(_tag(order, "timer"))
-    straggler.callbacks.append(_tag(order, "exotic"))
     env.run()
-    # At t=1.25 the NORMAL timer (priority 1) precedes the exotic
-    # (priority 2) even though the exotic was scheduled first.
-    assert order == ["first", "second", "timer", "exotic"]
+    assert order == [
+        "first",
+        "rejected-2-0.0",
+        "rejected-2-0.25",
+        f"rejected-{URGENT}-0.25",
+        "second",
+        "timer",
+    ]
+    assert env.now == 1.25 and env._n_pending() == 0
+
+
+def test_exotic_priorities_total_order():
+    """Any priority but NORMAL and URGENT, and an URGENT event in the
+    future, is rejected before anything is queued; the two priorities
+    left keep the ``(time, priority, seq)`` order."""
+    env = Environment()
+    for priority, delay in ((2, 0.0), (2, 1.0), (-1, 0.0), (-1, 1.0), (URGENT, 1.0)):
+        ev = env.event()
+        ev._ok, ev._value = True, None
+        with pytest.raises(SimulationError, match="URGENT at delay 0"):
+            env.schedule(ev, delay=delay, priority=priority)
+        assert env._n_pending() == 0
+    fired = []
+    for priority, delay in ((NORMAL, 1.0), (URGENT, 0.0), (NORMAL, 0.0)):
+        ev = env.event()
+        ev._ok, ev._value = True, None
+        ev.callbacks.append(lambda e, p=priority, d=delay: fired.append((env.now, p, d)))
+        env.schedule(ev, delay=delay, priority=priority)
+    env.run()
+    assert fired == [(0.0, URGENT, 0.0), (0.0, NORMAL, 0.0), (1.0, NORMAL, 1.0)]
 
 
 def test_urgent_lane_precedes_normal_at_same_tick():
@@ -232,21 +266,22 @@ def test_traced_cohort_drain_matches_manual_step_loop():
     assert len(traced) > n_flows * n_ticks
 
 
-def test_exotic_priorities_total_order():
-    """Priorities outside {URGENT, NORMAL} disable the fast drain but
-    keep the exact (time, priority, seq) order."""
+def test_failed_run_until_leaves_no_stop_behind():
+    """A ``run(until=t)`` that raises queued no stop event, so the next
+    plain ``run()`` drains instead of stopping at ``t``."""
     env = Environment()
-    order = []
-    spec = [(1.0, 3, "late-exotic"), (1.0, 2, "exotic"), (2.0, 2, "next-tick")]
-    for delay, prio, name in spec:
-        ev = env.event()
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(_tag(order, name))
-        env.schedule(ev, delay=delay, priority=prio)
-    env.timeout(1.0).callbacks.append(_tag(order, "normal"))
+    env.timeout(2.0)
+    env.timeout(5.0)
+    env.timeout(1.0).callbacks.append(_raise_boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=3.0)
+    assert env.now == 1.0
     env.run()
-    assert order == ["normal", "exotic", "late-exotic", "next-tick"]
+    assert env.now == 5.0
+
+
+def _raise_boom(_event):
+    raise RuntimeError("boom")
 
 
 # -- run() against step() on drawn schedules ----------------------------------
@@ -259,7 +294,8 @@ _OPS = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("succeed")),
     st.tuples(st.just("fail")),
-    st.tuples(st.just("schedule"), st.sampled_from([URGENT, -1, 2]), _DELAYS),
+    st.tuples(st.just("schedule"), st.just(URGENT), st.just(0.0)),
+    st.tuples(st.just("schedule"), st.just(NORMAL), _DELAYS),
     st.tuples(st.just("process"), st.lists(_DELAYS, max_size=4).map(tuple)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=8)),
@@ -274,13 +310,15 @@ _SCHEDULES = st.recursive(
 )
 
 
-def _dispatch_order(schedule, initial_time, tiebreak, mode):
+def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
     """Build ``schedule`` and drain it; return the ``(now, priority, kind,
     label)`` of every dispatched event and the final ``now``.
 
     ``mode`` is ``"hooked"`` (a dispatch hook records, ``run()`` drains),
     ``"callbacks"`` (a callback on every event records, no hook attached)
     or ``"step"`` (the hook records, a manual ``step()`` loop drains).
+    With ``until``, a hooked drain is ``run(until=until)`` then ``run()``,
+    and the hook labels the stop event ``"stop"``.
     """
     env = Environment(initial_time=initial_time, tiebreak=tiebreak)
     order = []
@@ -342,7 +380,8 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode):
                     watch(env._lane_urgent[-1][3], URGENT, f"{label}.delivery")
 
     def hook(now, priority, event):
-        order.append((now, priority, type(event).__name__, labels[event]))
+        label = labels[event] if until is None else labels.get(event, "stop")
+        order.append((now, priority, type(event).__name__, label))
 
     if mode != "callbacks":
         env._hooks += (hook,)
@@ -352,6 +391,8 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode):
             while env._n_pending() > env._cancelled_count:
                 env.step()
         else:
+            if until is not None:
+                env.run(until=until)
             env.run()
     except Interrupt as exc:  # a process interrupted before it started
         order.append(("raised", exc.cause))
@@ -367,3 +408,35 @@ def test_run_dispatches_exactly_what_step_does(schedule, initial_time):
         hooked = _dispatch_order(schedule, initial_time, tiebreak, "hooked")
         assert _dispatch_order(schedule, initial_time, tiebreak, "callbacks") == hooked
         assert _dispatch_order(schedule, initial_time, tiebreak, "step") == hooked
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCHEDULES, st.sampled_from([0.0, 1e16]), _DELAYS)
+def test_run_until_then_run_adds_only_the_stop(schedule, initial_time, delay):
+    """``run(until=t)`` then ``run()`` dispatches exactly what one
+    ``run()`` does, plus one stop at ``(t, URGENT)``: every event before
+    the stop is earlier than ``t`` and none after it is.  ``t`` is drawn
+    from the delays, so it is often the time of a timer; from
+    ``initial_time=1e16`` small delays make ``t == now``, where the stop
+    joins the urgent lane like any URGENT event due now."""
+    t = initial_time + delay
+    stop = (t, URGENT, "Event", "stop")
+    for tiebreak in ("fifo", "lifo"):
+        whole, whole_now = _dispatch_order(schedule, initial_time, tiebreak, "hooked")
+        split, split_now = _dispatch_order(
+            schedule, initial_time, tiebreak, "hooked", until=t
+        )
+        raised = bool(whole) and whole[-1][0] == "raised"
+        if stop not in split:
+            # The drain raised before reaching t; the split run did too.
+            assert raised and split == whole
+            continue
+        i = split.index(stop)
+        assert split.count(stop) == 1
+        assert split[:i] + split[i + 1 :] == whole
+        before = [e for e in split[:i] if e[0] != "raised"]
+        after = [e for e in split[i + 1 :] if e[0] != "raised"]
+        assert all(e[0] < t or t == initial_time for e in before)
+        assert all(e[0] >= t for e in after)
+        if not raised:
+            assert split_now == max(whole_now, t)
