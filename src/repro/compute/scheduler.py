@@ -141,7 +141,7 @@ class BatchScheduler:
                     request=req,
                 )
             except BaseException:
-                # The kernel threw into us mid-provision (interrupt,
+                # The kernel threw into us mid-provision (e.g.
                 # campaign teardown): the pool claim must not outlive
                 # the generator or the slot is gone for the whole run.
                 req.release()

@@ -9,6 +9,7 @@ each action (each flow step), as Globus Flows does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
@@ -35,6 +36,10 @@ class ExponentialBackoff:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("initial", "factor", "max_interval"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FlowError(f"{name} must be finite, got {value}")
         if self.initial <= 0:
             raise FlowError(f"initial interval must be positive, got {self.initial}")
         if self.factor < 1.0:
@@ -70,6 +75,8 @@ class ConstantBackoff:
     interval: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.interval):
+            raise FlowError(f"interval must be finite, got {self.interval}")
         if self.interval <= 0:
             raise FlowError(f"interval must be positive, got {self.interval}")
 

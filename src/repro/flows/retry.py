@@ -22,6 +22,8 @@ Exhaustion has two endings:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -67,12 +69,13 @@ class RetryPolicy:
     critical: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FlowError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
+        if not (isinstance(self.max_attempts, numbers.Integral) and self.max_attempts >= 1):
             raise FlowError(
-                f"attempt_timeout_s must be positive, got {self.attempt_timeout_s}"
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
+        timeout = self.attempt_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise FlowError(f"attempt_timeout_s must be finite and positive, got {timeout}")
 
 
 #: The no-retry policy every provider gets unless configured otherwise.

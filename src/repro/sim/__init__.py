@@ -16,7 +16,6 @@ from .core import (
     Condition,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Condition",
     "AllOf",
     "AnyOf",

@@ -43,7 +43,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Condition",
     "AllOf",
     "AnyOf",
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 #: Scheduling priority for same-timestamp ordering: urgent events (process
-#: initialization, interrupts) fire before normal events (timeouts).
+#: initialization) fire before normal events (timeouts).
 #: These are the only two priorities, and an urgent event always fires
 #: at the current timestamp (see :meth:`Environment.schedule`).
 URGENT = 0
@@ -69,17 +68,6 @@ class _Pending:
 PENDING = _Pending()
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Event:
     """An event that may succeed (with a value) or fail (with an exception).
 
@@ -87,7 +75,7 @@ class Event:
     → *processed* (callbacks ran).  Callbacks receive the event itself.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_cancelled", "_skey")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_cancelled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -132,11 +120,9 @@ class Event:
         # Inlined ``env.schedule(self, priority=NORMAL)``: succeed() is
         # the hottest scheduling call in flow-heavy campaigns (stores,
         # resources, conditions, process termination), and a delay-0
-        # NORMAL event always lands on the immediate lane.
+        # NORMAL event always joins the normal lane.
         env = self.env
-        seq = env._seq
-        env._seq = seq + 1
-        env._lane_normal_append((env._now, NORMAL, env._tiebreak_sign * seq, self))
+        env._normal_append(self)
         if env.sanitizer is not None:
             env.sanitizer.on_schedule(self)
         return self
@@ -223,38 +209,6 @@ class Process(Event):
     def target(self) -> Optional[Event]:
         """The event this process is currently waiting for."""
         return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a dead process is an error; interrupting a process
-        about to be resumed is allowed (the interrupt wins).  If the
-        process terminates before the interrupt is delivered, the
-        interrupt is dropped silently.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self.env._active_process is self:
-            raise SimulationError("a process is not allowed to interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._deliver_interrupt)
-        # kernel-internal: the queue consumes the interrupt at delivery
-        self.env.schedule(event, priority=URGENT)  # repro: noqa[R501]
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if not self.is_alive:
-            return  # terminated between interrupt() and delivery
-        # Detach from whatever the process is currently waiting on so the
-        # stale event cannot resume it a second time.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._resume(event)
 
     def _resume(self, event: Event, _PENDING=PENDING, _Event=Event) -> None:
         """Advance the generator with ``event``'s value.
@@ -431,7 +385,7 @@ class _StopRun(BaseException):
 
 
 class Environment:
-    """The event loop: a total order on (time, priority, seq, event).
+    """The event loop: a total order on (time, priority, insertion order).
 
     Parameters
     ----------
@@ -469,43 +423,29 @@ class Environment:
         self._now = float(initial_time)
         if not math.isfinite(self._now):
             raise SimulationError(f"initial_time must be finite, got {initial_time}")
-        # The queue is split by traffic class, preserving one total order
-        # (time, priority, tiebreak_sign * seq):
+        # The queue keeps one total order, (time, priority, insertion
+        # order, reversed under lifo), in three structures:
         #
-        # * ``_lane_urgent`` / ``_lane_normal`` — deques of events due at
-        #   the current timestamp (every URGENT event, and the dominant
-        #   NORMAL traffic: every succeed()/fail()/process-termination).
-        #   Invariant: dispatch always pops the global minimum, so time
-        #   cannot advance while a lane is non-empty — all lane entries
-        #   share the current timestamp, and within a lane the
-        #   (priority, seq) key is monotone in append order.  fifo reads
-        #   from the left end, lifo from the right.
-        # * ``_buckets``/``_times`` — the timer store: NORMAL events
-        #   with delay > 0 are grouped into per-timestamp buckets
-        #   (``{time: [event, ...]}``, append order = seq order; the
-        #   tie-break key rides on the event's ``_skey`` slot, saving a
-        #   tuple per timer), with a heap over the *distinct* times.
-        #   Timestamps in simulated campaigns repeat heavily
-        #   (synchronized ticks, common periods), so heap traffic is one
-        #   push+pop of a bare float per distinct timestamp.  Bucketing
-        #   by exact float equality is the equivalence a tuple heap's
-        #   comparison would apply, so the dispatch order is the same.
-        # * ``_cur``/``_cur_idx`` — the bucket currently being drained
-        #   (its time == ``_now``); ``_cur_idx`` is the fifo read
-        #   cursor (lifo consumes from the right with ``pop()``).
+        # * ``_urgent`` / ``_normal`` — deques of the events due now:
+        #   every URGENT event (process start) and every NORMAL event
+        #   scheduled with delay 0 (succeed(), fail(), process
+        #   termination, zero timeouts).  Time advances only once both
+        #   lanes are empty, so every entry shares ``now`` and append
+        #   order is insertion order: fifo reads from the left end,
+        #   lifo from the right.
+        # * ``_timers`` — a heap of ``(time, key, event)`` for NORMAL
+        #   events due after ``now``; ``key`` is ``_seq``, the count of
+        #   timer pushes, negated under lifo.
         #
-        # ``run(until=t)`` queues nothing for its stop: the drain loop
-        # fires it at ``t`` before opening any bucket due at ``t``.
-        self._lane_urgent: deque[tuple[float, int, int, Event]] = deque()
-        self._lane_normal: deque[tuple[float, int, int, Event]] = deque()
-        self._buckets: dict[float, list[Event]] = {}
-        self._times: list[float] = []
-        self._cur: Optional[list[Event]] = None
-        self._cur_idx = 0
-        # Pre-bound hot-path methods (the containers are only ever
-        # mutated in place, never replaced, so these stay valid).
-        self._lane_normal_append = self._lane_normal.append
-        self._buckets_get = self._buckets.get
+        # A timer due now was pushed before the clock reached now, so
+        # its insertion precedes every lane entry: it fires before the
+        # normal lane under fifo and after it under lifo (see _pop).
+        self._urgent: deque[Event] = deque()
+        self._normal: deque[Event] = deque()
+        self._timers: list[tuple[float, int, Event]] = []
+        # Pre-bound for Event.succeed() (the lane is only ever mutated
+        # in place, never replaced, so this stays valid).
+        self._normal_append = self._normal.append
         self._seq = 0
         self._cancelled_count = 0
         self._active_process: Optional[Process] = None
@@ -563,24 +503,17 @@ class Environment:
         ev._defused = False
         ev._cancelled = False
         ev.delay = delay = delay if delay.__class__ is _float else _float(delay)
-        seq = self._seq
-        self._seq = seq + 1
         t = self._now + delay
         if t == self._now:
             # delay == 0, or small enough to underflow the addition:
-            # either way the event fires at the current timestamp, which
-            # is exactly what the immediate lane holds (a ``t == now``
-            # bucket would escape the bucket-drain's preemption checks
-            # under the lifo tie-break).
-            self._lane_normal_append((t, NORMAL, self._tiebreak_sign * seq, ev))
+            # either way the event is due now, which is what the normal
+            # lane holds (a timer due now must predate the clock
+            # reaching now, or the dispatch rule would misplace it).
+            self._normal_append(ev)
         else:
-            ev._skey = self._tiebreak_sign * seq
-            bucket = self._buckets_get(t)
-            if bucket is None:
-                self._buckets[t] = [ev]
-                _heappush(self._times, t)
-            else:
-                bucket.append(ev)
+            seq = self._seq
+            self._seq = seq + 1
+            _heappush(self._timers, (t, self._tiebreak_sign * seq, ev))
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(ev)
         return ev
@@ -601,20 +534,14 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Schedule ``event`` to fire ``delay`` seconds from now.
 
-        ``NORMAL`` takes any delay >= 0.  ``URGENT`` (process start,
-        interrupt delivery) takes delay 0 only: it jumps ahead of the
-        NORMAL events due now.  Anything else raises
-        :class:`SimulationError` and queues nothing.
+        ``NORMAL`` takes any delay >= 0.  ``URGENT`` (process start)
+        takes delay 0 only: it jumps ahead of the NORMAL events due now.
+        Anything else raises :class:`SimulationError` and queues nothing.
         """
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0 and (priority == NORMAL or priority == URGENT):
-            # Immediate lane: the events due now.
-            entry = (self._now, priority, self._tiebreak_sign * seq, event)
-            if priority == NORMAL:
-                self._lane_normal.append(entry)
-            else:
-                self._lane_urgent.append(entry)
+        if delay == 0.0 and priority == NORMAL:
+            self._normal.append(event)
+        elif delay == 0.0 and priority == URGENT:
+            self._urgent.append(event)
         else:
             if not delay >= 0:
                 raise SimulationError(f"schedule delay must be >= 0, got {delay}")
@@ -623,20 +550,15 @@ class Environment:
                     "schedule takes NORMAL at any delay or URGENT at delay 0, "
                     f"got priority={priority!r} delay={delay!r}"
                 )
-            # Timer store: bucket by exact target timestamp.  A delay
-            # small enough to underflow (t == now) belongs on the
-            # immediate lane, like timeout().
+            # A delay small enough to underflow (t == now) is due now,
+            # like timeout()'s.
             t = self._now + delay
             if t == self._now:
-                self._lane_normal.append((t, NORMAL, self._tiebreak_sign * seq, event))
+                self._normal.append(event)
             else:
-                event._skey = self._tiebreak_sign * seq
-                bucket = self._buckets.get(t)
-                if bucket is None:
-                    self._buckets[t] = [event]
-                    heapq.heappush(self._times, t)
-                else:
-                    bucket.append(event)
+                seq = self._seq
+                self._seq = seq + 1
+                heapq.heappush(self._timers, (t, self._tiebreak_sign * seq, event))
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(event)
 
@@ -665,49 +587,19 @@ class Environment:
 
     def _n_pending(self) -> int:
         """Total scheduled-but-undispatched entries, tombstones included."""
-        n = len(self._lane_urgent) + len(self._lane_normal)
-        if self._buckets:
-            # integer sum: exact and associative, so bucket-dict order
-            # (which tracks timer churn) cannot perturb the count.
-            n += sum(map(len, self._buckets.values()))  # repro: noqa[N703]
-        cur = self._cur
-        if cur is not None:
-            n += len(cur)
-            if self._tiebreak_sign == 1:
-                n -= self._cur_idx
-        return n
+        return len(self._urgent) + len(self._normal) + len(self._timers)
 
     def _compact(self) -> None:
-        """Drop tombstones from every structure: O(live) amortized.
-        All filtering is in-place (``[:] =`` / ``clear``+``extend``) so
-        local references held by the fast run loop stay valid across a
-        compaction triggered from inside a callback."""
-        for lane in (self._lane_urgent, self._lane_normal):
-            if lane:
-                live = [e for e in lane if not e[3]._cancelled]
-                lane.clear()
-                lane.extend(live)
-        buckets = self._buckets
-        if buckets:
-            dead_times = []
-            for t, bucket in buckets.items():
-                bucket[:] = [e for e in bucket if not e._cancelled]
-                if not bucket:
-                    dead_times.append(t)
-            if dead_times:
-                for t in dead_times:
-                    del buckets[t]
-                self._times[:] = buckets.keys()
-                heapq.heapify(self._times)
-        cur = self._cur
-        if cur is not None:
-            if self._tiebreak_sign == 1:
-                # Filter only the unread tail; the fifo cursor (local
-                # copies included) stays valid.
-                idx = self._cur_idx
-                cur[idx:] = [e for e in cur[idx:] if not e._cancelled]
-            else:
-                cur[:] = [e for e in cur if not e._cancelled]
+        """Drop tombstones from every structure: O(live).  Filtering is
+        in place so the references :meth:`_run_fast` holds stay valid
+        across a compaction triggered from inside a callback."""
+        for lane in (self._urgent, self._normal):
+            live = [e for e in lane if not e._cancelled]
+            lane.clear()
+            lane.extend(live)
+        timers = self._timers
+        timers[:] = [entry for entry in timers if not entry[2]._cancelled]
+        heapq.heapify(timers)
         self._cancelled_count = 0
 
     def touch(self, obj: Any, mode: str = "r", label: Optional[str] = None) -> None:
@@ -721,134 +613,39 @@ class Environment:
         if self.sanitizer is not None:
             self.sanitizer.touch(obj, mode, label)
 
-    def _open_bucket(self) -> Optional[tuple[float, int, int, Event]]:
-        """Pop the head of the *earliest* timer bucket, installing any
-        remainder as the current bucket.
+    def _pop(self) -> tuple[int, Event]:
+        """Pop the next live event, move the clock to it, and return its
+        priority with it.  The dispatch rule, which :meth:`_run_fast`
+        inlines:
 
-        Returns None when the timer store is empty, or when the
-        earliest bucket held only tombstones (it is dropped; the caller
-        re-decides, since a ``run(until=t)`` stop may now come first)."""
-        fifo = self._tiebreak_sign == 1
-        times = self._times
-        if not times:
-            return None
-        t = heapq.heappop(times)
-        bucket = self._buckets.pop(t)
-        if fifo:
-            idx = 0
-            n = len(bucket)
-            while idx < n and bucket[idx]._cancelled:
-                idx += 1
-                self._cancelled_count -= 1
-            if idx >= n:
-                return None
-            event = bucket[idx]
-            if idx + 1 < n:
-                self._cur = bucket
-                self._cur_idx = idx + 1
-        else:
-            while bucket and bucket[-1]._cancelled:
-                bucket.pop()
-                self._cancelled_count -= 1
-            if not bucket:
-                return None
-            event = bucket.pop()
-            if bucket:
-                self._cur = bucket
-        return (t, NORMAL, event._skey, event)
+        * the urgent lane goes first;
+        * under fifo a timer due now goes before the normal lane, under
+          lifo after it;
+        * otherwise the earliest timer advances the clock.
 
-    def _pop_now(self) -> Optional[tuple[float, int, int, Event]]:
-        """Pop the minimum live entry due at the current timestamp; None
-        when time must advance (tombstones met on the way are dropped)."""
+        Tombstones met on the way are dropped, and a popped tombstone
+        never moves the clock.  Raises :class:`SimulationError` when no
+        live event is left.
+        """
+        urgent, normal, timers = self._urgent, self._normal, self._timers
         fifo = self._tiebreak_sign == 1
-        now = self._now
-        lane_u = self._lane_urgent
-        while lane_u and (lane_u[0] if fifo else lane_u[-1])[3]._cancelled:
-            if fifo:
-                lane_u.popleft()
+        while True:
+            if urgent:
+                event = urgent.popleft() if fifo else urgent.pop()
+                priority = URGENT
+            elif normal and not (fifo and timers and timers[0][0] == self._now):
+                event = normal.popleft() if fifo else normal.pop()
+                priority = NORMAL
+            elif timers:
+                t, _, event = heapq.heappop(timers)
+                if not event._cancelled:
+                    self._now = t
+                priority = NORMAL
             else:
-                lane_u.pop()
+                raise SimulationError("no more events")
+            if not event._cancelled:
+                return priority, event
             self._cancelled_count -= 1
-        if lane_u:
-            return lane_u.popleft() if fifo else lane_u.pop()
-        lane_n = self._lane_normal
-        while lane_n and (lane_n[0] if fifo else lane_n[-1])[3]._cancelled:
-            if fifo:
-                lane_n.popleft()
-            else:
-                lane_n.pop()
-            self._cancelled_count -= 1
-        # NORMAL candidates at the current timestamp: the immediate
-        # lane, the current bucket remainder, or an unopened bucket
-        # whose time equals now (a timer landing exactly at a timestamp
-        # the clock already reached, e.g. through a run(until=t) stop).
-        sn = (lane_n[0] if fifo else lane_n[-1])[2] if lane_n else None
-        cur = self._cur
-        sc = None
-        if cur is not None:
-            if fifo:
-                idx = self._cur_idx
-                n = len(cur)
-                while idx < n and cur[idx]._cancelled:
-                    idx += 1
-                    self._cancelled_count -= 1
-                self._cur_idx = idx
-                if idx >= n:
-                    cur = self._cur = None
-                else:
-                    sc = cur[idx]._skey
-            else:
-                while cur and cur[-1]._cancelled:
-                    cur.pop()
-                    self._cancelled_count -= 1
-                if not cur:
-                    cur = self._cur = None
-                else:
-                    sc = cur[-1]._skey
-        sb = None
-        times = self._times
-        buckets = self._buckets
-        while times and times[0] == now:
-            bucket = buckets[now]
-            while bucket and (bucket[0] if fifo else bucket[-1])._cancelled:
-                if fifo:
-                    del bucket[0]
-                else:
-                    bucket.pop()
-                self._cancelled_count -= 1
-            if bucket:
-                sb = (bucket[0] if fifo else bucket[-1])._skey
-                break
-            heapq.heappop(times)
-            del buckets[now]
-        # cur and an unopened now-bucket cannot coexist (one bucket per
-        # timestamp, removed from the store when opened), but lane_n can
-        # accompany either: pick the smallest seq key.
-        best = sn
-        src = 1
-        if sc is not None and (best is None or sc < best):
-            best, src = sc, 2
-        if sb is not None and (best is None or sb < best):
-            best, src = sb, 3
-        if best is None:
-            return None
-        if src == 1:
-            return lane_n.popleft() if fifo else lane_n.pop()
-        if src == 2:
-            if fifo:
-                idx = self._cur_idx
-                event = cur[idx]
-                idx += 1
-                if idx >= len(cur):
-                    self._cur = None
-                else:
-                    self._cur_idx = idx
-            else:
-                event = cur.pop()
-                if not cur:
-                    self._cur = None
-            return (now, NORMAL, event._skey, event)
-        return self._open_bucket()
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -858,13 +655,8 @@ class Environment:
         Raises :class:`SimulationError` if the queue is empty, and
         re-raises the exception of any failed event nobody defused.
         """
-        entry = self._pop_now()
-        while entry is None:
-            if not self._times:
-                raise SimulationError("no more events")
-            entry = self._open_bucket()  # None: a dead bucket was dropped
-        now, priority, _, event = entry
-        self._now = now
+        priority, event = self._pop()
+        now = self._now
         for hook in self._hooks:
             hook(now, priority, event)
         callbacks, event.callbacks = event.callbacks, None
@@ -880,12 +672,17 @@ class Environment:
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the queue drains, simulation time reaches ``until``
-        (a number), or ``until`` (an event) fires — returning its value."""
+        (a number), or ``until`` (an event of this environment) fires —
+        returning its value.  A run that raises leaves no stop behind."""
         stop: Optional[Event] = None
         deferred: Optional[Event] = None
         at = 0.0
         if until is not None:
             if isinstance(until, Event):
+                if until.env is not self:
+                    raise SimulationError(
+                        "run(until=...) needs an event of this environment"
+                    )
                 stop = until
                 if stop.callbacks is None:
                     # Already processed: nothing to run.
@@ -907,8 +704,7 @@ class Environment:
                     self.schedule(stop, priority=URGENT)
                 else:
                     # Queued nowhere: _run_fast fires it as (at, URGENT)
-                    # once nothing earlier than ``at`` is left, so a run
-                    # that raises leaves no stale stop behind.
+                    # once nothing earlier than ``at`` is left.
                     deferred = stop
                     if self.sanitizer is not None:
                         self.sanitizer.on_schedule(stop)
@@ -917,11 +713,18 @@ class Environment:
         except _StopRun as stop_exc:
             return stop_exc.args[0]
         finally:
+            if stop is not None and stop.callbacks is not None:
+                # The stop did not fire: take it back, so that a later
+                # run() does not stop on it.
+                if stop is until:
+                    stop.callbacks.remove(self._stop_callback)
+                elif deferred is None:
+                    self.cancel(stop)
             if self.sanitizer is not None:
                 # Close the last firing's cohort: touches and schedules
                 # made outside a dispatch record nothing.
                 self.sanitizer.end_event()
-        if stop is not None and isinstance(until, Event):
+        if isinstance(until, Event):
             raise SimulationError(
                 "run() finished: the until-event was never triggered"
             )
@@ -932,158 +735,56 @@ class Environment:
         """Drain the queue: :meth:`run`'s one dispatch loop.
 
         Byte-identical to calling :meth:`step` until no live entry is
-        left — the same pop order, the same hooks, the same failure
-        propagation — minus the method-call overhead per event.  With no
+        left — :meth:`_pop`'s rule inlined, the same hooks, the same
+        failure propagation — minus the method calls per event.  With no
         hook attached, an event costs one test of the local ``hooks``.
 
         ``stop`` (from ``run(until=t)``, ``until`` = t) is queued
-        nowhere.  Where the loop would advance time, it opens the next
-        timer bucket only if that bucket is due before ``until``;
-        otherwise it fires ``stop`` as ``(until, URGENT)``, which is
+        nowhere.  Once both lanes are empty and no timer is due before
+        ``until``, the loop fires it as ``(until, URGENT)``, which is
         where an URGENT entry at ``until`` sorts: after everything
         earlier, before every timer due at ``until``.
-
-        The hot branch drains one timer bucket at a stretch.  While a
-        bucket drains, preemption can only arrive through the urgent
-        lane (delay-0 URGENT) or the normal lane under the lifo
-        tie-break (newer seq wins ties), so only those two are checked
-        per event.  Under fifo a lane-normal append (newer seq) sorts
-        after every bucket entry and needs no check.
         """
-        lane_u = self._lane_urgent
-        lane_n = self._lane_normal
-        times = self._times
-        pop_now = self._pop_now
-        lifo = self._tiebreak_sign != 1
+        urgent = self._urgent
+        normal = self._normal
+        timers = self._timers
+        heappop = heapq.heappop
+        fifo = self._tiebreak_sign == 1
         hooks = self._hooks
         while True:
-            if lane_u or lane_n:
-                if self._cur is not None or (times and times[0] == self._now):
-                    # Something else shares the current timestamp: full
-                    # multi-way merge, one event at a time.
-                    entry = pop_now()
-                    if entry is None:
-                        continue  # only tombstones were due now
-                else:
-                    # Lean lane drain: nothing outside the lanes exists
-                    # at the current timestamp, and nothing can join it
-                    # (delay-0 lands in the lanes; delay>0 lands later).
-                    # Urgent entries precede normal ones outright, so no
-                    # key comparisons are needed.
-                    fifo = not lifo
-                    while True:
-                        if lane_u:
-                            lane = lane_u
-                        elif lane_n:
-                            lane = lane_n
-                        else:
-                            break
-                        event = (lane.popleft() if fifo else lane.pop())[3]
-                        if event._cancelled:
-                            self._cancelled_count -= 1
-                            continue
-                        if hooks:
-                            # Lane entries are at ``now``; the lane is the priority.
-                            priority = URGENT if lane is lane_u else NORMAL
-                            for hook in hooks:
-                                hook(self._now, priority, event)
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                        if self._cur is not None:
-                            break  # a nested run() or step() opened a bucket
-                    continue
-            elif self._cur is None:
-                # Time advances: the earliest timer bucket, unless the
-                # stop is due first.
-                if times and (stop is None or times[0] < until):
-                    entry = self._open_bucket()
-                    if entry is None:
-                        continue  # dead bucket dropped; re-decide
-                elif stop is None:
-                    return
-                else:
-                    entry = (until, URGENT, 0, stop)
+            if urgent:
+                event = urgent.popleft() if fifo else urgent.pop()
+                priority = URGENT
+            elif normal and not (fifo and timers and timers[0][0] == self._now):
+                event = normal.popleft() if fifo else normal.pop()
+                priority = NORMAL
+            elif timers and (stop is None or timers[0][0] < until):
+                t, _, event = heappop(timers)
+                if not event._cancelled:
+                    self._now = t
+                priority = NORMAL
+            elif stop is None:
+                return
             else:
-                entry = None  # resume the current bucket
-            if entry is not None:
-                self._now = entry[0]
-                event = entry[3]
-                if hooks:
-                    for hook in hooks:
-                        hook(entry[0], entry[1], event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if self._cur is None:
-                    continue
-            cur = self._cur
-            if cur is None or lane_u or (lifo and lane_n):
-                continue  # outer loop re-dispatches via the general path
-            # Inline drain of the current bucket's remainder.  The
-            # fifo bound is captured once (``n``); a compaction inside a
-            # callback can shrink ``cur`` and leave ``n`` stale, so the
-            # read is guarded by the (zero-cost-until-raised)
-            # IndexError as a safety net — every introspection path
-            # (_pop_now, _n_pending, _compact) tolerates a
-            # fully-read ``_cur``, so exhaustion may be discovered
-            # lazily on that read.
-            n = len(cur)
-            while True:
-                if lifo:
-                    try:
-                        event = cur.pop()
-                    except IndexError:
-                        self._cur = None
-                        break
-                else:
-                    idx = self._cur_idx
-                    try:
-                        event = cur[idx]
-                    except IndexError:
-                        self._cur = None
-                        break
-                    self._cur_idx = idx + 1
-                if event._cancelled:
-                    self._cancelled_count -= 1
-                    continue
-                if hooks:
-                    for hook in hooks:
-                        hook(self._now, NORMAL, event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if lifo:
-                    if not cur:
-                        if self._cur is cur:
-                            self._cur = None
-                        break
-                elif self._cur_idx >= n:
-                    if self._cur is cur:
-                        self._cur = None
-                    break
-                if self._cur is not cur:
-                    break  # swapped out by a nested run()
-                if lane_u or (lifo and lane_n):
-                    break  # new work may precede the remainder
+                self._now = until
+                event = stop
+                priority = URGENT
+            if event._cancelled:
+                self._cancelled_count -= 1
+                continue
+            if hooks:
+                now = self._now
+                for hook in hooks:
+                    hook(now, priority, event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if event._ok is False and not event._defused:
+                raise event._value
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -3,7 +3,7 @@
 :class:`Resource`
     A counted resource (e.g. compute nodes, transfer slots) with a FIFO
     wait queue.  Requests are events; use them in ``with`` blocks inside
-    process generators so releases happen even on interrupt::
+    process generators so releases always happen::
 
         def job(env, nodes):
             with nodes.request() as req:
@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from ..errors import SimulationError
 from .core import Environment, Event
@@ -87,7 +87,7 @@ class Resource:
             self.users.remove(req)
             self._grant_next()
         else:
-            # Withdrawn before being granted (e.g. interrupted process).
+            # Withdrawn before being granted (e.g. a waiter gave up).
             try:
                 self.queue.remove(req)
             except ValueError:
@@ -104,8 +104,6 @@ class Store:
     """FIFO object queue with blocking ``put``/``get``.
 
     ``capacity`` bounds the number of stored items (default unbounded).
-    An optional ``filter`` on :meth:`get` retrieves the first matching
-    item (still FIFO among matches).
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -114,7 +112,7 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._getters: deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
+        self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
@@ -133,42 +131,26 @@ class Store:
         self._dispatch()
         return ev
 
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Event that fires with the next (matching) item."""
+    def get(self) -> Event:
+        """Event that fires with the next item."""
         self.env.touch(self, "w")
         ev = Event(self.env)
-        self._getters.append((ev, filter))
+        self._getters.append(ev)
         self._dispatch()
         return ev
 
     def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
+        items = self.items
+        getters = self._getters
+        putters = self._putters
+        while True:
             # Move pending puts into the buffer while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                ev, item = self._putters.popleft()
-                self.items.append(item)
+            while putters and len(items) < self.capacity:
+                ev, item = putters.popleft()
+                items.append(item)
                 ev.succeed()
-                progress = True
-            # Satisfy getters from the buffer.
-            i = 0
-            while i < len(self._getters):
-                ev, flt = self._getters[i]
-                idx = None
-                if flt is None:
-                    if self.items:
-                        idx = 0
-                else:
-                    for j, item in enumerate(self.items):
-                        if flt(item):
-                            idx = j
-                            break
-                if idx is None:
-                    i += 1
-                    continue
-                item = self.items[idx]
-                del self.items[idx]
-                del self._getters[i]
-                ev.succeed(item)
-                progress = True
+            if not (getters and items):
+                return
+            # Serve the oldest getters from the head of the buffer.
+            while getters and items:
+                getters.popleft().succeed(items.popleft())

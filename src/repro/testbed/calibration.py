@@ -18,7 +18,9 @@ polling backoff, cold/warm nodes, shared links).  Derivations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 from ..errors import CalibrationError
 from ..units import GB, MB, Gbps
@@ -83,6 +85,10 @@ class Calibration:
     search_latency_sigma: float = 0.3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise CalibrationError(f"{f.name} must be finite and >= 0, got {value!r}")
         positive = (
             "site_switch_bps",
             "backbone_bps",
@@ -96,6 +102,10 @@ class Calibration:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise CalibrationError(f"{name} must be positive")
+        if not isinstance(self.polaris_nodes, numbers.Integral):
+            raise CalibrationError(
+                f"polaris_nodes must be an integer, got {self.polaris_nodes!r}"
+            )
         if self.endpoint_efficiency > 1.0:
             raise CalibrationError("endpoint_efficiency must be <= 1")
         if self.backoff_max_s < self.backoff_initial_s:

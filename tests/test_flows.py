@@ -20,6 +20,7 @@ from repro.flows import (
     GladierClient,
     GladierTool,
     PAPER_BACKOFF,
+    RetryPolicy,
     RunStatus,
     resolve_template,
 )
@@ -47,6 +48,30 @@ def test_backoff_validation():
         ExponentialBackoff(initial=10, max_interval=5)
     with pytest.raises(FlowError):
         ConstantBackoff(0)
+    # Non-finite values would poll at NaN or never again.
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(initial=nan),
+        dict(factor=nan),
+        dict(max_interval=nan),
+        dict(max_interval=inf),
+    ):
+        with pytest.raises(FlowError, match="must be finite"):
+            ExponentialBackoff(**bad)
+    for interval in (nan, inf):
+        with pytest.raises(FlowError, match="must be finite"):
+            ConstantBackoff(interval)
+    # The retry policy that spaces attempts with a backoff.
+    for bad in (
+        dict(max_attempts=0),
+        dict(max_attempts=2.5),
+        dict(attempt_timeout_s=0.0),
+        dict(attempt_timeout_s=nan),
+        dict(attempt_timeout_s=inf),
+    ):
+        with pytest.raises(FlowError):
+            RetryPolicy(**bad)
+    RetryPolicy(max_attempts=3, attempt_timeout_s=30.0)
 
 
 def test_constant_backoff():

@@ -159,23 +159,20 @@ def test_urgent_and_normal_cohorts_are_not_cross_flagged():
         yield env.timeout(3.0)
         store.put("n")
 
-    def urgent_writer(env, victim):
+    def urgent_writer(env):
+        store.put("u")
+        yield env.timeout(0.5)
+
+    def spawner(env):
         yield env.timeout(3.0)
-        victim.interrupt("poke")  # delivery is URGENT at the same tick
+        env.process(urgent_writer(env))  # its start is URGENT at the same tick
 
-    def victim(env):
-        try:
-            yield env.timeout(30.0)
-        except Exception:
-            store.put("u")
-            yield env.timeout(0.5)
-
-    v = env.process(victim(env))
     env.process(normal_writer(env))
-    env.process(urgent_writer(env, v))
+    env.process(spawner(env))
     env.run()
-    # victim's put runs in the (3.0, URGENT) interrupt-delivery cohort,
+    # urgent_writer's put runs in the (3.0, URGENT) process-start cohort,
     # normal_writer's in (3.0, NORMAL): distinct cohorts.
+    assert sorted(env.sanitizer._cohorts) == [(3.0, URGENT), (3.0, NORMAL)]
     assert env.sanitizer.races() == []
 
 

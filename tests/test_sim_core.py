@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import NORMAL, URGENT, AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.sim import NORMAL, URGENT, AllOf, AnyOf, Environment, Event, Timeout
 
 
 def test_time_starts_at_zero():
@@ -245,38 +245,6 @@ def test_yield_non_event_raises_inside_process():
     env.process(proc(env))
     env.run()
     assert caught == [True]
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def attacker(env, v):
-        yield env.timeout(4)
-        v.interrupt("preempted")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert log == [(4, "preempted")]
-
-
-def test_interrupt_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_process_return_value_is_event_value():

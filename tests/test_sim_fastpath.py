@@ -1,14 +1,15 @@
-"""Tests for the kernel's split queue: lanes, calendar buckets, fast drain.
+"""Tests for the kernel's split queue: two lanes, one timer heap, one drain.
 
 The kernel keeps one *logical* total order —
-``(time, priority, tiebreak_sign * seq)`` — over two priorities, NORMAL
-and delay-0 URGENT, and stores entries in two physical structures
-(immediate lanes and per-timestamp timer buckets).  A ``run(until=t)``
-stop is queued nowhere: the drain loop fires it as ``(t, URGENT)``
-before opening any bucket due at ``t``.  These tests pin the seams:
-underflowing delays, mid-drain scheduling and cancellation, the
-priority check, the stop, compaction while a bucket is being read, and
-the fired-condition callback detach.
+``(time, priority, insertion order)``, insertion reversed under lifo —
+over two priorities, NORMAL and delay-0 URGENT, and stores entries in
+two physical structures: the urgent and normal lanes of events due now,
+and a heap of timers due later.  A ``run(until=t)`` stop is queued
+nowhere: the drain loop fires it as ``(t, URGENT)`` before popping any
+timer due at ``t``.  These tests pin the seams: underflowing delays,
+mid-drain scheduling and cancellation, the priority check, timers due
+now against the lanes, the stop, compaction mid-drain, and the
+fired-condition callback detach.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Environment, EventTraceRecorder, Interrupt
+from repro.sim import Environment, EventTraceRecorder
 from repro.sim.core import NORMAL, URGENT
 from repro.sim.core import _defuse_stale
 
@@ -46,8 +47,8 @@ def test_underflow_delay_routes_to_immediate_lane():
 
 @pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
 def test_repeated_timestamps_keep_seq_order(tiebreak):
-    """Timer buckets group equal target times; within one bucket the
-    tie-break governs, across buckets time does."""
+    """Timers due at one time fire in tie-break order among
+    themselves; across times, time governs."""
     env = Environment(tiebreak=tiebreak)
     order = []
     layout = [(2.0, "a"), (1.0, "b"), (2.0, "c"), (1.0, "d"), (3.0, "e"), (1.0, "f")]
@@ -63,9 +64,9 @@ def test_repeated_timestamps_keep_seq_order(tiebreak):
 
 @pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
 def test_mid_drain_zero_delay_preemption(tiebreak):
-    """A zero-delay event scheduled from inside a bucket drain fires at
-    the same timestamp: after remaining bucket entries under fifo,
-    before them under lifo (newest-first)."""
+    """A zero-delay event scheduled while timers due at one time drain
+    fires at that time: after the remaining timers under fifo, before
+    them under lifo (newest-first)."""
     env = Environment(tiebreak=tiebreak)
     order = []
 
@@ -85,9 +86,9 @@ def test_mid_drain_zero_delay_preemption(tiebreak):
 
 
 def test_mid_drain_exotic_priority_is_seen():
-    """An exotic-priority event scheduled from inside a bucket drain is
-    seen by ``schedule()``: it raises and queues nothing, and the rest
-    of the bucket and the later timers fire in order."""
+    """An exotic-priority event scheduled while timers due at one time
+    drain is seen by ``schedule()``: it raises and queues nothing, and
+    the rest of those timers and the later ones fire in order."""
     env = Environment()
     order = []
     straggler = env.event()
@@ -140,31 +141,38 @@ def test_exotic_priorities_total_order():
 
 
 def test_urgent_lane_precedes_normal_at_same_tick():
-    env = Environment()
-    order = []
-    ev = env.event()
-    ev.callbacks.append(_tag(order, "urgent"))
+    """A delay-0 URGENT event scheduled during the t=1 dispatch fires
+    before the NORMAL events due at t=1: the process's zero timeout and,
+    under either tie-break, the peer timer still pending."""
+    expected = {
+        "fifo": ["timer-peer", "normal-a", "urgent", "normal-b"],
+        "lifo": ["normal-a", "urgent", "normal-b", "timer-peer"],
+    }
+    for tiebreak, order_expected in expected.items():
+        env = Environment(tiebreak=tiebreak)
+        order = []
+        urgent = env.event()
+        urgent._ok, urgent._value = True, None
+        urgent.callbacks.append(_tag(order, "urgent"))
 
-    def proc(env):
-        yield env.timeout(1.0)
-        order.append("normal-a")
-        ev.succeed()  # URGENT: jumps ahead of the pending same-tick timer
-        yield env.timeout(0.0)
-        order.append("normal-b")
+        def proc(env):
+            yield env.timeout(1.0)
+            order.append("normal-a")
+            env.schedule(urgent, priority=URGENT)
+            yield env.timeout(0.0)
+            order.append("normal-b")
 
-    env.process(proc(env))
-    env.timeout(1.0).callbacks.append(_tag(order, "bucket-peer"))
-    env.run()
-    # bucket-peer's timer was created before the process first ran, so
-    # it leads the t=1 bucket; the succeed() then jumps the URGENT lane
-    # ahead of the process's own zero-delay NORMAL continuation.
-    assert order == ["bucket-peer", "normal-a", "urgent", "normal-b"]
+        env.process(proc(env))
+        # Created before the process first runs: the older timer at t=1.
+        env.timeout(1.0).callbacks.append(_tag(order, "timer-peer"))
+        env.run()
+        assert order == order_expected, tiebreak
 
 
 @pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
 def test_cancel_inside_current_bucket(tiebreak):
-    """Cancelling a not-yet-drained entry of the *currently draining*
-    bucket suppresses it."""
+    """Cancelling a timer due at the time *currently draining*, from
+    inside an earlier timer's callback, suppresses it."""
     env = Environment(tiebreak=tiebreak)
     order = []
     timers = [env.timeout(1.0) for _ in range(3)]
@@ -239,8 +247,8 @@ def test_fired_condition_detaches_from_pending_timers():
 
 def test_traced_cohort_drain_matches_manual_step_loop():
     """A traced ``run()`` dispatches exactly what a manual ``step()``
-    loop does, with one cancelled far-future deadline per flow keeping
-    many buckets live."""
+    loop does, with cohorts of timers due together and one cancelled
+    far-future deadline per flow keeping many distinct times live."""
     n_flows, n_ticks, period = 400, 20, 10.0
 
     def build():
@@ -248,7 +256,7 @@ def test_traced_cohort_drain_matches_manual_step_loop():
         dispatched = EventTraceRecorder(env).lines
 
         def flow(env, i):
-            deadline = env.timeout(10_000.0 + i)  # one live bucket per flow
+            deadline = env.timeout(10_000.0 + i)  # one distinct time per flow
             for _ in range(n_ticks):
                 yield env.timeout(period)
             env.cancel(deadline)
@@ -267,8 +275,11 @@ def test_traced_cohort_drain_matches_manual_step_loop():
 
 
 def test_failed_run_until_leaves_no_stop_behind():
-    """A ``run(until=t)`` that raises queued no stop event, so the next
-    plain ``run()`` drains instead of stopping at ``t``."""
+    """A ``run(until=...)`` that raises leaves no stop behind, so the
+    next ``run()`` drains instead of stopping on it: for a time ahead of
+    ``now`` (queued nowhere), an event (its stop callback is detached),
+    ``now`` itself (the queued urgent stop is cancelled) and an event of
+    another environment (rejected before anything runs)."""
     env = Environment()
     env.timeout(2.0)
     env.timeout(5.0)
@@ -278,6 +289,45 @@ def test_failed_run_until_leaves_no_stop_behind():
     assert env.now == 1.0
     env.run()
     assert env.now == 5.0
+
+    for follow_up in ("run", "run-until"):
+        env = Environment()
+        env.timeout(1.0).callbacks.append(_raise_boom)
+        five = env.timeout(5.0, value="five")
+        env.timeout(8.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=five)
+        assert env.now == 1.0
+        assert five.callbacks == []
+        if follow_up == "run":
+            assert env.run() is None
+            assert env.now == 8.0
+        else:
+            env.run(until=10.0)
+            assert env.now == 10.0
+
+    env = Environment()
+    env.timeout(2.0)
+    boom = env.event()
+    boom._ok, boom._value = True, None
+    boom.callbacks.append(_raise_boom)
+    env.schedule(boom, priority=URGENT)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=0.0)
+    env.run()
+    assert env.now == 2.0
+    assert env._n_pending() == 0
+
+    a, b = Environment(), Environment()
+    a.timeout(3.0)
+    foreign = b.timeout(2.0)
+    b.timeout(9.0)
+    with pytest.raises(SimulationError, match="this environment"):
+        a.run(until=foreign)
+    assert a.now == 0.0 and a._n_pending() == 1
+    assert foreign.callbacks == []
+    b.run()
+    assert b.now == 9.0
 
 
 def _raise_boom(_event):
@@ -298,7 +348,7 @@ _OPS = st.one_of(
     st.tuples(st.just("schedule"), st.just(NORMAL), _DELAYS),
     st.tuples(st.just("process"), st.lists(_DELAYS, max_size=4).map(tuple)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
-    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("raise")),
 )
 
 #: A schedule is a tuple of ``(op, children)`` nodes; an op that creates
@@ -312,7 +362,8 @@ _SCHEDULES = st.recursive(
 
 def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
     """Build ``schedule`` and drain it; return the ``(now, priority, kind,
-    label)`` of every dispatched event and the final ``now``.
+    label)`` of every dispatched event and the final ``now``.  A drain
+    that a ``raise`` op's callback fails ends with ``("raised", label)``.
 
     ``mode`` is ``"hooked"`` (a dispatch hook records, ``run()`` drains),
     ``"callbacks"`` (a callback on every event records, no hook attached)
@@ -324,7 +375,6 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
     order = []
     labels = {}
     events = []  # cancel targets, in creation order
-    processes = []
 
     def watch(event, priority, label, children=()):
         labels[event] = label
@@ -341,10 +391,7 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
         for i, delay in enumerate(delays):
             timer = watch(env.timeout(delay), NORMAL, f"{label}.t{i}")
             events.append(timer)
-            try:
-                yield timer
-            except Interrupt:
-                pass
+            yield timer
 
     def build(nodes, parent):
         for i, ((kind, *args), children) in enumerate(nodes):
@@ -367,17 +414,15 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
             elif kind == "process":
                 proc = env.process(worker(label, args[0]))
                 watch(proc.target, URGENT, f"{label}.init")
-                processes.append(watch(proc, NORMAL, label, children))
+                watch(proc, NORMAL, label, children)
             elif kind == "cancel" and events:
                 victim = events[args[0] % len(events)]
                 if not victim.processed:
                     env.cancel(victim)
-            elif kind == "interrupt" and processes:
-                proc = processes[args[0] % len(processes)]
-                if proc.is_alive:
-                    proc.interrupt(label)
-                    # the delivery event interrupt() just queued
-                    watch(env._lane_urgent[-1][3], URGENT, f"{label}.delivery")
+            elif kind == "raise":
+                ev = watch(env.event(), NORMAL, label, children)
+                ev.callbacks.append(_raise_label)
+                events.append(ev.succeed(label))
 
     def hook(now, priority, event):
         label = labels[event] if until is None else labels.get(event, "stop")
@@ -394,9 +439,17 @@ def _dispatch_order(schedule, initial_time, tiebreak, mode, until=None):
             if until is not None:
                 env.run(until=until)
             env.run()
-    except Interrupt as exc:  # a process interrupted before it started
-        order.append(("raised", exc.cause))
+    except _Raised as exc:  # a ``raise`` op failed the drain
+        order.append(("raised", exc.args[0]))
     return order, env.now
+
+
+class _Raised(Exception):
+    """Raised by a ``raise`` op's event, carrying the op's label."""
+
+
+def _raise_label(event):
+    raise _Raised(event.value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_validated():
@@ -75,7 +75,7 @@ def test_resource_fifo_granting():
     assert order == ["first", "second", "third"]
 
 
-def test_interrupted_waiter_releases_queue_slot():
+def test_reneging_waiter_releases_queue_slot():
     env = Environment()
     res = Resource(env, capacity=1)
     got = []
@@ -85,27 +85,20 @@ def test_interrupted_waiter_releases_queue_slot():
             yield req
             yield env.timeout(50)
 
-    def waiter(env, res, name):
+    def waiter(env, res, name, patience):
         with res.request() as req:
-            try:
-                yield req
+            fired = yield env.any_of([req, env.timeout(patience)])
+            if req in fired:
                 got.append(name)
                 yield env.timeout(1)
-            except Interrupt:
-                pass
 
     env.process(holder(env, res))
-    w1 = env.process(waiter(env, res, "w1"))
-    env.process(waiter(env, res, "w2"))
-
-    def killer(env, w1):
-        yield env.timeout(10)
-        w1.interrupt()
-
-    env.process(killer(env, w1))
+    env.process(waiter(env, res, "w1", 10))
+    env.process(waiter(env, res, "w2", 100))
     env.run()
-    # w1 was interrupted while queued; w2 must still get the resource.
+    # w1 gave up while queued; w2 must still get the resource.
     assert got == ["w2"]
+    assert res.count == 0 and not res.queue
 
 
 def test_resource_count_tracks_usage():
@@ -187,25 +180,6 @@ def test_store_capacity_blocks_put():
     env.process(consumer(env, store))
     env.run()
     assert log == [("put-a", 0), ("got", "a", 10), ("put-b", 10)]
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    out = []
-
-    def run(env):
-        yield store.put({"kind": "x", "v": 1})
-        yield store.put({"kind": "y", "v": 2})
-        yield store.put({"kind": "x", "v": 3})
-        item = yield store.get(filter=lambda it: it["kind"] == "y")
-        out.append(item["v"])
-        item = yield store.get()
-        out.append(item["v"])
-
-    env.process(run(env))
-    env.run()
-    assert out == [2, 1]
 
 
 def test_store_invalid_capacity():

@@ -51,6 +51,25 @@ def test_calibration_validation():
         Calibration(endpoint_efficiency=1.5)
     with pytest.raises(CalibrationError):
         Calibration(backoff_initial_s=2.0, backoff_max_s=1.0)
+    # Every field is finite and >= 0: a NaN latency or sigma would make
+    # waits free or endless instead of failing here.
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(transition_latency_s=nan),
+        dict(pbs_queue_sigma=nan),
+        dict(endpoint_ramp_bytes=nan),
+        dict(poll_latency_s=-5.0),
+        dict(backoff_initial_s=nan),
+        dict(node_idle_timeout_s=nan),
+        dict(wan_latency_s=inf),
+        dict(site_switch_bps=inf),
+    ):
+        with pytest.raises(CalibrationError, match="finite and >= 0"):
+            Calibration(**bad)
+    with pytest.raises(CalibrationError, match="integer"):
+        Calibration(polaris_nodes=2.5)
+    with pytest.raises(CalibrationError, match="positive"):
+        Calibration(polaris_nodes=0)
 
 
 def test_effective_rate_concave_in_size():
