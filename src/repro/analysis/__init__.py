@@ -20,15 +20,7 @@ from .labeling import LabeledFrame, LabelingSpec, hand_label, split_9_3_1
 from .metadata import build_search_document, extract_metadata, metadata_tree
 from .metrics import Box, average_precision, iou, iou_matrix, map_range, match_greedy
 from .tracking import IouTracker, Track, count_series
-from .video import (
-    annotate_video,
-    convert_emd_to_video,
-    frame_to_uint8,
-    movie_to_uint8,
-    read_video,
-    video_info,
-    write_video,
-)
+from .video import annotate_video, movie_to_uint8, read_video, video_info, write_video
 
 __all__ = [
     "intensity_map",
@@ -59,10 +51,8 @@ __all__ = [
     "hand_label",
     "split_9_3_1",
     "movie_to_uint8",
-    "frame_to_uint8",
     "write_video",
     "read_video",
     "video_info",
-    "convert_emd_to_video",
     "annotate_video",
 ]

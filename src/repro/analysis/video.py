@@ -9,20 +9,16 @@ the two dominant costs explicit and separately measurable:
 1. the fp64 → uint8 cast (:func:`movie_to_uint8`), including the global
    normalization pass it forces over the tensor;
 2. per-frame image encoding (:func:`write_video`).
-
-Frames are read lazily from the EMD container one at a time, so peak
-memory is one frame, not the 1.2 GB tensor.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..emd import EmdFile
 from ..errors import FormatError
 from ..parallel import imap_ordered
 from ..viz import annotate_frame, encode_png
@@ -30,10 +26,8 @@ from ..viz.png import _SIGNATURE as PNG_SIGNATURE  # reuse the one constant
 
 __all__ = [
     "movie_to_uint8",
-    "frame_to_uint8",
     "write_video",
     "read_video",
-    "convert_emd_to_video",
     "annotate_video",
     "video_info",
 ]
@@ -55,19 +49,11 @@ def movie_to_uint8(
     if movie.ndim != 3:
         raise FormatError(f"movie must be (T, H, W), got {movie.shape}")
     lo, hi = np.percentile(movie, [lo_percentile, hi_percentile])
-    return _cast(movie, float(lo), float(hi))
-
-
-def _cast(frames: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
-        return np.zeros(frames.shape, dtype=np.uint8)
-    scaled = (frames.astype(np.float64) - lo) * (255.0 / (hi - lo))
+        return np.zeros(movie.shape, dtype=np.uint8)
+    scaled = (movie.astype(np.float64) - lo) * (255.0 / (hi - lo))
     return np.clip(scaled, 0, 255).astype(np.uint8)
-
-
-def frame_to_uint8(frame: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Cast one frame with precomputed normalization bounds."""
-    return _cast(np.asarray(frame), lo, hi)
 
 
 def write_video(
@@ -129,71 +115,6 @@ def read_video(path: "str | os.PathLike") -> Iterator[bytes]:
             if len(png) != length or png[:8] != PNG_SIGNATURE:
                 raise FormatError(f"{path}: corrupt frame payload")
             yield png
-
-
-#: Per-block byte budget for batched frame reads: large enough to
-#: amortize container round-trips, small enough that peak memory stays
-#: a handful of frames (the paper's constraint), not the full tensor.
-_BLOCK_BYTES = 32 << 20
-
-
-def _block_frames(shape: "tuple[int, ...]", itemsize: int) -> int:
-    frame_bytes = max(1, int(np.prod(shape[1:], dtype=np.int64)) * int(itemsize))
-    return max(1, _BLOCK_BYTES // frame_bytes)
-
-
-def _movie_bounds(data, sample_stride: int = 1) -> tuple[float, float]:
-    """Normalization bounds from (a sample of) the frames — the global
-    pass the cast forces over the data.
-
-    Frames are read and reduced in blocks: a ranged read per block
-    (one chunked-container round-trip) and one axis-(1, 2) percentile,
-    which is bit-identical to the per-frame percentile loop it
-    replaces.
-    """
-    t_total = data.shape[0]
-    itemsize = np.dtype(getattr(data, "dtype", np.float64)).itemsize
-    stride = max(1, sample_stride)
-    block = _block_frames(data.shape, itemsize) * stride
-    los, his = [], []
-    for t0 in range(0, t_total, block):
-        t1 = min(t0 + block, t_total)
-        if stride == 1:
-            frames = np.asarray(data[t0:t1], dtype=np.float64)
-        else:
-            frames = np.stack(
-                [np.asarray(data[t], dtype=np.float64) for t in range(t0, t1, stride)]
-            )
-        lo, hi = np.percentile(frames, [0.5, 99.8], axis=(1, 2))
-        los.extend(lo)
-        his.extend(hi)
-    return float(np.median(los)), float(max(his))
-
-
-def convert_emd_to_video(
-    emd_path: "str | os.PathLike",
-    out_path: "str | os.PathLike",
-    fps: float = 25.0,
-) -> int:
-    """The flow's conversion step: EMD movie → MPNG, block-lazily."""
-    with EmdFile(emd_path) as f:
-        handle = f.signal()
-        if handle.signal_type != "spatiotemporal":
-            raise FormatError(
-                f"{emd_path}: expected a spatiotemporal signal, got "
-                f"{handle.signal_type!r}"
-            )
-        data = handle.data
-        lo, hi = _movie_bounds(data)
-        block = _block_frames(data.shape, np.dtype(data.dtype).itemsize)
-
-        def frames() -> Iterator[np.ndarray]:
-            for t0 in range(0, data.shape[0], block):
-                chunk = np.asarray(data[t0 : min(t0 + block, data.shape[0])])
-                for u8 in _cast(chunk, lo, hi):
-                    yield u8
-
-        return write_video(out_path, frames(), fps=fps)
 
 
 def annotate_video(

@@ -8,15 +8,7 @@ exercises, in a compact single-file binary format:
 * n-dimensional **datasets** (NumPy arrays) stored contiguously or in
   **chunks**, optionally zlib-compressed per block;
 * **lazy partial reads**: opening a file reads only the footer; slicing a
-  chunked dataset touches only the intersecting chunks (this matters for
-  the spatiotemporal flow, which reads one 640×640 frame at a time out of
-  a 600-frame cube);
-* **zero-copy views**: files are memory-mapped when the platform allows,
-  so :meth:`Dataset.view` can hand back hyperslabs that alias the page
-  cache directly — no read, no decompress, no copy — whenever the
-  selection lands in uncompressed contiguous storage or a single
-  uncompressed chunk.  Everything else degrades to a minimal-copy
-  gather over only the intersecting chunks;
+  chunked dataset touches only the intersecting chunks;
 * **frame-parallel zlib**: the chunks of a compressed dataset are
   compressed and decompressed on the worker pool (:mod:`repro.parallel`),
   while file offsets, reads and I/O accounting stay on the calling
@@ -29,7 +21,9 @@ On-disk layout::
 
 The footer is a JSON document describing the tree; every dataset
 descriptor records the byte extent of each of its blocks, which is what
-makes partial reads possible without a global index structure.
+makes partial reads possible without a global index structure.  The
+reader checks every descriptor when it loads the footer, before any
+block is read.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ import io
 import itertools
 import json
 import math
-import mmap
 import os
 import zlib
 from typing import Any, Iterator, Optional, Sequence, Union
@@ -154,6 +147,68 @@ def _chunk_grid(shape: Sequence[int], chunks: Sequence[int]) -> tuple[int, ...]:
     return tuple(math.ceil(s / c) for s, c in zip(shape, chunks))
 
 
+def _chunk_extent(
+    cidx: Sequence[int], chunks: Sequence[int], shape: Sequence[int]
+) -> tuple[int, ...]:
+    """Extent of the chunk at grid index ``cidx``; trailing chunks stop at
+    the shape."""
+    return tuple(min((ci + 1) * c, s) - ci * c for ci, c, s in zip(cidx, chunks, shape))
+
+
+def _int_list(value: Any, minimum: int) -> bool:
+    return isinstance(value, list) and all(type(v) is int and v >= minimum for v in value)
+
+
+def _check_descriptor(path: str, desc: Any, data_end: int) -> None:
+    """Reject a malformed footer descriptor of dataset ``path``.
+
+    The footer is input from outside the program, so everything a read
+    relies on is checked before any block is read: a dtype the writer
+    accepts, the shape, the layout and its chunk extents, the codec, one
+    block per chunk, each block inside ``[len(MAGIC), data_end)`` and
+    decoding to its chunk's byte count.
+    """
+
+    def fail(why: str) -> FormatError:
+        return FormatError(f"{path}: malformed descriptor: {why}")
+
+    if not isinstance(desc, dict):
+        raise fail("not an object")
+    dtype_str = desc.get("dtype")
+    try:
+        dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.kind not in "iufb":
+        raise fail(f"unsupported dtype {dtype_str!r}")
+    shape, layout, chunks = desc.get("shape"), desc.get("layout"), desc.get("chunks")
+    if not _int_list(shape, 0):
+        raise fail(f"shape {shape!r} is not a list of non-negative ints")
+    if layout == "contiguous" and chunks is None:
+        chunks, grid = shape, (1,) * len(shape)  # one block spanning the shape
+    elif layout == "chunked" and _int_list(chunks, 1) and len(chunks) == len(shape):
+        grid = _chunk_grid(shape, chunks)
+    else:
+        raise fail(f"layout {layout!r} with chunks {chunks!r} for shape {shape}")
+    if desc.get("compression") not in (None, "zlib"):
+        raise fail(f"unsupported compression {desc.get('compression')!r}")
+    blocks = desc.get("blocks")
+    if not isinstance(blocks, list) or len(blocks) != math.prod(grid):
+        raise fail(f"expected {math.prod(grid)} blocks for the chunk grid {grid}")
+    for entry, cidx in zip(blocks, np.ndindex(*grid)):
+        if not (_int_list(entry, 0) and len(entry) == 3):
+            raise fail(f"block entry {entry!r} is not three non-negative ints")
+        offset, nbytes, raw_nbytes = entry
+        if offset < len(MAGIC) or offset + nbytes > data_end:
+            raise fail(
+                f"block [{offset}, {offset + nbytes}) lies outside the payload "
+                f"region [{len(MAGIC)}, {data_end})"
+            )
+        need = math.prod(_chunk_extent(cidx, chunks, shape)) * dtype.itemsize
+        if raw_nbytes != need:
+            raise fail(f"block at {offset} holds {raw_nbytes} raw bytes, its chunk needs {need}")
+
+
 # The block codec.  Both functions are pure, so they may run on the
 # worker pool (repro.parallel).
 
@@ -168,7 +223,7 @@ def _encode_block(
     return (zlib.compress(flat, 4) if compression == "zlib" else flat), flat.nbytes
 
 
-def _inflate(path: str, offset: int, payload: "bytes | memoryview") -> bytes:
+def _inflate(path: str, offset: int, payload: bytes) -> bytes:
     """Decode the zlib block stored at ``offset`` of dataset ``path``."""
     try:
         return zlib.decompress(payload)
@@ -192,12 +247,16 @@ class _Node:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "_Node":
+    def from_doc(cls, doc: dict, data_end: int, prefix: str = "") -> "_Node":
+        """Rebuild a footer's tree, checking every dataset descriptor
+        (payload blocks end before ``data_end``)."""
         node = cls()
         node.attrs_doc = doc.get("attrs", {})
         node.datasets = doc.get("datasets", {})
+        for name, desc in node.datasets.items():
+            _check_descriptor(f"{prefix}/{name}", desc, data_end)
         for name, sub in doc.get("groups", {}).items():
-            node.groups[name] = cls.from_doc(sub)
+            node.groups[name] = cls.from_doc(sub, data_end, f"{prefix}/{name}")
         return node
 
 
@@ -357,7 +416,8 @@ class WriterGroup:
 class Dataset:
     """Read-side dataset handle supporting lazy slicing.
 
-    Basic indexing only (ints and slices), which covers how EMD data is
+    Basic indexing only (ints, negative ones included, and step-1
+    slices; a step raises ``IndexError``), which covers how EMD data is
     consumed: whole-cube reads, per-frame reads, and axis subsets.
     """
 
@@ -370,7 +430,6 @@ class Dataset:
         self.chunks = tuple(desc["chunks"]) if desc.get("chunks") else None
         self.compression = desc.get("compression")
         self._blocks = desc["blocks"]
-        self._base: Optional[np.ndarray] = None  # zero-copy contiguous cache
 
     @property
     def ndim(self) -> int:
@@ -398,14 +457,14 @@ class Dataset:
         raw = self._read_block(self._blocks[0])
         return np.frombuffer(raw, dtype=self.dtype)[0]
 
-    def _read_block(self, entry: Sequence[int]) -> "bytes | memoryview":
+    def _read_block(self, entry: Sequence[int]) -> bytes:
         offset, nbytes, _ = entry
         payload = self._file._pread(offset, nbytes)
         if self.compression == "zlib":
             return self._account(entry, _inflate(self.path, offset, payload))
         return self._account(entry, payload)
 
-    def _account(self, entry: Sequence[int], raw: "bytes | memoryview") -> "bytes | memoryview":
+    def _account(self, entry: Sequence[int], raw: bytes) -> bytes:
         """Check a decoded block's size and count it in ``read_stats``."""
         offset, nbytes, raw_nbytes = entry
         if len(raw) != raw_nbytes:
@@ -426,7 +485,7 @@ class Dataset:
             arr = np.frombuffer(raw, dtype=self.dtype).reshape(self.shape)
             out = arr[sel].copy()
         else:
-            out = self._gather([(s.start, s.stop - s.start, 1) for s in sel])
+            out = self._gather(sel)
         if squeeze:
             out = out.reshape(tuple(s for s, sq in zip(out.shape, squeeze) if not sq))
         return out
@@ -460,172 +519,33 @@ class Dataset:
                 raise IndexError(f"unsupported index: {k!r}")
         return tuple(sel), squeeze
 
-    # -- zero-copy views ------------------------------------------------------
-    def view(self, key: Any = (slice(None),)) -> np.ndarray:
-        """Slice-on-demand read materializing only the requested hyperslab.
-
-        Unlike ``__getitem__`` (which pins the historical step-1 API),
-        ``view`` accepts full basic indexing — ints, negative indices,
-        and slices with any step, including negative.  Three tiers:
-
-        * **contiguous + uncompressed + mmap** — the result is a NumPy
-          view straight onto the memory-mapped file: zero bytes read or
-          copied until the caller touches the data;
-        * **single uncompressed chunk + mmap** — when every axis of the
-          selection lands inside one chunk, the result aliases that
-          chunk's pages the same way;
-        * **anything else** — a minimal-copy gather that decodes only
-          the chunks intersecting the selection (chunks the selection
-          steps over entirely are never read).
-
-        Zero-copy results are read-only (they alias the file); copy-path
-        results are fresh writable arrays.  Negative steps are served by
-        reading the equivalent ascending hyperslab and flipping, so the
-        chunk I/O pattern is identical either way.
-        """
-        axes = self._normalize_view_key(key)
-        if self.layout == "contiguous":
-            base = self._contiguous_base()
-            out = base[
-                tuple(
-                    a[1]
-                    if a[0] == "int"
-                    else slice(a[1], a[1] + a[2] * a[3], a[3])
-                    for a in axes
-                )
-            ]
-            return self._apply_flips(out, axes)
-        return self._view_chunked(axes)
-
-    def _normalize_view_key(self, key: Any) -> list[tuple]:
-        """Each axis becomes ``("int", i)`` or an ascending
-        ``("slice", start, n, step, flipped)`` with ``step >= 1``."""
-        if not isinstance(key, tuple):
-            key = (key,)
-        if len(key) > len(self.shape):
-            raise IndexError(
-                f"too many indices for dataset of shape {self.shape}: {key!r}"
-            )
-        key = key + (slice(None),) * (len(self.shape) - len(key))
-        axes: list[tuple] = []
-        for k, dim in zip(key, self.shape):
-            if isinstance(k, (int, np.integer)):
-                i = int(k)
-                if i < 0:
-                    i += dim
-                if not 0 <= i < dim:
-                    raise IndexError(f"index {k} out of range for axis of size {dim}")
-                axes.append(("int", i))
-            elif isinstance(k, slice):
-                try:
-                    start, stop, step = k.indices(dim)
-                except (ValueError, TypeError) as exc:  # e.g. zero step
-                    raise IndexError(str(exc)) from exc
-                n = len(range(start, stop, step))
-                flipped = step < 0
-                if flipped:
-                    # Same index set read ascending, flipped afterwards.
-                    start = start + (n - 1) * step if n else 0
-                    step = -step
-                axes.append(("slice", start, n, step, flipped))
-            else:
-                raise IndexError(f"unsupported index: {k!r}")
-        return axes
-
-    @staticmethod
-    def _apply_flips(out: np.ndarray, axes: Sequence[tuple]) -> np.ndarray:
-        """Reverse the axes whose original slice had a negative step
-        (int axes are already dropped from ``out``)."""
-        flips = [a[4] for a in axes if a[0] == "slice"]
-        if any(flips):
-            out = out[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
-        return out
-
-    def _contiguous_base(self) -> np.ndarray:
-        """Full contiguous array; a zero-copy alias of the mmap when the
-        payload is uncompressed (cached — aliasing is free), otherwise a
-        per-call decompression (never cached, to keep peak memory at
-        the historical one-block transient)."""
-        if self._base is not None:
-            return self._base
-        raw = self._read_block(self._blocks[0])
-        arr = np.frombuffer(raw, dtype=self.dtype).reshape(self.shape)
-        if self.compression is None and isinstance(raw, memoryview):
-            self._base = arr
-        return arr
-
-    def _view_chunked(self, axes: Sequence[tuple]) -> np.ndarray:
-        assert self.chunks is not None
-        # Per-axis (start, n, step): ints are width-1 rows dropped at the end.
-        params = [
-            (a[1], 1, 1) if a[0] == "int" else (a[1], a[2], a[3]) for a in axes
-        ]
-        drop = tuple(0 if a[0] == "int" else slice(None) for a in axes)
-        # Fast path: the whole selection inside one uncompressed chunk →
-        # a view onto that chunk's mapped pages.
-        if (
-            self.compression is None
-            and self._file._mm is not None
-            and all(n for _, n, _ in params)
-        ):
-            span = [
-                (s // c, (s + (n - 1) * st) // c)
-                for (s, n, st), c in zip(params, self.chunks)
-            ]
-            if all(lo == hi for lo, hi in span):
-                cidx = tuple(lo for lo, _ in span)
-                entry, extent = self._chunk(cidx)
-                raw = self._read_block(entry)
-                chunk = np.frombuffer(raw, dtype=self.dtype).reshape(extent)
-                local = tuple(
-                    (a[1] - ci * c)
-                    if a[0] == "int"
-                    else slice(a[1] - ci * c, a[1] - ci * c + a[2] * a[3], a[3])
-                    for a, ci, c in zip(axes, cidx, self.chunks)
-                )
-                return self._apply_flips(chunk[local], axes)
-        return self._apply_flips(self._gather(params)[drop], axes)
-
     def _chunk(self, cidx: Sequence[int]) -> tuple[Sequence[int], tuple[int, ...]]:
         """Block entry and extent of the chunk at grid index ``cidx``."""
         assert self.chunks is not None
         flat = 0
         for ci, g in zip(cidx, _chunk_grid(self.shape, self.chunks)):
             flat = flat * g + ci
-        extent = tuple(
-            min((ci + 1) * c, s) - ci * c
-            for ci, c, s in zip(cidx, self.chunks, self.shape)
-        )
-        return self._blocks[flat], extent
+        return self._blocks[flat], _chunk_extent(cidx, self.chunks, self.shape)
 
-    def _gather(self, params: Sequence[tuple[int, int, int]]) -> np.ndarray:
-        """Copy the hyperslab ``params`` (per axis ``(start, n, step)``,
-        ``step >= 1``) of a chunked dataset into a fresh array.
+    def _gather(self, sel: Sequence[slice]) -> np.ndarray:
+        """Copy the step-1 hyperslab ``sel`` of a chunked dataset into a
+        fresh array.
 
-        Per axis, only the chunk rows the selection actually crosses are
-        visited (a large step can hop whole chunks — those are skipped
-        before any byte is read), in row-major chunk order.  zlib runs on
-        the worker pool; the reads, the size checks, ``read_stats`` and
-        the scatter into the result stay on this thread, in chunk order.
+        Only the chunks the selection intersects are read, in row-major
+        chunk order.  zlib runs on the worker pool; the reads, the size
+        checks, ``read_stats`` and the scatter into the result stay on
+        this thread, in chunk order.
         """
         assert self.chunks is not None
-        out = np.empty(tuple(n for _, n, _ in params), dtype=self.dtype)
+        out = np.empty(tuple(s.stop - s.start for s in sel), dtype=self.dtype)
         if out.size == 0:
             return out
-        ax_rows: list[list[tuple[int, int, int]]] = []
-        for (start, n, step), c, dim in zip(params, self.chunks, self.shape):
-            rows = []
-            last = start + (n - 1) * step
-            for ci in range(start // c, last // c + 1):
-                c0, c1 = ci * c, min(ci * c + c, dim)
-                k0 = max(0, (c0 - start + step - 1) // step)
-                k1 = min(n - 1, (c1 - 1 - start) // step)
-                if k1 >= k0:
-                    rows.append((ci, k0, k1))
-            ax_rows.append(rows)
-
-        combos = list(itertools.product(*ax_rows))
-        blocks = [self._chunk(tuple(e[0] for e in combo)) for combo in combos]
+        cidxs = list(
+            itertools.product(
+                *(range(s.start // c, (s.stop - 1) // c + 1) for s, c in zip(sel, self.chunks))
+            )
+        )
+        blocks = [self._chunk(cidx) for cidx in cidxs]
         payloads = (
             (offset, self._file._pread(offset, nbytes)) for (offset, nbytes, _), _ in blocks
         )
@@ -633,16 +553,14 @@ class Dataset:
             raws = imap_ordered(lambda p: _inflate(self.path, *p), payloads)
         else:
             raws = (payload for _, payload in payloads)
-        for combo, (entry, extent), raw in zip(combos, blocks, raws):
+        for cidx, (entry, extent), raw in zip(cidxs, blocks, raws):
             chunk = np.frombuffer(self._account(entry, raw), dtype=self.dtype).reshape(extent)
-            src = tuple(
-                slice(start + k0 * step - ci * c, start + k1 * step - ci * c + 1, step)
-                for (start, _, step), (ci, k0, k1), c in zip(
-                    params, combo, self.chunks
-                )
-            )
-            dst = tuple(slice(k0, k1 + 1) for _, k0, k1 in combo)
-            out[dst] = chunk[src]
+            src, dst = [], []
+            for s, ci, c in zip(sel, cidx, self.chunks):
+                lo, hi = max(s.start, ci * c), min(s.stop, ci * c + c)
+                src.append(slice(lo - ci * c, hi - ci * c))
+                dst.append(slice(lo - s.start, hi - s.start))
+            out[tuple(dst)] = chunk[tuple(src)]
         return out
 
 
@@ -685,25 +603,24 @@ class Group:
 
 class H5LiteFile:
     """Read-only view of an h5lite file.  Only the footer is read at
-    open; dataset payloads load on demand."""
+    open; dataset payloads load on demand.
+
+    One handle is read from one thread at a time: block reads seek and
+    read its one file object.  (The zlib pool decodes payloads that were
+    read on the calling thread.)
+    """
 
     def __init__(self, path: "str | os.PathLike") -> None:
         self.path = os.fspath(path)
         self._fh = open(self.path, "rb")
         #: I/O accounting for this handle: decoded blocks, payload bytes
-        #: touched, raw bytes produced.  Zero-copy views do count their
-        #: aliased block once (the mapping, not a read), so chunk-access
-        #: regressions stay observable.
+        #: touched, raw bytes produced, so chunk-access regressions stay
+        #: observable.
         self.read_stats: dict[str, int] = {
             "block_reads": 0,
             "payload_bytes": 0,
             "raw_bytes": 0,
         }
-        self._mm: Optional[mmap.mmap] = None
-        try:
-            self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            self._mm = None  # empty file / exotic fs: plain reads still work
         try:
             self._root = self._load_footer()
         except Exception:
@@ -737,15 +654,10 @@ class H5LiteFile:
             raise FormatError(
                 f"{self.path}: unsupported format version {doc.get('format_version')}"
             )
-        return _Node.from_doc(doc["root"])
+        return _Node.from_doc(doc["root"], footer_offset)
 
-    def _pread(self, offset: int, nbytes: int) -> "bytes | memoryview":
-        """Positioned read.  With a live mmap this is a zero-copy
-        memoryview onto the page cache; otherwise a buffered file read."""
-        if self._mm is not None:
-            if offset + nbytes > len(self._mm):
-                raise FormatError(f"{self.path}: short read at offset {offset}")
-            return memoryview(self._mm)[offset : offset + nbytes]
+    def _pread(self, offset: int, nbytes: int) -> bytes:
+        """Positioned read of one block's stored bytes."""
         self._fh.seek(offset)
         data = self._fh.read(nbytes)
         if len(data) != nbytes:
@@ -796,16 +708,6 @@ class H5LiteFile:
         yield from rec(self._root, "")
 
     def close(self) -> None:
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                # Live zero-copy views still pin the mapping; it is
-                # released when the last view dies.  The views stay
-                # valid either way — an mmap outlives its fd.
-                pass
-            else:
-                self._mm = None
         self._fh.close()
 
     def __enter__(self) -> "H5LiteFile":

@@ -13,7 +13,7 @@ from .acquisition import (
 )
 from .microscope import CAMERA_DETECTOR, XPAD_DETECTOR, PicoProbe
 from .phantoms import Particle, gold_on_carbon_phantom, particle_mask, polyamide_film_phantom
-from .spatiotemporal import MotionModel, MovieSpec, generate_movie, render_frame, simulate_trajectories
+from .spatiotemporal import MotionModel, MovieSpec, generate_movie, simulate_trajectories
 from .xray import ELEMENT_LINES, XRayLine, element_template, energy_axis, synthesize_cube
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "MovieSpec",
     "MotionModel",
     "generate_movie",
-    "render_frame",
     "simulate_trajectories",
     "XRayLine",
     "ELEMENT_LINES",

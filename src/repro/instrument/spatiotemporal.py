@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ReproError
 from .phantoms import Particle
 
-__all__ = ["MotionModel", "MovieSpec", "simulate_trajectories", "render_frame", "generate_movie"]
+__all__ = ["MotionModel", "MovieSpec", "simulate_trajectories", "generate_movie"]
 
 
 @dataclass(frozen=True)
@@ -77,31 +77,6 @@ def simulate_trajectories(
         p[:, 1] = np.where(p[:, 1] > hi_c, 2 * hi_c - p[:, 1], p[:, 1])
         pos[t] = p
     return pos, radii
-
-
-def render_frame(
-    shape: tuple[int, int],
-    centers: np.ndarray,
-    radii: np.ndarray,
-    spec: MovieSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Render one float64 frame: noisy background + Gaussian particles."""
-    h, w = shape
-    frame = rng.normal(spec.background_level, spec.background_noise, size=shape)
-    for (row, col), r in zip(centers, radii):
-        sigma = r / 1.8
-        half = int(np.ceil(3 * sigma))
-        r0, r1 = max(int(row) - half, 0), min(int(row) + half + 1, h)
-        c0, c1 = max(int(col) - half, 0), min(int(col) + half + 1, w)
-        if r1 <= r0 or c1 <= c0:
-            continue
-        rr = np.arange(r0, r1, dtype=np.float64)[:, None]
-        cc = np.arange(c0, c1, dtype=np.float64)[None, :]
-        blob = np.exp(-0.5 * (((rr - row) ** 2 + (cc - col) ** 2) / sigma**2))
-        frame[r0:r1, c0:c1] += spec.particle_peak * blob
-    np.clip(frame, 0.0, None, out=frame)
-    return frame
 
 
 def generate_movie(

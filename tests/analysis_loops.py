@@ -2,10 +2,10 @@
 
 Pre-vectorization per-frame / per-peak code paths, kept verbatim as the
 *numeric ground truth* for the batched implementations in
-:mod:`repro.analysis.detection`, :mod:`repro.analysis.hyperspectral`,
-and :mod:`repro.analysis.video`: ``tests/test_dataplane_identity.py``
-asserts the vectorized outputs are bit-for-bit equal to these across
-seeds.  They live with the tests, outside the shipped package.
+:mod:`repro.analysis.detection` and :mod:`repro.analysis.hyperspectral`:
+``tests/test_dataplane_identity.py`` asserts the vectorized outputs are
+bit-for-bit equal to these across seeds.  They live with the tests,
+outside the shipped package.
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose
@@ -157,14 +157,3 @@ def identify_elements_loops(
                 prominence=prominence,
             )
     return sorted(hits.values(), key=lambda h: -h.prominence)
-
-
-def movie_bounds_loops(data, sample_stride: int = 1) -> tuple[float, float]:
-    """Pre-PR ``_movie_bounds``: one percentile pass per sampled frame."""
-    los, his = [], []
-    for t in range(0, data.shape[0], sample_stride):
-        frame = np.asarray(data[t], dtype=np.float64)
-        lo, hi = np.percentile(frame, [0.5, 99.8])
-        los.append(lo)
-        his.append(hi)
-    return float(np.median(los)), float(max(his))

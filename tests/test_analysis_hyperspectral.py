@@ -8,9 +8,7 @@ import pytest
 
 from repro.analysis import (
     build_search_document,
-    convert_emd_to_video,
     extract_metadata,
-    frame_to_uint8,
     identify_elements,
     intensity_figure_svg,
     intensity_map,
@@ -24,7 +22,7 @@ from repro.analysis import (
 )
 from repro.emd import write_emd
 from repro.errors import FormatError, ReproError
-from repro.instrument import MovieSpec, PicoProbe, energy_axis
+from repro.instrument import PicoProbe, energy_axis
 from repro.rng import RngRegistry
 from repro.search import validate_datacite
 
@@ -145,12 +143,6 @@ def test_movie_to_uint8_validation():
         movie_to_uint8(np.zeros((4, 4)))
 
 
-def test_frame_to_uint8_bounds():
-    frame = np.array([[0.0, 50.0, 100.0, 200.0]])
-    out = frame_to_uint8(frame, 0.0, 100.0)
-    assert list(out[0]) in ([0, 127, 254, 255], [0, 127, 255, 255])
-
-
 def test_video_roundtrip(tmp_path):
     frames = [np.full((8, 8), i * 10, dtype=np.uint8) for i in range(5)]
     path = tmp_path / "m.mpng"
@@ -181,24 +173,3 @@ def test_video_not_mpng(tmp_path):
     path.write_bytes(b"garbage" * 10)
     with pytest.raises(FormatError):
         video_info(path)
-
-
-def test_convert_emd_to_video(tmp_path):
-    probe = PicoProbe(RngRegistry(0))
-    spec = MovieSpec(n_frames=4, shape=(32, 32), n_particles=2, radius_range=(3, 5))
-    sig, _ = probe.acquire_spatiotemporal(spec)
-    emd_path = tmp_path / "movie.emd"
-    write_emd(emd_path, sig)
-    out = tmp_path / "movie.mpng"
-    n = convert_emd_to_video(emd_path, out, fps=25.0)
-    assert n == 4
-    assert video_info(out) == (4, 25.0)
-
-
-def test_convert_rejects_hyperspectral(tmp_path):
-    probe = PicoProbe(RngRegistry(0))
-    sig, _ = probe.acquire_hyperspectral(shape=(32, 32), n_channels=16)
-    emd_path = tmp_path / "cube.emd"
-    write_emd(emd_path, sig)
-    with pytest.raises(FormatError, match="spatiotemporal"):
-        convert_emd_to_video(emd_path, tmp_path / "x.mpng")

@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.detection import BlobDetector, Detection, DetectorParams, nms
 from repro.analysis.hyperspectral import identify_elements
-from repro.analysis.video import _movie_bounds
 from repro.instrument.phantoms import Particle, particle_mask
 from repro.instrument.spatiotemporal import MovieSpec, generate_movie
 from repro.instrument.xray import ELEMENT_LINES
@@ -207,28 +206,6 @@ def test_identify_elements_empty_and_no_match():
     got = identify_elements(spectrum, energies, tolerance_ev=1e-6)
     ref = aloops.identify_elements_loops(spectrum, energies, tolerance_ev=1e-6)
     assert got == ref == []
-
-
-# -- analysis: video -------------------------------------------------------
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_movie_bounds_bit_identical(seed):
-    rng = np.random.default_rng(seed)
-    movie = np.abs(rng.normal(120.0, 40.0, size=(13, 64, 64)))
-    for stride in (1, 2, 5):
-        assert _movie_bounds(movie, stride) == aloops.movie_bounds_loops(
-            movie, stride
-        )
-
-
-def test_movie_bounds_block_partition_invariant(monkeypatch):
-    from repro.analysis import video as vmod
-
-    movie = np.abs(np.random.default_rng(7).normal(120.0, 40.0, size=(9, 32, 32)))
-    whole = vmod._movie_bounds(movie)
-    monkeypatch.setattr(vmod, "_BLOCK_BYTES", movie[0].nbytes)  # 1 frame/block
-    assert vmod._movie_bounds(movie) == whole
-    assert whole == aloops.movie_bounds_loops(movie)
 
 
 # -- both ingest modes end-to-end -----------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import zlib
 
 import numpy as np
@@ -162,6 +164,8 @@ def test_index_errors(tmp_path):
     with pytest.raises(IndexError):
         ds[10]
     with pytest.raises(IndexError):
+        ds[-5]
+    with pytest.raises(IndexError):
         ds[0, 0, 0]
     with pytest.raises(IndexError):
         ds[::2]
@@ -295,10 +299,11 @@ def test_roundtrip_property(tmp_path_factory, data, dtype, compression):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_chunked_slice_matches_numpy(tmp_path_factory, data):
+@given(data=st.data(), compression=st.sampled_from([None, "zlib"]))
+def test_chunked_slice_matches_numpy(tmp_path_factory, data, compression):
     """Property: any basic slice of a chunked dataset equals the same
-    slice of the in-memory array."""
+    slice of the in-memory array, and reads exactly the chunks it
+    intersects."""
     shape = tuple(
         data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=3))
     )
@@ -306,21 +311,30 @@ def test_chunked_slice_matches_numpy(tmp_path_factory, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     arr = rng.integers(0, 1000, size=shape).astype(np.int64)
 
-    sel = []
+    sel, spans = [], []
     for s in shape:
         if data.draw(st.booleans()):
-            sel.append(data.draw(st.integers(min_value=0, max_value=s - 1)))
+            i = data.draw(st.integers(min_value=-s, max_value=s - 1))
+            sel.append(i)
+            spans.append((i % s, i % s + 1))
         else:
             a = data.draw(st.integers(min_value=0, max_value=s))
             b = data.draw(st.integers(min_value=a, max_value=s))
             sel.append(slice(a, b))
+            spans.append((a, b))
     sel = tuple(sel)
+    # Per axis, the chunk-index range the selection crosses.
+    intersected = math.prod(
+        (b - 1) // c - a // c + 1 if b > a else 0 for (a, b), c in zip(spans, chunks)
+    )
 
     tmp = tmp_path_factory.mktemp("h5l") / "p.h5l"
     with H5LiteWriter(tmp) as w:
-        w.create_dataset("d", arr, chunks=chunks)
+        w.create_dataset("d", arr, chunks=chunks, compression=compression)
     with H5LiteFile(tmp) as f:
+        before = f.read_stats["block_reads"]
         got = f["d"][sel]
+        assert f.read_stats["block_reads"] - before == intersected
     np.testing.assert_array_equal(got, arr[sel])
 
 
@@ -397,7 +411,6 @@ def test_corrupt_zlib_block_is_a_format_error(tmp_path, monkeypatch, chunks, n_w
     readers = {
         "read": lambda ds: ds.read(),
         "getitem": lambda ds: ds[1:5],
-        "view": lambda ds: ds.view((slice(None, None, 2),)),
     }
     for label, read in readers.items():
         with H5LiteFile(path) as f:
@@ -407,3 +420,48 @@ def test_corrupt_zlib_block_is_a_format_error(tmp_path, monkeypatch, chunks, n_w
             if chunks:
                 # Frames outside the corrupt chunk still read.
                 np.testing.assert_array_equal(f["g/d"][3:6], movie[3:6])
+
+
+def _rewrite_footer(path, name, field, edit):
+    """Replace ``field`` of dataset ``name``'s footer descriptor with
+    ``edit(old_value, footer_offset)``."""
+    data = path.read_bytes()
+    offset = int.from_bytes(data[-24:-16], "little")
+    length = int.from_bytes(data[-16:-8], "little")
+    doc = json.loads(zlib.decompress(data[offset : offset + length]))
+    desc = doc["root"]["groups"]["g"]["datasets"][name]
+    desc[field] = edit(desc[field], offset)
+    footer = zlib.compress(json.dumps(doc).encode("utf-8"))
+    tail = offset.to_bytes(8, "little") + len(footer).to_bytes(8, "little") + data[-8:]
+    path.write_bytes(data[:offset] + footer + tail)
+
+
+# (dataset, descriptor field, edit(old value, footer offset), message fragment)
+MALFORMED_FOOTERS = {
+    "chunk_block_missing": ("chunked", "blocks", lambda old, end: old[:-1], "blocks"),
+    "shape_past_block": ("contig", "shape", lambda old, end: [old[0] + 1, *old[1:]], "raw bytes"),
+    "chunks_of_wrong_rank": ("chunked", "chunks", lambda old, end: old[1:], "chunks"),
+    "zero_chunk_extent": ("chunked", "chunks", lambda old, end: [0, *old[1:]], "chunks"),
+    "unknown_dtype": ("chunked", "dtype", lambda old, end: "<x9", "dtype"),
+    "unknown_compression": ("chunked", "compression", lambda old, end: "lz4", "compression"),
+    "negative_block_offset": (
+        "chunked", "blocks", lambda old, end: [[-16, *old[0][1:]], *old[1:]], "block entry"
+    ),
+    "block_past_footer": (
+        "chunked", "blocks", lambda old, end: [*old[:-1], [end, *old[-1][1:]]], "outside"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FOOTERS))
+def test_malformed_footer_is_a_format_error(tmp_path, case):
+    name, field, edit, fragment = MALFORMED_FOOTERS[case]
+    movie = np.random.default_rng(6).random((6, 16, 16))
+    path = tmp_path / "t.h5l"
+    with H5LiteWriter(path) as w:
+        w.create_dataset("g/chunked", movie, chunks=(1, 16, 16), compression="zlib")
+        w.create_dataset("g/contig", movie, compression="zlib")
+    _rewrite_footer(path, name, field, edit)
+    with pytest.raises(FormatError, match=f"^/g/{name}: malformed descriptor: .*{fragment}"):
+        with H5LiteFile(path) as f:
+            f[f"g/{name}"].read()

@@ -1,10 +1,10 @@
-"""`Dataset.view` — zero-copy slice-on-demand reads.
+"""Partial reads through `Dataset.__getitem__`.
 
-Covers equality with full reads over every layout/compression combo,
-chunk-boundary edge cases (partial trailing chunks, negative and
-strided slices, whole-chunk hops), the zero-copy guarantees of the
-mmap-backed paths, and the I/O-accounting regression that a band read
-touches only that band's chunks.
+Covers equality with numpy indexing over every layout/compression
+combo, chunk-boundary edge cases (partial trailing chunks, negative
+ints, empty selections, 1-D and 2-D datasets), the I/O-accounting
+regression that a band read touches only that band's chunks, and the
+worker pool: parallel reads and writes equal serial ones.
 """
 
 from __future__ import annotations
@@ -17,16 +17,9 @@ from repro.emd.h5lite import H5LiteFile, H5LiteWriter
 KEYS = [
     (slice(None),),
     (slice(2, 9),),
-    (slice(None, None, 3), slice(1, None, 2), slice(None, None, -1)),
-    (slice(None, None, -2),),
-    (5, slice(3, 14, 4), slice(None, None, -3)),
-    (slice(12, 2, -3), 4, slice(0, 11)),
     (-1, -2, -3),
     (slice(8, 8),),  # empty
-    (slice(None, None, -1), slice(None, None, -1), slice(None, None, -1)),
     (slice(1, 2), slice(2, 4), slice(3, 8)),  # inside one chunk
-    (slice(0, 13, 7),),  # step hops whole chunks
-    (slice(11, None, -5), slice(16, 0, -4), slice(10, 1, -2)),
 ]
 
 
@@ -53,40 +46,16 @@ def test_view_equals_numpy_indexing(cube_file, name):
     with H5LiteFile(path) as f:
         ds = f[name]
         for key in KEYS:
-            got = ds.view(key)
+            got = ds[key]
             exp = data[key]
             assert got.shape == exp.shape, key
             assert np.array_equal(got, exp), key
-        assert np.array_equal(ds.view(), data)
-        assert np.array_equal(ds.view(3), data[3])
-
-
-def test_view_equals_full_read(cube_file):
-    path, data = cube_file
-    with H5LiteFile(path) as f:
-        for name in ("contig", "contig_z", "chunk", "chunk_z"):
-            assert np.array_equal(f[name].view(), f[name].read())
-
-
-def test_view_errors(cube_file):
-    path, _ = cube_file
-    with H5LiteFile(path) as f:
-        ds = f["chunk"]
-        with pytest.raises(IndexError):
-            ds.view((0, 0, 0, 0))
-        with pytest.raises(IndexError):
-            ds.view(13)
-        with pytest.raises(IndexError):
-            ds.view(-14)
-        with pytest.raises(IndexError):
-            ds.view("bad")
-        with pytest.raises(IndexError):
-            ds.view(slice(None, None, 0))
+        assert np.array_equal(ds.read(), data)
+        assert np.array_equal(ds[3], data[3])
 
 
 def test_getitem_api_unchanged(cube_file):
-    # The pinned __getitem__ contract: steps stay rejected there; the
-    # new capability lives in view() only.
+    # The pinned __getitem__ contract: steps stay rejected.
     path, data = cube_file
     with H5LiteFile(path) as f:
         with pytest.raises(IndexError):
@@ -94,55 +63,17 @@ def test_getitem_api_unchanged(cube_file):
         assert np.array_equal(f["chunk"][2:7, 1:9], data[2:7, 1:9])
 
 
-def test_view_zero_copy_contiguous(cube_file):
-    path, data = cube_file
-    with H5LiteFile(path) as f:
-        v = f["contig"].view((slice(2, 5),))
-        # A real view: read-only, rooted in a non-ndarray buffer (the
-        # mmap), not a fresh allocation.
-        assert not v.flags.writeable
-        assert v.base is not None
-        assert np.array_equal(v, data[2:5])
-
-
-def test_view_zero_copy_single_chunk(cube_file):
-    path, data = cube_file
-    with H5LiteFile(path) as f:
-        v = f["chunk"].view((slice(1, 2), slice(2, 4), slice(3, 8)))
-        assert not v.flags.writeable
-        assert np.array_equal(v, data[1:2, 2:4, 3:8])
-        # Crossing a chunk boundary or decompressing forces a copy.
-        assert f["chunk"].view((slice(3, 6),)).flags.writeable
-        assert f["chunk_z"].view((slice(1, 2), slice(2, 4), slice(3, 8))).flags.writeable
-
-
-def test_view_valid_after_close(cube_file):
-    # mmap-backed views outlive the file handle (the mapping survives
-    # fd close; close() defers teardown while views pin the buffer).
-    path, data = cube_file
-    f = H5LiteFile(path)
-    v = f["contig"].view((slice(0, 4),))
-    f.close()
-    assert np.array_equal(v, data[:4])
-
-
 def test_band_read_touches_only_band_chunks(cube_file):
-    # Regression: a chunk-aligned band view must decode exactly the
+    # Regression: a chunk-aligned band read must decode exactly the
     # chunks under the band — grid is (4, 4, 1), so one time-band of 4
     # rows (one time-chunk) crosses 1*4*1 = 4 chunks.
     path, data = cube_file
     with H5LiteFile(path) as f:
         ds = f["chunk"]
         before = dict(f.read_stats)
-        band = ds.view((slice(4, 8),))
+        band = ds[4:8]
         assert np.array_equal(band, data[4:8])
         assert f.read_stats["block_reads"] - before["block_reads"] == 4
-
-        # A whole-chunk hop (step 7 over chunk height 4) reads only the
-        # two chunks actually containing selected rows.
-        before = dict(f.read_stats)
-        ds.view((slice(0, 13, 7), slice(0, 1), slice(0, 1)))
-        assert f.read_stats["block_reads"] - before["block_reads"] == 2
 
         # Full read for scale: all 16 chunks.
         before = dict(f.read_stats)
@@ -160,32 +91,16 @@ def test_view_1d_and_2d_edges(tmp_path):
         w.create_dataset("/a2", data=a2, chunks=(16, 16))
         w.create_dataset("/a2z", data=a2, chunks=(16, 16), compression="zlib")
     with H5LiteFile(path) as f:
+        for key in [100, slice(0, 0), slice(100, 101)]:
+            assert np.array_equal(f["a1"][key], a1[key]), key
         for key in [
-            slice(None, None, -4), slice(99, None, -1), 100, slice(3, 98, 13),
-            slice(0, 0), slice(100, 101),
-        ]:
-            assert np.array_equal(f["a1"].view(key), a1[key]), key
-        for key in [
-            (slice(None, None, -1),),
-            (slice(3, 60, 7), slice(50, 3, -5)),
             (17,),
             (slice(0, 0), slice(None)),
             (slice(15, 17), slice(31, 33)),  # straddles chunk corners
         ]:
-            assert np.array_equal(f["a2"].view(key), a2[key]), key
-            assert np.array_equal(f["a2z"].view(key), a2[key]), key
-        assert f["a2"].view((17,)).dtype == np.int32
-
-
-def test_view_preserves_dtype_and_order(tmp_path):
-    data = np.arange(5 * 6, dtype=np.uint16).reshape(5, 6)
-    path = tmp_path / "dtype.h5l"
-    with H5LiteWriter(path) as w:
-        w.create_dataset("/d", data=data, chunks=(2, 3))
-    with H5LiteFile(path) as f:
-        v = f["d"].view((slice(None, None, -1), slice(None, None, -2)))
-        assert v.dtype == np.uint16
-        assert np.array_equal(v, data[::-1, ::-2])
+            assert np.array_equal(f["a2"][key], a2[key]), key
+            assert np.array_equal(f["a2z"][key], a2[key]), key
+        assert f["a2"][17].dtype == np.int32
 
 
 # -- the worker pool: parallel == serial --------------------------------------
@@ -208,7 +123,7 @@ def test_pool_decode_and_encode_equal_serial(tmp_path, monkeypatch, chunks):
         ("getitem", lambda ds: ds[2:11, 1:16]),
         ("getitem_int", lambda ds: ds[5]),
         ("getitem_cols", lambda ds: ds[:, 3:9, 7]),
-    ] + [(f"view{i}", lambda ds, key=key: ds.view(key)) for i, key in enumerate(KEYS)]
+    ] + [(f"key{i}", lambda ds, key=key: ds[key]) for i, key in enumerate(KEYS)]
     files, results = {}, {}
     for n in (1, 2):
         monkeypatch.setattr(parallel, "workers", lambda n=n: n)
