@@ -38,7 +38,9 @@ An invalid setting (a non-finite ``--duration``, a sweep use case not in
 :data:`~repro.core.campaign.USE_CASES`, ...) or an unknown chaos scenario
 name (``chaos``, ``stream --scenario``, ``integrity``, ``sweep
 --scenarios``) is a usage error: exit status 2, checked before the
-campaign is built.
+campaign is built.  So is a ``--duration`` too short for any flow run to
+complete (``campaign``, ``trace``, ``sweep``), found once the campaign
+has run: there is no Table 1 row or run summary to print.
 """
 
 from __future__ import annotations
@@ -144,10 +146,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spans_to_jsonl,
     )
 
+    from .errors import EmptyWindowError
+
     res = run_campaign(
         args.use_case, duration_s=args.duration, seed=args.seed, obs=True
     )
     obs = res.testbed.obs
+    runs = derive_runs(obs.tracer.spans)
+    if not any(r.status == "SUCCEEDED" for r in runs):
+        raise EmptyWindowError(args.use_case, args.duration)
     os.makedirs(args.output, exist_ok=True)
     written = []
 
@@ -163,7 +170,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         emit("trace.jsonl", spans_to_jsonl(obs.tracer.spans))
     emit("metrics.csv", metrics_to_csv(obs.metrics))
 
-    runs = derive_runs(obs.tracer.spans)
     stats = run_summary_stats(runs)
     print(
         f"{args.use_case}: {len(obs.tracer.spans)} spans, "
@@ -464,11 +470,11 @@ def main(argv: "list[str] | None" = None) -> int:
     p.set_defaults(fn=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    from .errors import ChaosError, ConfigError
+    from .errors import ChaosError, ConfigError, EmptyWindowError
 
     try:
         return args.fn(args)
-    except (ChaosError, ConfigError) as exc:
+    except (ChaosError, ConfigError, EmptyWindowError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..chaos import ChaosController, ChaosPlan, NO_CHAOS, scenario
-from ..errors import ConfigError
+from ..errors import ConfigError, EmptyWindowError
 from ..flows import FlowDefinition, FlowRun
 from ..instrument import (
     HYPERSPECTRAL_USE_CASE,
@@ -266,6 +266,8 @@ class CampaignResult:
                 "Table 1 summarizes flow runs; stream-mode campaigns "
                 "report through result.stream_sessions"
             )
+        if not self.completed_runs:
+            raise EmptyWindowError(self.use_case.name, self.duration_s)
         return table1_row(
             self.use_case.name,
             self.use_case.period_s,

@@ -30,6 +30,7 @@ __all__ = [
     "CalibrationError",
     "ConfigError",
     "ChaosError",
+    "EmptyWindowError",
     "StreamError",
     "IntegrityError",
 ]
@@ -113,6 +114,23 @@ class ConfigError(ReproError, ValueError):
 class ChaosError(ReproError):
     """A chaos plan or scenario is inconsistent (bad window, bad scale,
     unknown service name)."""
+
+
+class EmptyWindowError(ReproError, ValueError):
+    """No flow run of ``use_case`` completed inside a ``duration_s``
+    campaign window, so there is no Table 1 row or run summary to
+    report.  A ``ValueError`` too, as the bare check was before."""
+
+    def __init__(self, use_case: str, duration_s: float) -> None:
+        super().__init__(use_case, duration_s)
+        self.use_case = use_case
+        self.duration_s = duration_s
+
+    def __str__(self) -> str:
+        return (
+            f"no {self.use_case} flow run completed in the "
+            f"{self.duration_s:g} s campaign window"
+        )
 
 
 class SearchError(ReproError):

@@ -8,7 +8,12 @@ stream starts or finishes.  This captures exactly the contention the
 paper measures — concurrent flows sharing the 1 Gbps site switch.
 
 The fabric is a DES component: :meth:`NetworkFabric.transfer` returns an
-event that fires when the last byte arrives.
+event that fires when the last byte arrives.  It runs no process of its
+own.  A stream is admitted by a callback on its path-latency timer (a
+zero-latency path admits in an URGENT zero-delay event instead), and
+one completion timer, re-armed at the earliest ETA after every
+admission, completion batch, abort and link-health change, settles and
+finishes the streams that drained.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Any, Optional
 from ..errors import EndpointError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
-from ..sim import Environment, Event, Process
+from ..sim import URGENT, Environment, Event, Timeout
 from .topology import Link, Topology
 
 __all__ = ["NetworkFabric", "Stream", "max_min_fair_rates"]
@@ -28,6 +33,7 @@ __all__ = ["NetworkFabric", "Stream", "max_min_fair_rates"]
 # A millibyte of slack absorbs float dust when settling GB-scale streams.
 _EPS_BYTES = 1e-3
 _EPS_RATE = 1e-9
+_INF = float("inf")
 
 
 @dataclass
@@ -46,6 +52,9 @@ class Stream:
     last_update: float = 0.0
     started_at: float = 0.0
     span: Any = NULL_SPAN  # tracing handle (NULL_SPAN when tracing is off)
+    #: The event whose callback admits the stream: its path-latency
+    #: timer, or an URGENT zero-delay event on a zero-latency path.
+    admission: Optional[Event] = None
 
 
 def max_min_fair_rates(
@@ -116,11 +125,12 @@ class NetworkFabric:
         #: so repeat calls return immediately.
         self._last_settle: Optional[float] = None
         self._ids = itertools.count(1)
-        self._wake: Optional[Event] = None
         #: Link key -> health scale in [0, 1]; absent means healthy.
         #: Chaos degradation events write this via :meth:`set_link_health`.
         self._link_scale: dict[tuple[str, str], float] = {}
-        self._scheduler: Process = env.process(self._run())
+        #: The pending completion timer, due at the earliest stream ETA
+        #: (None while no stream has a non-zero rate).
+        self._timer: Optional[Timeout] = None
 
     # -- public API ------------------------------------------------------------
     def transfer(
@@ -162,7 +172,17 @@ class NetworkFabric:
             .set("bytes", float(nbytes))
         )
         self._m_streams.inc()
-        self.env.process(self._admit_after(stream, latency))
+        if latency > 0:
+            admission: Event = self.env.timeout(latency, stream)
+        else:
+            # The URGENT zero-delay slot a process start takes: the
+            # stream is admitted before anything else due now.
+            admission = Event(self.env)
+            admission._ok = True
+            admission._value = stream
+            self.env.schedule(admission, priority=URGENT)
+        admission.callbacks.append(self._admit)
+        stream.admission = admission
         return done
 
     @property
@@ -180,8 +200,8 @@ class NetworkFabric:
         ``scale=1.0`` restores full health; ``0.0`` blacks the link out
         (in-flight streams stall at zero rate and resume when health
         returns).  Settles accrued bytes, reallocates fair shares, and
-        kicks the scheduler — the same re-admission machinery a new
-        stream uses, so flapping a link mid-transfer is safe.
+        re-arms the completion timer — the same machinery a new stream
+        uses, so flapping a link mid-transfer is safe.
         """
         if not 0.0 <= scale <= 1.0:
             raise EndpointError(f"link health scale must be in [0, 1], got {scale}")
@@ -192,7 +212,7 @@ class NetworkFabric:
             self._link_scale[link.key] = float(scale)
         if self._streams:
             self._reallocate()
-            self._kick()
+            self._rearm()
 
     def abort(self, done: Event) -> bool:
         """Withdraw the in-flight transfer whose completion event is
@@ -234,13 +254,13 @@ class NetworkFabric:
         done.succeed(stream)
         if self._streams:
             self._reallocate()
-        self._kick()
+        self._rearm()
         return True
 
     # -- internals -----------------------------------------------------------
-    def _admit_after(self, stream: Stream, latency: float):
-        if latency > 0:
-            yield self.env.timeout(latency)
+    def _admit(self, admission: Event) -> None:
+        """The stream's path latency has elapsed: start its bytes."""
+        stream = admission.value
         if stream.remaining_bytes <= _EPS_BYTES:
             stream.span.set("status", "done").finish()
             stream.done.succeed(stream)
@@ -249,7 +269,7 @@ class NetworkFabric:
         self._streams[stream.stream_id] = stream
         self._m_active.set(len(self._streams))
         self._reallocate()
-        self._kick()
+        self._rearm()
 
     def _settle(self) -> None:
         """Account bytes moved since each stream's last update.
@@ -303,89 +323,74 @@ class NetworkFabric:
         for s in streams:
             s.rate = rates.get(s.stream_id, 0.0)
 
-    def _kick(self) -> None:
-        """Wake the scheduler after membership/allocation changes."""
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
-            self._wake = None
+    def _rearm(self) -> None:
+        """Withdraw the completion timer and push one due at the earliest
+        ETA: the minimum over streams with a non-zero rate of remaining
+        bytes over rate.  Called after every membership or rate change,
+        once every stream is settled at ``now``."""
+        if self._timer is not None:
+            self.env.cancel(self._timer)
+            self._timer = None
+        if not self._streams:
+            return
+        dt = _INF
+        for s in self._streams.values():
+            rate = s.rate
+            if rate > _EPS_RATE:
+                eta = s.remaining_bytes / rate
+                if eta < dt:
+                    dt = eta
+        if dt == _INF:
+            if not self._link_scale:
+                # No degraded links: a zero-rate admitted stream is a
+                # fabric bug, not a stall — fail loudly.
+                raise EndpointError("active stream with zero allocated rate")
+            # Every stream is stalled behind a blacked-out link: no timer
+            # until membership or link health changes.
+            return
+        # dt is a pure min over stream ETAs: the same value for any
+        # iteration order of _streams, so the order taint is vacuous.
+        timer = self.env.timeout(dt)  # repro: noqa[N701]  min is order-free
+        timer.callbacks.append(self._complete)
+        self._timer = timer
 
-    def _run(self):
-        inf = float("inf")
-        while True:
-            if not self._streams:
-                self._wake = self.env.event()
-                yield self._wake
-                continue
-            # Earliest completion: the minimum over streams with a
-            # non-zero rate of remaining bytes over rate.
-            dt = inf
+    def _complete(self, timer: Event) -> None:
+        """The completion timer fired: settle and collect the drained
+        streams in one fused pass (same per-stream arithmetic and order
+        as settle-then-scan), finish them, then reallocate and re-arm."""
+        self._timer = None
+        now = self.env.now
+        finished = []
+        if now == self._last_settle:
+            # Zero-elapsed settle is the identity for every finite rate;
+            # an infinite rate (same-host stream) must still drain, as
+            # the full settle's ``inf * 0 -> nan -> max(0, nan) = 0``
+            # arithmetic would have done.
+            for s in self._streams.values():
+                if s.rate == _INF:
+                    s.remaining_bytes = 0.0
+                if s.remaining_bytes <= _EPS_BYTES:
+                    finished.append(s)
+        else:
             for s in self._streams.values():
                 rate = s.rate
-                if rate > _EPS_RATE:
-                    eta = s.remaining_bytes / rate
-                    if eta < dt:
-                        dt = eta
-            if dt == inf:
-                if not self._link_scale:
-                    # No degraded links: a zero-rate admitted stream is a
-                    # fabric bug, not a stall — fail loudly.
-                    raise EndpointError("active stream with zero allocated rate")
-                # Every stream is stalled behind a blacked-out link: sleep
-                # until membership or link health changes.
-                self._wake = self.env.event()
-                yield self._wake
-                continue
-            wake = self.env.event()
-            self._wake = wake
-            # dt is a pure min over stream ETAs: the same value for any
-            # iteration order of _streams, so the order taint is vacuous.
-            timer = self.env.timeout(dt)  # repro: noqa[N701]  min is order-free
-            yield self.env.any_of([timer, wake])
-            if self._wake is wake and not wake.triggered:
-                # Timer fired: settle and collect the drained streams in
-                # one fused pass (same per-stream arithmetic and order
-                # as settle-then-scan).
-                self._wake = None
-                now = self.env.now
-                finished = []
-                if now == self._last_settle:
-                    # Zero-elapsed settle is the identity for every
-                    # finite rate; an infinite rate (same-host stream)
-                    # must still drain, as the full settle's
-                    # ``inf * 0 -> nan -> max(0, nan) = 0`` arithmetic
-                    # would have done.
-                    for s in self._streams.values():
-                        if s.rate == inf:
-                            s.remaining_bytes = 0.0
-                        if s.remaining_bytes <= _EPS_BYTES:
-                            finished.append(s)
-                else:
-                    for s in self._streams.values():
-                        rate = s.rate
-                        if rate > 0:
-                            s.remaining_bytes = max(
-                                0.0,
-                                s.remaining_bytes - rate * (now - s.last_update),
-                            )
-                        s.last_update = now
-                        if s.remaining_bytes <= _EPS_BYTES:
-                            finished.append(s)
-                    self._last_settle = now
-                # Batched removal: one reallocation (below) for the
-                # whole same-tick completion batch.
-                for s in finished:
-                    del self._streams[s.stream_id]
-                self._m_active.set(len(self._streams))
-                for s in finished:
-                    self._m_bytes.inc(s.total_bytes)
-                    s.span.set("status", "done").finish()
-                    s.done.succeed(s)
-                if self._streams:
-                    self._reallocate()
-            else:
-                # New stream admitted mid-flight: rates are already
-                # updated, but the per-iteration timer is now stale —
-                # withdraw it so repeated admissions cannot bloat the
-                # event queue with one abandoned Timeout each.
-                if not timer.processed:
-                    self.env.cancel(timer)
+                if rate > 0:
+                    s.remaining_bytes = max(
+                        0.0, s.remaining_bytes - rate * (now - s.last_update)
+                    )
+                s.last_update = now
+                if s.remaining_bytes <= _EPS_BYTES:
+                    finished.append(s)
+            self._last_settle = now
+        # Batched removal: one reallocation (below) for the whole
+        # same-tick completion batch.
+        for s in finished:
+            del self._streams[s.stream_id]
+        self._m_active.set(len(self._streams))
+        for s in finished:
+            self._m_bytes.inc(s.total_bytes)
+            s.span.set("status", "done").finish()
+            s.done.succeed(s)
+        if self._streams:
+            self._reallocate()
+        self._rearm()

@@ -11,9 +11,9 @@
                 yield env.timeout(10)   # hold one unit for 10 s
 
 :class:`Store`
-    An unbounded (or capacity-bounded) FIFO queue of Python objects with
-    blocking ``get``/``put`` events — the building block for task queues
-    and mailboxes between simulated services.
+    An unbounded FIFO queue of Python objects with a blocking ``get``
+    event — the building block for task queues and mailboxes between
+    simulated services.
 """
 
 from __future__ import annotations
@@ -101,19 +101,13 @@ class Resource:
 
 
 class Store:
-    """FIFO object queue with blocking ``put``/``get``.
+    """Unbounded FIFO object queue: ``put`` never blocks, ``get`` blocks
+    until an item is there."""
 
-    ``capacity`` bounds the number of stored items (default unbounded).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -124,11 +118,12 @@ class Store:
         return len(self._getters)
 
     def put(self, item: Any) -> Event:
-        """Event that fires once ``item`` is accepted into the store."""
+        """Add ``item``; returns an event that has already succeeded
+        (the store has no bound to wait on)."""
         self.env.touch(self, "w")
-        ev = Event(self.env)
-        self._putters.append((ev, item))
-        self._dispatch()
+        self.items.append(item)
+        ev = Event(self.env).succeed()
+        self._serve()
         return ev
 
     def get(self) -> Event:
@@ -136,21 +131,12 @@ class Store:
         self.env.touch(self, "w")
         ev = Event(self.env)
         self._getters.append(ev)
-        self._dispatch()
+        self._serve()
         return ev
 
-    def _dispatch(self) -> None:
+    def _serve(self) -> None:
+        """Serve the oldest getters from the head of the buffer."""
         items = self.items
         getters = self._getters
-        putters = self._putters
-        while True:
-            # Move pending puts into the buffer while there is room.
-            while putters and len(items) < self.capacity:
-                ev, item = putters.popleft()
-                items.append(item)
-                ev.succeed()
-            if not (getters and items):
-                return
-            # Serve the oldest getters from the head of the buffer.
-            while getters and items:
-                getters.popleft().succeed(items.popleft())
+        while getters and items:
+            getters.popleft().succeed(items.popleft())

@@ -19,6 +19,12 @@ Fault model (the chaos hooks this subsystem reuses):
   :attr:`StreamPublisher.gate`) reject new sessions and renegotiation
   handshakes, charging the gate's connect timeout, exactly like the
   cloud services.
+
+Each session is one DES process that waits only where time passes or
+the window is empty: for a credit when none is free, then for the
+chunk's fabric ``done`` event.  The chunk's delivery deadline is a
+callback on one timer (:class:`_Deadline`), withdrawn when the chunk
+lands first.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..net import NetworkFabric
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..rng import RngRegistry, lognormal_from_median
-from ..sim import Environment
+from ..sim import Environment, Event
 from ..units import MB
 from .receiver import StreamReceiver
 from .session import FrameChunk, StreamSession, chunk_sizes
@@ -70,6 +76,49 @@ def retry_outages(
             if attempt == max_attempts:
                 raise
             yield env.timeout(next(delays))
+
+
+class _Deadline:
+    """One chunk's delivery deadline, a callback on one timer.
+
+    When the timer fires before the chunk's fabric stream lands, the
+    callback withdraws the stream (:meth:`NetworkFabric.abort`), which
+    fires ``done`` with the partial stream.  A stream still inside its
+    admission-latency window cannot be withdrawn yet: the callback
+    re-arms itself every ``abort_poll_s`` until the withdrawal succeeds
+    or the chunk lands.  A chunk that lands mid-poll is observed at the
+    next poll tick (the publisher waits out :attr:`timer`), never
+    earlier.
+    """
+
+    __slots__ = ("publisher", "done", "timer", "polling", "withdrawn")
+
+    def __init__(self, publisher: "StreamPublisher", done: Event) -> None:
+        self.publisher = publisher
+        self.done = done
+        #: The timer is a poll tick (the stream was not yet admitted).
+        self.polling = False
+        #: The stream was withdrawn before delivery.
+        self.withdrawn = False
+        self.timer = publisher.env.timeout(publisher.chunk_timeout_s)
+        self.timer.callbacks.append(self._expire)
+
+    def _expire(self, timer: Event) -> None:
+        if self.done.triggered:
+            return  # landed during the poll; the publisher reads it now
+        publisher = self.publisher
+        if publisher.fabric.abort(self.done):
+            self.polling = False
+            self.withdrawn = True
+            return
+        self.polling = True
+        self.timer = publisher.env.timeout(publisher.abort_poll_s)
+        self.timer.callbacks.append(self._expire)
+
+    def landed(self) -> None:
+        """The chunk landed before its deadline: withdraw the timer."""
+        if not self.timer.processed:
+            self.publisher.env.cancel(self.timer)
 
 
 class StreamPublisher:
@@ -271,7 +320,9 @@ class StreamPublisher:
             yield from self._handshake()
             seq = 0
             while seq < session.total_chunks:
-                yield receiver.credit(session)
+                credit = receiver.credit(session)
+                if credit is not None:
+                    yield credit  # the window is empty
                 chunk = self._wire_chunk(
                     session, seq, sizes[seq], retries.get(seq, 0)
                 )
@@ -283,35 +334,27 @@ class StreamPublisher:
                 done = self.fabric.transfer(
                     self.src_host, receiver.host, chunk.nbytes, self.efficiency
                 )
-                timer = self.env.timeout(self.chunk_timeout_s)
-                yield self.env.any_of([done, timer])
-                if done.triggered:
-                    if not timer.processed:
-                        self.env.cancel(timer)
+                deadline = _Deadline(self, done)
+                yield done
+                if deadline.polling:
+                    # Landed while its withdrawal was being polled:
+                    # count it delivered at the next poll tick.
+                    yield deadline.timer
+                elif deadline.withdrawn:
+                    # Delivery timeout: the stalled stream was withdrawn.
+                    receiver.refund(session)
+                    session.renegotiations += 1
+                    if self._m_renegotiations is None:
+                        self._m_renegotiations = self._metrics.counter(
+                            "stream.renegotiations"
+                        )
+                    self._m_renegotiations.inc()
+                    yield from self._handshake()
+                    # Resume from the receiver's acknowledged gap pointer.
+                    seq = receiver.ack(session)
+                    continue
                 else:
-                    # Delivery timeout: withdraw the stalled stream.  A
-                    # stream still inside its admission-latency window is
-                    # not yet withdrawable — poll briefly; if the chunk
-                    # lands meanwhile, count it delivered instead.
-                    withdrawn = False
-                    while not done.triggered:
-                        if self.fabric.abort(done):
-                            withdrawn = True
-                            break
-                        yield self.env.timeout(self.abort_poll_s)
-                    if withdrawn:
-                        receiver.refund(session)
-                        session.renegotiations += 1
-                        if self._m_renegotiations is None:
-                            self._m_renegotiations = self._metrics.counter(
-                                "stream.renegotiations"
-                            )
-                        self._m_renegotiations.inc()
-                        yield from self._handshake()
-                        # Resume from the receiver's acknowledged gap
-                        # pointer.
-                        seq = receiver.ack(session)
-                        continue
+                    deadline.landed()
                 verdict = receiver.arrived(session, chunk)
                 if verdict == "nak":
                     # Selective retransmit: re-send this sequence only

@@ -3,30 +3,37 @@
 One :class:`StreamReceiver` lives on a compute host and terminates
 every publisher session targeting it.  Per session it keeps:
 
-* a **credit store** bounding the in-flight window — credits are
-  consumed by the publisher before each send and returned only after
-  the chunk is drained into the node's frame buffer, so a slow
-  consumer blocks the producer (credit-based backpressure);
+* a **credit window** — a counter of free credits plus at most one
+  waiting publisher event.  A credit is taken before each send and
+  returned only after the chunk is drained into the node's frame
+  buffer, so a slow consumer blocks the producer (credit-based
+  backpressure); the publisher waits only when the window is empty;
 * a **sequence ledger** — chunks are accepted exactly once, in order;
   re-sent chunks that were already accepted (renegotiation overlap, a
   withdrawn stream landing late) count as duplicates and refund their
   credit immediately, so the analysis sees each frame exactly once;
-* a **drain process** charging the node-side ingest time
-  (``nbytes / ingest_bytes_per_s``) per accepted chunk, firing the
-  session's ``threshold`` event once the first N chunks have landed
-  (the in-flight analysis kickoff) and ``delivered`` on the last.
+* a **drain** — the in-order run waits in a queue, and one ingest
+  timer at a time charges the node-side ingest time
+  (``nbytes / ingest_bytes_per_s``) of the chunk at its head.  The
+  timer's callback accounts the chunk, returns its credit, fires the
+  session's ``threshold`` event once the first N chunks have drained
+  (the in-flight analysis kickoff) and ``delivered`` on the last, and
+  starts the next chunk.  The ``stream.drain`` span opens in an URGENT
+  zero-delay event when the session opens.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import StreamError
 from ..integrity.digest import chunk_digest
 from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
-from ..sim import Environment, Store
+from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..sim import URGENT, Environment, Event, Timeout
 from .session import FrameChunk, StreamSession, chunk_sizes
 
 __all__ = ["StreamReceiver"]
@@ -36,8 +43,21 @@ __all__ = ["StreamReceiver"]
 class _RxState:
     """Per-session receive bookkeeping."""
 
-    credits: Store
-    arrivals: Store
+    #: The credit window's size.
+    window: int
+    #: Free credits.
+    credits: int
+    #: The publisher's wait for a credit while the window is empty.
+    credit_wait: Optional[Event] = None
+    #: Accepted in-order chunks not yet drained, oldest first.
+    queue: deque[FrameChunk] = field(default_factory=deque)
+    #: The URGENT event that opens the drain span.
+    drain_open: Optional[Event] = None
+    #: The ingest timer of the chunk being drained; None while idle.
+    drain_timer: Optional[Timeout] = None
+    #: The drain timer's callback, bound to this session once.
+    on_ingested: Optional[Callable[[Event], None]] = None
+    span: Any = NULL_SPAN
     #: Next sequence number not yet accepted (the renegotiation ack).
     next_seq: int = 0
     #: Chunks accepted out of order, awaiting their predecessors.
@@ -93,19 +113,27 @@ class StreamReceiver:
 
     # -- session lifecycle -------------------------------------------------
     def open(self, session: StreamSession, window: int) -> None:
-        """Allocate receive state and start the drain process."""
+        """Allocate receive state and schedule the drain span's opening."""
         if session.session_id in self._states:
             raise StreamError(f"session already open: {session.session_id!r}")
         if window < 1:
             raise StreamError(f"window must be >= 1, got {window}")
-        credits = Store(self.env, capacity=window)
-        for _ in range(window):
-            credits.put(1)
-        state = _RxState(credits=credits, arrivals=Store(self.env))
+        state = _RxState(window=window, credits=window)
         if session.declared_digest is not None:
             state.sizes = chunk_sizes(session.total_bytes, session.chunk_bytes)
+        state.on_ingested = functools.partial(self._ingested, session, state)
         self._states[session.session_id] = state
-        self.env.process(self._drain(session, state))
+        self.env.touch(state, "w")
+        # The drain span opens in an URGENT zero-delay event, the slot a
+        # process start takes, not here: span ids count span starts, and
+        # opening it now would move it ahead of the spans the rest of
+        # this firing opens.
+        opener = Event(self.env)
+        opener._ok = True
+        opener._value = None
+        opener.callbacks.append(functools.partial(self._open_drain, session, state))
+        self.env.schedule(opener, priority=URGENT)
+        state.drain_open = opener
 
     def _state(self, session: StreamSession) -> _RxState:
         try:
@@ -116,15 +144,36 @@ class StreamReceiver:
             ) from None
 
     # -- publisher-facing protocol ----------------------------------------
-    def credit(self, session: StreamSession):
-        """Event firing when a window credit is available (consume it
-        before sending a chunk)."""
-        return self._state(session).credits.get()
+    def credit(self, session: StreamSession) -> Optional[Event]:
+        """Take a window credit before sending a chunk.
+
+        Returns ``None`` when a credit was free (it is taken at once);
+        otherwise the window is empty, and the returned event fires when
+        a credit comes back, already taken for the caller.
+        """
+        state = self._state(session)
+        self.env.touch(state, "w")
+        if state.credits:
+            state.credits -= 1
+            return None
+        wait = Event(self.env)
+        state.credit_wait = wait
+        return wait
 
     def refund(self, session: StreamSession) -> None:
         """Return the credit of a chunk that was withdrawn before
         delivery (the publisher re-acquires one for the resend)."""
-        self._state(session).credits.put(1)
+        self._return_credit(self._state(session))
+
+    def _return_credit(self, state: _RxState) -> None:
+        """Hand a credit to the waiting publisher, or free it."""
+        self.env.touch(state, "w")
+        wait = state.credit_wait
+        if wait is None:
+            state.credits += 1
+        else:
+            state.credit_wait = None
+            wait.succeed()
 
     def ack(self, session: StreamSession) -> int:
         """The next sequence number this receiver needs — the resume
@@ -134,7 +183,7 @@ class StreamReceiver:
     def in_flight(self, session: StreamSession) -> int:
         """Chunks currently holding a window credit."""
         state = self._state(session)
-        return int(state.credits.capacity) - len(state.credits.items)
+        return state.window - state.credits
 
     def arrived(self, session: StreamSession, chunk: FrameChunk) -> str:
         """A chunk's fabric stream completed: verify, accept, or reject.
@@ -154,7 +203,7 @@ class StreamReceiver:
             if self._m_duplicates is None:
                 self._m_duplicates = self._metrics.counter("stream.duplicates")
             self._m_duplicates.inc()
-            state.credits.put(1)
+            self._return_credit(state)
             return "duplicate"
         if session.declared_digest is not None and state.sizes is not None:
             expected_nbytes = state.sizes[chunk.seq]
@@ -178,7 +227,7 @@ class StreamReceiver:
                         seq=chunk.seq,
                         session_id=session.session_id,
                     )
-                state.credits.put(1)
+                self._return_credit(state)
                 return "nak"
             if chunk.seq in state.nak_seqs:
                 # A previously NAK'd sequence verified on retransmit.
@@ -202,36 +251,58 @@ class StreamReceiver:
         # Release the contiguous run into the drain queue.  The walk is
         # counter-driven (not an iteration over the mutating dict), so
         # arrival order cannot leak into delivery order.
+        queue = state.queue
         while state.next_seq in state.pending:
-            state.arrivals.put(state.pending.pop(state.next_seq))
+            self.env.touch(queue, "w")
+            queue.append(state.pending.pop(state.next_seq))
             state.next_seq += 1
+        if state.drain_timer is None:
+            self._ingest_next(session, state)
         return "accepted"
 
     # -- node-side drain ---------------------------------------------------
-    def _drain(self, session: StreamSession, state: _RxState):
-        span = (
+    def _open_drain(self, session: StreamSession, state: _RxState, event: Event) -> None:
+        """Open the session's ``stream.drain`` span."""
+        state.span = (
             self.tracer.start("stream.drain")
             .set("session_id", session.session_id)
             .set("host", self.host)
         )
-        try:
-            while state.drained < session.total_chunks:
-                chunk = yield state.arrivals.get()
-                if self.ingest_bytes_per_s > 0 and chunk.nbytes > 0:
-                    yield self.env.timeout(chunk.nbytes / self.ingest_bytes_per_s)
-                state.drained += 1
-                self._m_chunks.inc()
-                self._m_bytes.inc(chunk.nbytes)
-                if (
-                    state.drained >= session.threshold_chunks
-                    and session.threshold_at is None
-                ):
-                    session.threshold_at = self.env.now
-                    session.threshold.succeed(session)
-                state.credits.put(1)
+        self.env.touch(state.queue, "w")
+
+    def _ingest_next(self, session: StreamSession, state: _RxState) -> None:
+        """The drain is idle: start ingesting the chunk at the head of
+        the queue (a chunk with no ingest charge drains at once)."""
+        queue = state.queue
+        self.env.touch(queue, "w")
+        while queue:
+            chunk = queue.popleft()
+            if self.ingest_bytes_per_s > 0 and chunk.nbytes > 0:
+                timer = self.env.timeout(chunk.nbytes / self.ingest_bytes_per_s, chunk)
+                timer.callbacks.append(state.on_ingested)
+                state.drain_timer = timer
+                return
+            self._drained(session, state, chunk)
+
+    def _ingested(self, session: StreamSession, state: _RxState, timer: Event) -> None:
+        """The ingest timer fired: account its chunk, start the next."""
+        state.drain_timer = None
+        self._drained(session, state, timer.value)
+        if state.drained < session.total_chunks:
+            self._ingest_next(session, state)
+
+    def _drained(self, session: StreamSession, state: _RxState, chunk: FrameChunk) -> None:
+        """Account one drained chunk and return its credit."""
+        state.drained += 1
+        self._m_chunks.inc()
+        self._m_bytes.inc(chunk.nbytes)
+        if state.drained >= session.threshold_chunks and session.threshold_at is None:
+            session.threshold_at = self.env.now
+            session.threshold.succeed(session)
+        self._return_credit(state)
+        if state.drained == session.total_chunks:
             session.last_chunk_at = self.env.now
             session.status = "DELIVERED"
-            span.set("chunks", state.drained)
+            state.span.set("chunks", state.drained)
             session.delivered.succeed(session)
-        finally:
-            span.finish()
+            state.span.finish()

@@ -19,6 +19,12 @@ the repository root::
 
     PYTHONPATH=src python -c "from tests.golden_capture import record_all; \\
         record_all('tests/goldens')"
+
+A change that only removes zero-delay events re-records the goldens
+under a rule instead of byte identity: :func:`golden_fingerprint` is
+what each golden must keep, and ``tests/goldens/fingerprints.json``
+(written by :func:`write_fingerprints` on the code before the change)
+is what the re-recorded goldens are checked against.
 """
 
 from __future__ import annotations
@@ -32,21 +38,26 @@ from dataclasses import asdict
 from typing import Any
 
 __all__ = [
+    "FINGERPRINTS",
     "GOLDEN_SPECS",
+    "HOP_KINDS",
+    "TIMED_KINDS",
     "capture_golden",
+    "golden_fingerprint",
     "golden_filename",
     "read_golden",
     "record_all",
     "stream_outcome",
+    "write_fingerprints",
     "write_golden",
 ]
 
 #: The shipped campaign set the bit-identity gate covers: both Sec. 3.3
 #: use cases clean, plus one chaos scenario, for three seeds and both
 #: same-tick tie-breaks, all on the file path; then the streaming path
-#: clean and under the three scenarios that exercise it.  Each spec is
-#: ``(kind, use_case, seed, tiebreak, ingest)`` where ``kind`` is
-#: ``"campaign"`` or a chaos scenario name.
+#: clean and under the three scenarios that exercise it, seed 1, under
+#: both tie-breaks.  Each spec is ``(kind, use_case, seed, tiebreak,
+#: ingest)`` where ``kind`` is ``"campaign"`` or a chaos scenario name.
 GOLDEN_SPECS: tuple[tuple[str, str, int, str, str], ...] = tuple(
     (kind, uc, seed, tiebreak, "file")
     for kind, uc in (
@@ -57,7 +68,8 @@ GOLDEN_SPECS: tuple[tuple[str, str, int, str, str], ...] = tuple(
     for seed in (1, 2, 3)
     for tiebreak in ("fifo", "lifo")
 ) + tuple(
-    (kind, uc, 1, "fifo", "stream")
+    (kind, uc, 1, tiebreak, "stream")
+    for tiebreak in ("fifo", "lifo")
     for kind, uc in (
         ("campaign", "hyperspectral"),
         ("campaign", "spatiotemporal"),
@@ -66,6 +78,21 @@ GOLDEN_SPECS: tuple[tuple[str, str, int, str, str], ...] = tuple(
         ("corruption", "hyperspectral"),
     )
 )
+
+
+#: Event kinds whose dispatch lines a change that only removes
+#: zero-delay hops must leave untouched, line for line: every timed wait
+#: (``Timeout``), every flow-level join (``AllOf``) and every compute
+#: node grant (``Request``).
+TIMED_KINDS = ("Timeout", "AllOf", "Request")
+
+#: Event kinds that such a change may remove but never add: process
+#: starts and exits, ``any_of`` wake-ups and bare events.
+HOP_KINDS = ("Initialize", "Process", "AnyOf", "Event")
+
+#: The fingerprint of every golden as recorded before the stream path's
+#: zero-delay hops became timer callbacks (see :func:`golden_fingerprint`).
+FINGERPRINTS = os.path.join(os.path.dirname(__file__), "goldens", "fingerprints.json")
 
 
 def golden_filename(
@@ -174,6 +201,50 @@ def write_golden(path: str, payload: dict[str, Any]) -> None:
 def read_golden(path: str) -> dict[str, Any]:
     with gzip.open(path, "rt", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def golden_fingerprint(payload: dict[str, Any]) -> dict[str, Any]:
+    """What a golden must keep when only zero-delay hops are removed.
+
+    * ``outcome_sha256`` — the payload without ``events``: Table 1,
+      Fig. 4, ``campaign_trace``, the span count and hash, session
+      records, quarantines, indexed subjects and the breakdown;
+    * ``timed_sha256`` — the :data:`TIMED_KINDS` lines of the event
+      trace, in order: every timer fires at the same time and in the
+      same order;
+    * ``events`` and ``kinds`` — the event count, in total and per kind.
+    """
+    outcome = {k: v for k, v in payload.items() if k != "events"}
+    raw = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
+    kinds: dict[str, int] = {}
+    timed = []
+    for line in payload["events"]:
+        kind = line.rsplit(" ", 1)[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind in TIMED_KINDS:
+            timed.append(line)
+    return {
+        "outcome_sha256": hashlib.sha256(raw.encode("utf-8")).hexdigest(),
+        "timed_sha256": hashlib.sha256("\n".join(timed).encode("utf-8")).hexdigest(),
+        "events": len(payload["events"]),
+        "kinds": dict(sorted(kinds.items())),
+    }
+
+
+def write_fingerprints(path: str = FINGERPRINTS) -> dict[str, Any]:
+    """Capture every :data:`GOLDEN_SPECS` campaign on the ``repro`` on
+    the import path and write its :func:`golden_fingerprint` to
+    ``path``, keyed by golden name."""
+    table = {
+        golden_filename(*spec)[: -len(".json.gz")]: golden_fingerprint(
+            capture_golden(*spec)
+        )
+        for spec in GOLDEN_SPECS
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return table
 
 
 def record_all(directory: str) -> list[str]:

@@ -99,3 +99,27 @@ def test_invalid_setting_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, use_case, window",
+    [
+        (["campaign", "hyperspectral", "--duration", "30"], "hyperspectral", "30 s"),
+        (["campaign", "spatiotemporal", "--duration", "300"], "spatiotemporal", "300 s"),
+        (["trace", "spatiotemporal", "--duration", "300"], "spatiotemporal", "300 s"),
+        (["sweep", "campaign", "--seeds", "1", "--duration", "30"], "hyperspectral", "30 s"),
+    ],
+    ids=["campaign-hyperspectral", "campaign-spatiotemporal", "trace", "sweep"],
+)
+def test_window_without_a_completed_run_is_a_usage_error(
+    argv, use_case, window, capsys, tmp_path, monkeypatch
+):
+    """A window too short for any flow run to complete has no Table 1
+    row or run summary: one stderr line naming the use case and the
+    window, exit 2, instead of a ``ValueError`` traceback."""
+    monkeypatch.chdir(tmp_path)  # `trace` writes under ./trace_out
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert use_case in line and window in line

@@ -16,6 +16,14 @@ Stream-mode goldens (``stream-*``) pin each session's terminal record,
 the quarantine list and the indexed subjects in place of Table 1 /
 Fig. 4, which stream campaigns do not produce.
 
+The goldens were re-recorded once, when the stream path's zero-delay
+hops (fabric admission and scheduler wake-ups, the per-chunk
+``any_of``, the receiver's drain process and ``Store``s) became timer
+callbacks.  ``tests/goldens/fingerprints.json`` holds each golden's
+fingerprint from before that change, and every golden must still obey
+the rule it states: the same outcome, the same timed lines, and fewer
+events with no hop kind rising.
+
 A short traced campaign per ingest mode is also replayed in two
 subprocesses under different ``PYTHONHASHSEED`` values: string-keyed
 dicts on the hot path (the fabric's route memo among them) must not let
@@ -38,7 +46,13 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 _PARAMS = ("kind", "use_case", "seed", "tiebreak", "ingest")
 _SPECS = golden_capture.GOLDEN_SPECS
-_IDS = [golden_capture.golden_filename(*spec)[: -len(".json.gz")] for spec in _SPECS]
+
+
+def _name(*spec) -> str:
+    return golden_capture.golden_filename(*spec)[: -len(".json.gz")]
+
+
+_IDS = [_name(*spec) for spec in _SPECS]
 
 
 def _load(*spec) -> dict:
@@ -51,6 +65,29 @@ def test_golden_set_is_complete():
     recorded = sorted(f for f in os.listdir(GOLDEN_DIR) if f.endswith(".json.gz"))
     expected = sorted(golden_capture.golden_filename(*spec) for spec in _SPECS)
     assert recorded == expected
+
+
+@pytest.mark.parametrize(_PARAMS, _SPECS, ids=_IDS)
+def test_golden_keeps_outcome_and_timers(kind, use_case, seed, tiebreak, ingest):
+    """The rule the re-recorded goldens obey against their fingerprints
+    from before the hops were removed: the payload without ``events``
+    hashes the same; the ``Timeout``, ``AllOf`` and ``Request`` lines
+    hash the same, so every timer fires at the same time and in the
+    same order; there are fewer events, no new kind, and no
+    ``Initialize``, ``Process``, ``AnyOf`` or ``Event`` count rises."""
+    with open(golden_capture.FINGERPRINTS, encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert sorted(table) == sorted(_IDS)
+    spec = (kind, use_case, seed, tiebreak, ingest)
+    before = table[_name(*spec)]
+    after = golden_capture.golden_fingerprint(_load(*spec))
+    assert after["outcome_sha256"] == before["outcome_sha256"]
+    assert after["timed_sha256"] == before["timed_sha256"]
+    assert after["events"] < before["events"]
+    allowed = set(golden_capture.TIMED_KINDS) | set(golden_capture.HOP_KINDS)
+    assert set(after["kinds"]) <= allowed
+    for hop in golden_capture.HOP_KINDS:
+        assert after["kinds"].get(hop, 0) <= before["kinds"].get(hop, 0), hop
 
 
 @pytest.mark.parametrize(_PARAMS, _SPECS, ids=_IDS)

@@ -160,34 +160,6 @@ def test_store_get_blocks_until_put():
     assert out == [(42, "late")]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env, store):
-        yield store.put("a")
-        log.append(("put-a", env.now))
-        yield store.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env, store):
-        yield env.timeout(10)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert log == [("put-a", 0), ("got", "a", 10), ("put-b", 10)]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),

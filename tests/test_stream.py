@@ -209,6 +209,33 @@ def test_blackout_renegotiation_delivers_exactly_once():
     assert session.naks == 0 and session.gaps == 0
 
 
+def test_deadline_inside_admission_window_polls_until_landing():
+    """A chunk whose delivery deadline expires while its stream is still
+    inside the path-latency admission window cannot be withdrawn: the
+    publisher re-polls every ``abort_poll_s``.  A chunk that lands
+    mid-poll is observed at the next poll tick, not when it lands, so
+    every arrival time below sits on the poll grid."""
+    env = Environment()
+    topo = Topology()
+    topo.add_node("inst")
+    topo.add_node("node")
+    topo.add_link("inst", "node", Gbps(1), latency_s=1.0)
+    fabric = NetworkFabric(env, topo)
+    receiver = StreamReceiver(env, host="node")
+    publisher = StreamPublisher(
+        env, fabric, receiver, src_host="inst",
+        chunk_bytes=MB(1), chunk_timeout_s=0.5, abort_poll_s=0.05,
+    )
+    session = publisher.start("/acq.emd", MB(4))
+    env.run()
+    assert session.status == "DELIVERED"
+    assert session.renegotiations == 2
+    assert session.chunks_sent == 6
+    assert session.duplicates == 0
+    assert session.first_chunk_at == 3.1855626319072914
+    assert session.last_chunk_at == 6.335562631907286
+
+
 # -- chunk verification: NAK + selective retransmit --------------------------
 
 
