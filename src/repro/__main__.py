@@ -87,8 +87,9 @@ def _cmd_quicklook(args: argparse.Namespace) -> int:
     from .instrument import PicoProbe
     from .rng import RngRegistry
 
+    rngs = RngRegistry(args.seed)  # a bad seed exits 2 before anything is written
     os.makedirs(args.output, exist_ok=True)
-    probe = PicoProbe(RngRegistry(args.seed), operator="cli-user")
+    probe = PicoProbe(rngs, operator="cli-user")
     signal, _ = probe.acquire_hyperspectral(shape=(128, 128), n_channels=1024)
     emd = os.path.join(args.output, f"{signal.metadata.acquisition_id}.emd")
     write_emd(emd, signal, compression="zlib")

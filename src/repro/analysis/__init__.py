@@ -17,7 +17,7 @@ from .hyperspectral import (
     sum_spectrum,
 )
 from .labeling import LabeledFrame, LabelingSpec, hand_label, split_9_3_1
-from .metadata import build_search_document, extract_metadata, metadata_tree
+from .metadata import build_search_document
 from .metrics import Box, average_precision, iou, iou_matrix, map_range, match_greedy
 from .tracking import IouTracker, Track, count_series
 from .video import annotate_video, movie_to_uint8, read_video, video_info, write_video
@@ -29,8 +29,6 @@ __all__ = [
     "ElementHit",
     "intensity_figure_svg",
     "spectrum_figure_svg",
-    "extract_metadata",
-    "metadata_tree",
     "build_search_document",
     "BlobDetector",
     "Detection",

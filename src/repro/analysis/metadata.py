@@ -6,87 +6,22 @@ collection date and time; acquisition instrument (i.e., microscope)
 details, such as stage and detector positions, beam energy, and
 magnification; and other information, such as software versioning."
 
-:func:`extract_metadata` re-implements that parse over our EMD files
-(walking the container, decoding the JSON payload) and
+:meth:`repro.emd.EmdFile.metadata` re-implements that parse over our
+EMD files (walking the container, decoding the JSON payload), and
 :func:`build_search_document` turns the result into the DataCite-style
-record the publication step ingests.
+record the publication step ingests.  The record's ``experiment``
+section is what the portal's Fig. 2C metadata table shows.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
-from ..emd import AcquisitionMetadata, EmdFile
+from ..emd import AcquisitionMetadata
 from ..errors import FormatError
 from ..search.datacite import make_record
 
-__all__ = ["extract_metadata", "metadata_tree", "build_search_document"]
-
-
-def extract_metadata(source: "str | os.PathLike | EmdFile") -> AcquisitionMetadata:
-    """Parse an EMD file's embedded experiment metadata."""
-    if isinstance(source, EmdFile):
-        return source.metadata()
-    with EmdFile(source) as f:
-        return f.metadata()
-
-
-def metadata_tree(md: AcquisitionMetadata) -> dict[str, Any]:
-    """A HyperSpy-style nested metadata dictionary.
-
-    Mirrors the tree layout HyperSpy exposes
-    (``General`` / ``Acquisition_instrument`` / ``Sample`` / ``Signal``),
-    which is what the portal's Fig. 2C table and downstream tools expect.
-    """
-    mic = md.microscope
-    return {
-        "General": {
-            "title": md.acquisition_id,
-            "date": md.acquired_at_iso.split("T")[0] if md.acquired_at_iso else "",
-            "time": md.acquired_at_iso.split("T")[1] if "T" in md.acquired_at_iso else "",
-            "operator": md.operator,
-            "software_version": md.software_version,
-        },
-        "Acquisition_instrument": {
-            "TEM": {
-                "microscope": mic.instrument,
-                "beam_energy_kev": mic.beam_energy_kev,
-                "probe_size_pm": mic.probe_size_pm,
-                "magnification": mic.magnification,
-                "camera_length_mm": mic.camera_length_mm,
-                "vacuum_environment": mic.vacuum_environment,
-                "Stage": {
-                    "x_um": mic.stage.x_um,
-                    "y_um": mic.stage.y_um,
-                    "z_um": mic.stage.z_um,
-                    "tilt_alpha_deg": mic.stage.alpha_deg,
-                    "tilt_beta_deg": mic.stage.beta_deg,
-                },
-                "Detectors": [
-                    {
-                        "name": d.name,
-                        "kind": d.kind,
-                        "solid_angle_sr": d.solid_angle_sr,
-                        "energy_resolution_ev": d.energy_resolution_ev,
-                        "enabled": d.enabled,
-                    }
-                    for d in mic.detectors
-                ],
-            }
-        },
-        "Sample": {
-            "name": md.sample.name,
-            "description": md.sample.description,
-            "elements": list(md.sample.elements),
-            "preparation": md.sample.preparation,
-        },
-        "Signal": {
-            "signal_type": md.signal_type,
-            "shape": list(md.shape),
-            "dtype": md.dtype,
-        },
-    }
+__all__ = ["build_search_document"]
 
 
 def build_search_document(

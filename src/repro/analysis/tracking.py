@@ -36,14 +36,6 @@ class Track:
         return self.boxes[-1][1]
 
     @property
-    def first_frame(self) -> int:
-        return self.boxes[0][0]
-
-    @property
-    def last_frame(self) -> int:
-        return self.boxes[-1][0]
-
-    @property
     def length(self) -> int:
         return len(self.boxes)
 

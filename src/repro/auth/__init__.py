@@ -8,15 +8,13 @@ service call carries (and validates) credentials exactly like the real
 data flows do.
 """
 
-from .identity import AuthClient, Identity, Token, TokenStore
-from .authorizer import AccessPolicy, Authorizer, ScopeAuthorizer
+from .identity import AuthClient, Identity, Token
+from .authorizer import AccessPolicy, ScopeAuthorizer
 
 __all__ = [
     "Identity",
     "Token",
-    "TokenStore",
     "AuthClient",
-    "Authorizer",
     "ScopeAuthorizer",
     "AccessPolicy",
 ]

@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from ..errors import PermissionDenied
 from .identity import AuthClient, Identity, Token
 
-__all__ = ["Authorizer", "ScopeAuthorizer", "AccessPolicy"]
-
-
-class Authorizer(Protocol):
-    """Anything that can authenticate a token into an identity."""
-
-    def authorize(self, token: Token, now: float) -> Identity:  # pragma: no cover
-        ...
+__all__ = ["ScopeAuthorizer", "AccessPolicy"]
 
 
 class ScopeAuthorizer:

@@ -10,12 +10,12 @@ environment's ``now``), keeping this module free of wall-clock coupling.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import AuthError, PermissionDenied
 
-__all__ = ["Identity", "Token", "TokenStore", "AuthClient"]
+__all__ = ["Identity", "Token", "AuthClient"]
 
 #: Canonical scope names used by the data-flow services, mirroring the
 #: Globus service scopes the paper's stack requests.
@@ -65,33 +65,6 @@ class Token:
         return scope in self.scopes
 
 
-class TokenStore:
-    """Client-side token cache with transparent refresh.
-
-    The paper's lightweight watcher application holds long-lived refresh
-    credentials and mints fresh access tokens as needed; this mirrors
-    that: :meth:`get` returns a valid token for the scope, refreshing
-    through the :class:`AuthClient` when the cached one is near expiry.
-    """
-
-    #: Refresh when less than this many seconds of validity remain.
-    REFRESH_MARGIN = 60.0
-
-    def __init__(self, client: "AuthClient", identity: Identity) -> None:
-        self._client = client
-        self.identity = identity
-        self._cache: dict[frozenset[str], Token] = {}
-
-    def get(self, scopes: Iterable[str], now: float) -> Token:
-        """A valid token covering ``scopes`` at time ``now``."""
-        key = frozenset(scopes)
-        tok = self._cache.get(key)
-        if tok is None or tok.expires_at - now < self.REFRESH_MARGIN:
-            tok = self._client.issue_token(self.identity, key, now)
-            self._cache[key] = tok
-        return tok
-
-
 class AuthClient:
     """The identity provider: registers identities, issues and validates
     tokens, supports revocation."""
@@ -119,12 +92,6 @@ class AuthClient:
         ident = Identity(username=username, organization=organization, is_robot=is_robot)
         self._identities[username] = ident
         return ident
-
-    def get_identity(self, username: str) -> Identity:
-        try:
-            return self._identities[username]
-        except KeyError:
-            raise AuthError(f"unknown identity: {username!r}") from None
 
     # -- token lifecycle ------------------------------------------------------
     def issue_token(

@@ -6,7 +6,7 @@ reuse dynamics — the "Data Analysis" step of every flow (Sec. 2.2.2).
 """
 
 from .endpoint import ComputeEndpoint, TaskOutcome
-from .function import FunctionRegistry, RegisteredFunction, constant_cost
+from .function import FunctionRegistry, RegisteredFunction
 from .scheduler import BatchScheduler, Node
 from .service import ComputeService, ComputeTask, ComputeTaskStatus
 
@@ -20,5 +20,4 @@ __all__ = [
     "Node",
     "FunctionRegistry",
     "RegisteredFunction",
-    "constant_cost",
 ]

@@ -14,23 +14,14 @@ the Fig. 4 compute-phase breakdown mechanistic rather than curve-fit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import FunctionNotRegistered
 
-__all__ = ["RegisteredFunction", "FunctionRegistry", "constant_cost"]
+__all__ = ["RegisteredFunction", "FunctionRegistry"]
 
 CostModel = Callable[[tuple, dict], float]
-
-
-def constant_cost(seconds: float) -> CostModel:
-    """A cost model that charges a fixed duration per invocation."""
-
-    def model(args: tuple, kwargs: dict) -> float:
-        return float(seconds)
-
-    return model
 
 
 @dataclass(frozen=True)
@@ -59,20 +50,16 @@ class FunctionRegistry:
     def register(
         self,
         fn: Callable[..., Any],
-        cost_model: Optional[CostModel] = None,
+        cost_model: CostModel,
         name: Optional[str] = None,
     ) -> str:
-        """Register ``fn``; returns its function id.
-
-        ``cost_model`` defaults to a zero-cost model (useful for
-        negligible publication helpers).
-        """
+        """Register ``fn`` with its cost model; returns its function id."""
         func_id = f"func-{next(self._ids):04d}"
         self._functions[func_id] = RegisteredFunction(
             function_id=func_id,
             name=name or getattr(fn, "__name__", "anonymous"),
             fn=fn,
-            cost_model=cost_model or constant_cost(0.0),
+            cost_model=cost_model,
         )
         return func_id
 

@@ -9,7 +9,7 @@ the exact interaction pattern of Sec. 2.2.2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generator, Optional
 
@@ -49,20 +49,6 @@ class ComputeTask:
     status: ComputeTaskStatus = ComputeTaskStatus.PENDING
     outcome: Optional[TaskOutcome] = None
     completed_at: Optional[float] = None
-
-    def snapshot(self) -> dict:
-        doc = {
-            "task_id": self.task_id,
-            "status": self.status.value,
-            "endpoint": self.endpoint,
-            "function_id": self.function_id,
-        }
-        if self.outcome is not None:
-            doc["result"] = self.outcome.result
-            doc["error"] = self.outcome.error
-            doc["node_id"] = self.outcome.node_id
-            doc["cold_start"] = self.outcome.cold_start
-        return doc
 
 
 class ComputeService:
@@ -113,10 +99,10 @@ class ComputeService:
     def register_function(
         self,
         fn: Callable[..., Any],
-        cost_model: Optional[CostModel] = None,
+        cost_model: CostModel,
         name: Optional[str] = None,
     ) -> str:
-        """Register ``fn`` with an optional simulated cost model."""
+        """Register ``fn`` with its simulated cost model."""
         return self.functions.register(fn, cost_model, name)
 
     # -- client API ---------------------------------------------------------------
@@ -162,15 +148,9 @@ class ComputeService:
         self.env.process(self._drive(task, ep, func, args, kwargs, span))
         return task.task_id
 
-    def get_task(self, token: Token, task_id: str) -> dict:
-        """Poll task status/result (authenticated)."""
-        self.authorizer.authorize(token, self.env.now)
-        try:
-            return self._tasks[task_id].snapshot()
-        except KeyError:
-            raise ComputeError(f"unknown task: {task_id!r}") from None
-
     def task_record(self, task_id: str) -> ComputeTask:
+        """The task record by id, which the compute provider and the
+        stream launch poll for status and outcome."""
         self.check_available()
         try:
             return self._tasks[task_id]

@@ -351,12 +351,7 @@ def run_campaign(
     definition: Optional[FlowDefinition] = None
     publisher = None
     if config.ingest == "stream":
-        from ..stream import (
-            StreamIngestActionProvider,
-            StreamIngestApp,
-            StreamPublisher,
-            StreamReceiver,
-        )
+        from ..stream import StreamIngestApp, StreamPublisher, StreamReceiver
 
         receiver = StreamReceiver(
             env,
@@ -381,7 +376,6 @@ def run_campaign(
             # so at-rest rot mid-session surfaces on the wire.
             publisher.source_fs = tb.user_fs
         app = StreamIngestApp(tb, publisher, function_id, ledger=ledger)
-        tb.flows.register_provider(StreamIngestActionProvider(app))
     else:
         if config.compression is not None:
             tb.flows.register_provider(

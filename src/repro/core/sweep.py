@@ -165,12 +165,22 @@ def render_sweep(outcomes: Sequence[SweepOutcome]) -> str:
 
 
 def run_sweep_cli(args: Any) -> int:
-    """The ``python -m repro sweep`` entry point.  The grid is checked
-    before any worker starts; an invalid cell raises and
-    :func:`repro.__main__.main` exits 2."""
+    """The ``python -m repro sweep`` entry point.  The arguments and the
+    grid are checked before any campaign runs; an invalid one raises
+    :class:`~repro.errors.ConfigError` and :func:`repro.__main__.main`
+    exits 2."""
     import json
     import time
 
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--seeds must be comma-separated integers, got {args.seeds!r}"
+        ) from None
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if args.grid == "campaign":
         scenarios = [NO_CHAOS]
     elif args.scenarios:
@@ -180,10 +190,9 @@ def run_sweep_cli(args: Any) -> int:
     configs = sweep_grid(
         scenarios,
         use_cases=args.use_cases.split(","),
-        seeds=[int(s) for s in args.seeds.split(",")],
+        seeds=seeds,
         duration_s=args.duration,
     )
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.perf_counter()
     outcomes = run_sweep(configs, jobs=jobs)
     wall = time.perf_counter() - t0

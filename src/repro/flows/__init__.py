@@ -6,8 +6,8 @@ executor with the paper's exponential polling backoff, and Gladier-style
 tool composition.
 """
 
-from .action import SCHEMA_TYPES, ActionProvider, ActionState, ActionStatus, check_body
-from .backoff import PAPER_BACKOFF, ConstantBackoff, ExponentialBackoff
+from .action import ActionProvider, ActionState, ActionStatus, check_body
+from .backoff import PAPER_BACKOFF, ExponentialBackoff
 from .definition import FlowDefinition, FlowState, resolve_template
 from .gladier import GladierClient, GladierTool
 from .providers import (
@@ -22,7 +22,7 @@ from .retry import (
     DeadLetter,
     RetryPolicy,
 )
-from .run import FlowRun, FlowRunSnapshot, RunStatus, StepRecord
+from .run import FlowRun, RunStatus, StepRecord
 from .service import FlowsService
 
 __all__ = [
@@ -31,16 +31,13 @@ __all__ = [
     "resolve_template",
     "FlowsService",
     "FlowRun",
-    "FlowRunSnapshot",
     "RunStatus",
     "StepRecord",
     "ActionProvider",
     "ActionState",
     "ActionStatus",
-    "SCHEMA_TYPES",
     "check_body",
     "ExponentialBackoff",
-    "ConstantBackoff",
     "PAPER_BACKOFF",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",

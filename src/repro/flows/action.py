@@ -21,9 +21,11 @@ Every provider declares two **literal** class attributes so the
     ``ActionStatus.result`` on success — exactly the keys downstream
     states may reference as ``$.states.<Name>.<key>``.
 
-Types come from :data:`SCHEMA_TYPES`.  Both dicts must be written as
-plain string literals: the analyzer reads them by AST scan, never by
-importing the module (see :func:`repro.lint.discover_provider_schemas`).
+Types are ``str``, ``int``, ``float``, ``bool``, ``dict``, ``list``,
+``number`` (int or float) and ``any`` (not checked).  Both dicts must
+be written as plain string literals: the analyzer reads them by AST
+scan, never by importing the module (see
+:func:`repro.lint.discover_provider_schemas`).
 :func:`check_body` applies the same contract dynamically for providers
 that want an early, readable error instead of a ``KeyError``.
 """
@@ -38,15 +40,8 @@ __all__ = [
     "ActionState",
     "ActionStatus",
     "ActionProvider",
-    "SCHEMA_TYPES",
     "check_body",
 ]
-
-#: The type vocabulary for input/output schema declarations.  ``any``
-#: opts a key out of type checking; ``number`` accepts int and float.
-SCHEMA_TYPES = frozenset(
-    {"str", "int", "float", "bool", "dict", "list", "number", "any"}
-)
 
 
 def check_body(

@@ -4,7 +4,8 @@ The paper attributes its flow-orchestration overhead (49.2% of median
 hyperspectral runtime, 21.1% spatiotemporal) to "an exponential polling
 backoff policy that starts at 1 second and doubles up to 10 minutes".
 :class:`ExponentialBackoff` is that policy; the executor restarts it for
-each action (each flow step), as Globus Flows does.
+each action (each flow step), as Globus Flows does.  Constant polling is
+the same policy with ``factor=1`` and ``max_interval=initial``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any, Iterator, Optional
 
 from ..errors import FlowError
 
-__all__ = ["ExponentialBackoff", "PAPER_BACKOFF", "ConstantBackoff"]
+__all__ = ["ExponentialBackoff", "PAPER_BACKOFF"]
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,6 @@ class ExponentialBackoff:
             else:
                 yield current
             current = min(current * self.factor, self.max_interval)
-
-
-@dataclass(frozen=True)
-class ConstantBackoff:
-    """Fixed-interval polling (the obvious overhead fix; used by the
-    ablation bench to quantify what the paper's backoff costs)."""
-
-    interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.interval):
-            raise FlowError(f"interval must be finite, got {self.interval}")
-        if self.interval <= 0:
-            raise FlowError(f"interval must be positive, got {self.interval}")
-
-    def intervals(self, rng: Optional[Any] = None) -> Iterator[float]:
-        while True:
-            yield self.interval
 
 
 #: The policy described in Sec. 3.3.

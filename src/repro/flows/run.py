@@ -9,7 +9,7 @@ from typing import Any, Optional
 from ..sim import Event
 from .retry import AttemptRecord
 
-__all__ = ["RunStatus", "StepRecord", "FlowRun", "FlowRunSnapshot"]
+__all__ = ["RunStatus", "StepRecord", "FlowRun"]
 
 
 class RunStatus(str, Enum):
@@ -63,33 +63,6 @@ class StepRecord:
         return max(0.0, self.observed_seconds - self.active_seconds)
 
 
-@dataclass(frozen=True)
-class FlowRunSnapshot:
-    """Point-in-time timing view of a run (terminal or in flight).
-
-    For an in-flight run the aggregates are computed up to the ``as_of``
-    timestamp rather than collapsing to 0.0 — the bug this type fixes:
-    mid-campaign queries used to report ``runtime_seconds == 0.0`` and
-    ``overhead_fraction == 0.0`` for every ACTIVE run.
-    """
-
-    run_id: str
-    status: RunStatus
-    as_of: float
-    runtime_seconds: float
-    active_seconds: float
-    in_flight: bool
-
-    @property
-    def overhead_seconds(self) -> float:
-        return max(0.0, self.runtime_seconds - self.active_seconds)
-
-    @property
-    def overhead_fraction(self) -> float:
-        rt = self.runtime_seconds
-        return self.overhead_seconds / rt if rt > 0 else 0.0
-
-
 @dataclass
 class FlowRun:
     """One execution of a flow definition."""
@@ -120,8 +93,7 @@ class FlowRun:
         """Total flow runtime (paper: 'flow runtime').
 
         For an in-flight run this is the elapsed runtime *so far* (read
-        from the simulation clock) rather than 0.0; use :meth:`as_of`
-        to evaluate at an explicit timestamp.
+        from the simulation clock) rather than 0.0.
         """
         if self.finished_at is not None:
             return self.finished_at - self.started_at
@@ -147,62 +119,8 @@ class FlowRun:
         rt = self.runtime_seconds
         return self.overhead_seconds / rt if rt > 0 else 0.0
 
-    def as_of(self, now: float) -> FlowRunSnapshot:
-        """Timing view at simulation time ``now``.
-
-        Terminal runs ignore ``now`` (their window is fixed); in-flight
-        runs report runtime accumulated up to ``now``.
-        """
-        end = self.finished_at if self.finished_at is not None else max(
-            now, self.started_at
-        )
-        return FlowRunSnapshot(
-            run_id=self.run_id,
-            status=self.status,
-            as_of=now,
-            runtime_seconds=end - self.started_at,
-            active_seconds=self.active_seconds,
-            in_flight=not self.status.terminal,
-        )
-
     def step(self, name: str) -> StepRecord:
         for s in self.steps:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def summary(self, now: Optional[float] = None) -> dict[str, Any]:
-        """Plain-dict report.  An ACTIVE run is reported honestly: its
-        timing comes from ``now`` (or the simulation clock), and the
-        ``in_flight`` flag marks every aggregate as provisional."""
-        if now is None:
-            now = self._now()
-        if self.finished_at is None and now is None:
-            # No clock available: timing for an in-flight run is unknown.
-            runtime = active = overhead = pct = None
-        else:
-            snap = self.as_of(self.finished_at if now is None else now)
-            runtime = round(snap.runtime_seconds, 3)
-            active = round(snap.active_seconds, 3)
-            overhead = round(snap.overhead_seconds, 3)
-            pct = round(100 * snap.overhead_fraction, 1)
-        return {
-            "run_id": self.run_id,
-            "flow": self.flow_title,
-            "status": self.status.value,
-            "in_flight": not self.status.terminal,
-            "degraded": self.degraded,
-            "runtime_s": runtime,
-            "active_s": active,
-            "overhead_s": overhead,
-            "overhead_pct": pct,
-            "steps": {
-                s.name: {
-                    "active_s": round(s.active_seconds, 3),
-                    "overhead_s": round(s.overhead_seconds, 3),
-                    "polls": s.polls,
-                }
-                for s in self.steps
-            },
-            "error": self.error,
-        }

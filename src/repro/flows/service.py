@@ -79,7 +79,7 @@ class FlowsService:
         transition_latency_s: float = 1.5,
         transition_sigma: float = 0.35,
         poll_latency_s: float = 0.15,
-        backoff: "ExponentialBackoff | Any" = PAPER_BACKOFF,
+        backoff: ExponentialBackoff = PAPER_BACKOFF,
         retry_policies: "dict[str, RetryPolicy] | None" = None,
         tracer: Any = None,
         metrics: Any = None,
@@ -169,12 +169,6 @@ class FlowsService:
         )
         self.env.process(self._execute(definition, run, run_span))
         return run
-
-    def get_run(self, run_id: str) -> FlowRun:
-        try:
-            return self._runs[run_id]
-        except KeyError:
-            raise FlowError(f"unknown run id: {run_id!r}") from None
 
     @property
     def runs(self) -> list[FlowRun]:

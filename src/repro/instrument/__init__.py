@@ -12,7 +12,7 @@ from .acquisition import (
     UseCaseSpec,
 )
 from .microscope import CAMERA_DETECTOR, XPAD_DETECTOR, PicoProbe
-from .phantoms import Particle, gold_on_carbon_phantom, particle_mask, polyamide_film_phantom
+from .phantoms import Particle, particle_mask, polyamide_film_phantom
 from .spatiotemporal import MotionModel, MovieSpec, generate_movie, simulate_trajectories
 from .xray import ELEMENT_LINES, XRayLine, element_template, energy_axis, synthesize_cube
 
@@ -26,7 +26,6 @@ __all__ = [
     "SPATIOTEMPORAL_USE_CASE",
     "Particle",
     "polyamide_film_phantom",
-    "gold_on_carbon_phantom",
     "particle_mask",
     "MovieSpec",
     "MotionModel",

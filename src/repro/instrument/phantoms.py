@@ -1,16 +1,13 @@
 """Synthetic sample phantoms.
 
-Two phantoms mirror the paper's use cases:
-
-* :func:`polyamide_film_phantom` — the Fig. 2 sample: a polyamide organic
-  membrane (C/N/O matrix with ridge-and-valley thickness variations, as in
-  reverse-osmosis films) treated to capture heavy metals, so Au/Pb
-  particles decorate the film surface.
-* :func:`gold_on_carbon_phantom` — the Fig. 3 sample: gold nanoparticles
-  scattered on an amorphous-carbon support.
-
-Both return composition maps (for hyperspectral synthesis) and ground-
-truth particle records (for detector calibration and mAP evaluation).
+:func:`polyamide_film_phantom` is the Fig. 2 sample: a polyamide organic
+membrane (C/N/O matrix with ridge-and-valley thickness variations, as in
+reverse-osmosis films) treated to capture heavy metals, so Au/Pb
+particles decorate the film surface.  It returns composition maps (for
+hyperspectral synthesis) and ground-truth :class:`Particle` records.
+The Fig. 3 sample, gold nanoparticles moving on carbon, is rendered
+frame by frame in :mod:`repro.instrument.spatiotemporal`, which reuses
+:class:`Particle` for its ground truth.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["Particle", "polyamide_film_phantom", "gold_on_carbon_phantom", "particle_mask"]
+__all__ = ["Particle", "polyamide_film_phantom", "particle_mask"]
 
 
 @dataclass(frozen=True)
@@ -32,24 +29,6 @@ class Particle:
     col: float
     radius: float
     element: str = "Au"
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) bounding box in pixel coordinates."""
-        return (
-            self.col - self.radius,
-            self.row - self.radius,
-            self.col + self.radius,
-            self.row + self.radius,
-        )
-
-
-def _soft_disk(shape: tuple[int, int], row: float, col: float, radius: float, softness: float = 1.0) -> np.ndarray:
-    """Anti-aliased disk of unit height (vectorized distance transform)."""
-    rr = np.arange(shape[0], dtype=np.float64)[:, None]
-    cc = np.arange(shape[1], dtype=np.float64)[None, :]
-    d = np.sqrt((rr - row) ** 2 + (cc - col) ** 2)
-    return np.clip((radius - d) / max(softness, 1e-6) + 0.5, 0.0, 1.0)
 
 
 def particle_mask(shape: tuple[int, int], particles: "list[Particle]") -> np.ndarray:
@@ -157,21 +136,4 @@ def polyamide_film_phantom(
     particles += _place_particles(shape, n_lead, rng, (2.0, 6.0), 8.0, "Pb")
     comp["Au"] = 2.0 * particle_mask(shape, [p for p in particles if p.element == "Au"])
     comp["Pb"] = 1.5 * particle_mask(shape, [p for p in particles if p.element == "Pb"])
-    return comp, particles
-
-
-def gold_on_carbon_phantom(
-    shape: tuple[int, int] = (640, 640),
-    rng: "np.random.Generator | None" = None,
-    n_gold: int = 25,
-    radius_range: tuple[float, float] = (6.0, 16.0),
-) -> tuple[dict[str, np.ndarray], list[Particle]]:
-    """Gold nanoparticles on an amorphous carbon support film."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    particles = _place_particles(shape, n_gold, rng, radius_range, 12.0, "Au")
-    comp = {
-        "C": np.full(shape, 0.5, dtype=np.float64),
-        "Au": 3.0 * particle_mask(shape, particles),
-    }
     return comp, particles

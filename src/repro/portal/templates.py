@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["escape", "page", "table", "definition_list", "link_list"]
+__all__ = ["escape", "page", "table", "link_list"]
 
 
 def escape(value: object) -> str:
@@ -74,14 +74,6 @@ def table(rows: Iterable[tuple[object, object]], headers: tuple[str, str] = ("Fi
     return (
         f"<table><tr><th>{escape(headers[0])}</th><th>{escape(headers[1])}</th></tr>"
         f"{cells}</table>"
-    )
-
-
-def definition_list(items: Iterable[tuple[object, object]]) -> str:
-    return (
-        "<dl>"
-        + "".join(f"<dt>{escape(k)}</dt><dd>{escape(v)}</dd>" for k, v in items)
-        + "</dl>"
     )
 
 

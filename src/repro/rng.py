@@ -10,11 +10,14 @@ stream name.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 
 import numpy as np
 
-__all__ = ["RngRegistry", "stream", "lognormal_from_median"]
+from .errors import ConfigError
+
+__all__ = ["RngRegistry", "lognormal_from_median"]
 
 
 def _name_key(name: str) -> int:
@@ -33,10 +36,14 @@ class RngRegistry:
     True
 
     Two registries built with the same seed produce identical streams for
-    identical names regardless of creation order.
+    identical names regardless of creation order.  The seed must be a
+    non-negative integer (:class:`~repro.errors.ConfigError` otherwise),
+    so a bad seed fails here rather than at the first draw.
     """
 
     def __init__(self, seed: int = 0) -> None:
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
@@ -48,23 +55,6 @@ class RngRegistry:
             gen = np.random.default_rng(ss)
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are independent of this one (for
-        replicated experiments: one fork per repetition)."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + int(salt)) & 0x7FFF_FFFF)
-
-
-_DEFAULT = RngRegistry(seed=0)
-
-
-def stream(name: str) -> np.random.Generator:
-    """Stream from the module-level default registry (seed 0).
-
-    Library code should prefer accepting an explicit :class:`RngRegistry`;
-    this helper exists for scripts and doctests.
-    """
-    return _DEFAULT.stream(name)
 
 
 def lognormal_from_median(rng: np.random.Generator, median: float, sigma: float) -> float:

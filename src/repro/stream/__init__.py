@@ -18,8 +18,7 @@ measured head-to-head:
   (:class:`~repro.core.app.TriggerApp`) with a stream launch: a session
   per file, analysis on partial data, publication to search;
 * :func:`retry_outages` — the one outage-retry loop for the gated
-  control-plane calls (handshake, analysis submit, search publish);
-* :class:`StreamIngestActionProvider` — the flow-facing adapter.
+  control-plane calls (handshake, analysis submit, search publish).
 
 Campaigns select the path per flow with ``ingest="file" | "stream"``
 (see :func:`repro.core.run_campaign`); file mode is bit-identical with
@@ -27,14 +26,12 @@ this package present.
 """
 
 from .ingest import StreamIngestApp
-from .provider import StreamIngestActionProvider
 from .publisher import StreamPublisher, retry_outages
 from .receiver import StreamReceiver
 from .session import FrameChunk, StreamSession, chunk_sizes
 
 __all__ = [
     "FrameChunk",
-    "StreamIngestActionProvider",
     "StreamIngestApp",
     "StreamPublisher",
     "StreamReceiver",

@@ -42,7 +42,6 @@ class StreamIngestApp(TriggerApp):
     ) -> None:
         super().__init__(testbed, function_id, **kwargs)
         self.publisher = publisher
-        self._by_id: dict[str, StreamSession] = {}
 
     @property
     def sessions(self) -> list[StreamSession]:
@@ -52,21 +51,15 @@ class StreamIngestApp(TriggerApp):
     def published_sessions(self) -> list[StreamSession]:
         return [s for s in self.records if s.status == "PUBLISHED"]
 
-    def session(self, session_id: str) -> StreamSession:
-        """Look up a session by id (provider/status polling)."""
-        return self._by_id[session_id]
-
     def _launch(self, vf: VirtualFile, subject: str, descriptor: dict) -> StreamSession:
         # With a ledger, sessions stream with per-chunk verification
         # against the declared digest.
-        session = self.publisher.start(
+        return self.publisher.start(
             vf.path,
             vf.size_bytes,
             virtual=vf,
             digest=vf.checksum if self.ledger is not None else None,
         )
-        self._by_id[session.session_id] = session
-        return session
 
     def _follow(
         self, session: StreamSession, vf: VirtualFile, subject: str, descriptor: dict

@@ -23,7 +23,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from ..errors import CalibrationError
-from ..units import GB, MB, Gbps
+from ..units import MB, Gbps
 
 __all__ = ["Calibration", "DEFAULT_CALIBRATION"]
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Generator, Optional
 
-import numpy as np
-
 from ..auth import ScopeAuthorizer, Token
 from ..auth.identity import TRANSFER_SCOPE, AuthClient
 from ..errors import EndpointError, TransferError
@@ -169,16 +167,9 @@ class TransferService:
         self.env.process(self._execute(task, src, dst, span))
         return task.task_id
 
-    def get_task(self, token: Token, task_id: str) -> dict:
-        """Poll a task's status snapshot (authenticated)."""
-        self.authorizer.authorize(token, self.env.now)
-        try:
-            return self._tasks[task_id].snapshot()
-        except KeyError:
-            raise TransferError(f"unknown task: {task_id!r}") from None
-
     def task_record(self, task_id: str) -> TransferTask:
-        """Internal/inspection access to the full task record."""
+        """The task record by id, which the transfer provider polls for
+        status."""
         self.check_available()
         try:
             return self._tasks[task_id]

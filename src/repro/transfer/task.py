@@ -47,17 +47,3 @@ class TransferTask:
         if self.completed_at is None:
             return None
         return self.completed_at - self.requested_at
-
-    def snapshot(self) -> dict:
-        """Plain-dict view, as a polling API would return."""
-        return {
-            "task_id": self.task_id,
-            "status": self.status.value,
-            "owner": self.owner,
-            "source": f"{self.source_endpoint}:{self.source_path}",
-            "destination": f"{self.dest_endpoint}:{self.dest_path}",
-            "bytes": self.nbytes,
-            "attempts": self.attempts,
-            "faults": list(self.faults),
-            "error": self.error,
-        }

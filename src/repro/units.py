@@ -19,13 +19,7 @@ the paper reports them (91 MB, 1200 MB, 1 Gbps, 6.42 GB).
 
 from __future__ import annotations
 
-__all__ = [
-    "KB", "MB", "GB", "TB",
-    "KiB", "MiB", "GiB",
-    "bps", "Kbps", "Mbps", "Gbps",
-    "seconds", "minutes", "hours",
-    "format_bytes", "format_rate", "format_duration",
-]
+__all__ = ["MB", "Gbps", "minutes", "hours", "format_bytes", "format_duration"]
 
 _KB = 1e3
 _MB = 1e6
@@ -33,64 +27,14 @@ _GB = 1e9
 _TB = 1e12
 
 
-def KB(n: float) -> float:
-    """``n`` kilobytes in bytes (decimal)."""
-    return float(n) * _KB
-
-
 def MB(n: float) -> float:
     """``n`` megabytes in bytes (decimal)."""
     return float(n) * _MB
 
 
-def GB(n: float) -> float:
-    """``n`` gigabytes in bytes (decimal)."""
-    return float(n) * _GB
-
-
-def TB(n: float) -> float:
-    """``n`` terabytes in bytes (decimal)."""
-    return float(n) * _TB
-
-
-def KiB(n: float) -> float:
-    """``n`` kibibytes in bytes (binary)."""
-    return float(n) * 1024.0
-
-
-def MiB(n: float) -> float:
-    """``n`` mebibytes in bytes (binary)."""
-    return float(n) * 1024.0**2
-
-
-def GiB(n: float) -> float:
-    """``n`` gibibytes in bytes (binary)."""
-    return float(n) * 1024.0**3
-
-
-def bps(n: float) -> float:
-    """``n`` bits/second as bytes/second."""
-    return float(n) / 8.0
-
-
-def Kbps(n: float) -> float:
-    """``n`` kilobits/second as bytes/second."""
-    return float(n) * _KB / 8.0
-
-
-def Mbps(n: float) -> float:
-    """``n`` megabits/second as bytes/second."""
-    return float(n) * _MB / 8.0
-
-
 def Gbps(n: float) -> float:
     """``n`` gigabits/second as bytes/second."""
     return float(n) * _GB / 8.0
-
-
-def seconds(n: float) -> float:
-    """Identity, for symmetry at call sites."""
-    return float(n)
 
 
 def minutes(n: float) -> float:
@@ -112,15 +56,6 @@ def format_bytes(n: float) -> str:
         if n >= factor:
             return f"{sign}{n / factor:.2f} {unit}"
     return f"{sign}{n:.0f} B"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Human-readable rate in bits/second: ``format_rate(Gbps(1)) == '1.00 Gbps'``."""
-    bits = float(bytes_per_second) * 8.0
-    for unit, factor in (("Tbps", _TB), ("Gbps", _GB), ("Mbps", _MB), ("kbps", _KB)):
-        if bits >= factor:
-            return f"{bits / factor:.2f} {unit}"
-    return f"{bits:.0f} bps"
 
 
 def format_duration(secs: float) -> str:

@@ -10,13 +10,12 @@ pixel.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 
 import numpy as np
 
-__all__ = ["encode_png", "write_png", "png_dimensions"]
+__all__ = ["encode_png", "png_dimensions"]
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -64,12 +63,6 @@ def encode_png(image: np.ndarray, compress_level: int = 6) -> bytes:
         + _chunk(b"IDAT", idat)
         + _chunk(b"IEND", b"")
     )
-
-
-def write_png(path: "str | os.PathLike", image: np.ndarray, compress_level: int = 6) -> None:
-    """Encode and write ``image`` to ``path``."""
-    with open(os.fspath(path), "wb") as fh:
-        fh.write(encode_png(image, compress_level))
 
 
 def png_dimensions(data: bytes) -> tuple[int, int]:

@@ -3,7 +3,6 @@
 Produces the paper's figure types without matplotlib:
 
 * :func:`line_chart` — spectra (Fig. 2B), per-frame particle counts;
-* :func:`bar_chart` — aggregate comparisons;
 * :func:`box_chart` — the itemized runtime statistics of Fig. 4;
 * :func:`image_figure` — a PNG heatmap embedded with axis decorations
   (Fig. 2A).
@@ -20,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["line_chart", "bar_chart", "box_chart", "image_figure", "BoxStats", "nice_ticks"]
+__all__ = ["line_chart", "box_chart", "image_figure", "BoxStats", "nice_ticks"]
 
 PALETTE = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377", "#bbbbbb"]
 FONT = "font-family='Helvetica,Arial,sans-serif'"
@@ -220,43 +219,6 @@ def line_chart(
         legend.append((label, color))
     if show_legend and any(lbl for lbl, _ in legend):
         fr.legend(legend)
-    return fr.render()
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    title: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 400,
-    colors: Optional[Sequence[str]] = None,
-) -> str:
-    """Categorical bar chart."""
-    if len(labels) != len(values) or not labels:
-        raise ValueError("labels and values must be equal-length and non-empty")
-    fr = _Frame(width=width, height=height)
-    vals = np.asarray(values, dtype=float)
-    fr.ymin = min(0.0, float(vals.min()))
-    fr.ymax = float(vals.max()) * 1.08 if vals.max() > 0 else 1.0
-    fr.xmin, fr.xmax = 0.0, float(len(labels))
-    fr.title(title)
-    xticks = [(i + 0.5, str(lbl)) for i, lbl in enumerate(labels)]
-    fr.axes("", ylabel, xticks=xticks)
-    bw = 0.6
-    for i, v in enumerate(vals):
-        color = (colors[i] if colors else PALETTE[i % len(PALETTE)])
-        x = fr.sx(i + (1 - bw) / 2)
-        w = fr.sx(i + (1 + bw) / 2) - x
-        y = fr.sy(max(v, 0.0))
-        h = abs(fr.sy(0.0) - fr.sy(v))
-        fr.parts.append(
-            f"<rect x='{x:.1f}' y='{y:.1f}' width='{w:.1f}' height='{h:.1f}' fill='{color}'/>"
-        )
-        fr.parts.append(
-            f"<text x='{x + w / 2:.1f}' y='{y - 4:.1f}' text-anchor='middle' {FONT} "
-            f"font-size='11'>{_fmt(float(v))}</text>"
-        )
     return fr.render()
 
 

@@ -8,11 +8,9 @@ import pytest
 
 from repro.analysis import (
     build_search_document,
-    extract_metadata,
     identify_elements,
     intensity_figure_svg,
     intensity_map,
-    metadata_tree,
     movie_to_uint8,
     read_video,
     spectrum_figure_svg,
@@ -20,7 +18,7 @@ from repro.analysis import (
     video_info,
     write_video,
 )
-from repro.emd import write_emd
+from repro.emd import EmdFile, write_emd
 from repro.errors import FormatError, ReproError
 from repro.instrument import PicoProbe, energy_axis
 from repro.rng import RngRegistry
@@ -93,18 +91,21 @@ def test_extract_metadata_from_file(tmp_path, hyper_signal):
     sig, _ = hyper_signal
     path = tmp_path / "a.emd"
     write_emd(path, sig)
-    md = extract_metadata(path)
-    assert md == sig.metadata
+    with EmdFile(path) as f:
+        assert f.metadata() == sig.metadata
 
 
 def test_metadata_tree_structure(hyper_signal):
+    """The search document's ``experiment`` section is the metadata tree
+    the portal's Fig. 2C table shows."""
     sig, _ = hyper_signal
-    tree = metadata_tree(sig.metadata)
-    assert tree["General"]["operator"] == "alice"
-    assert tree["Acquisition_instrument"]["TEM"]["beam_energy_kev"] == 300.0
-    assert tree["Acquisition_instrument"]["TEM"]["Detectors"][0]["name"] == "XPAD"
-    assert tree["Signal"]["signal_type"] == "hyperspectral"
-    assert tree["Sample"]["elements"]
+    tree = build_search_document(sig.metadata)["experiment"]
+    assert tree["operator"] == "alice"
+    assert tree["microscope"]["beam_energy_kev"] == 300.0
+    assert tree["microscope"]["stage"].keys() >= {"x_um", "alpha_deg"}
+    assert tree["microscope"]["detectors"][0]["name"] == "XPAD"
+    assert tree["signal_type"] == "hyperspectral"
+    assert tree["sample"]["elements"]
 
 
 def test_build_search_document_is_valid_datacite(hyper_signal):

@@ -39,7 +39,6 @@ from repro.errors import ChaosError, FlowError, ServiceUnavailable
 from repro.flows import (
     ActionState,
     ActionStatus,
-    ConstantBackoff,
     ExponentialBackoff,
     FlowDefinition,
     FlowState,
@@ -172,6 +171,11 @@ class FlakyProvider:
         )
 
 
+def _every(seconds):
+    """Constant retry or poll spacing: the exponential policy with factor 1."""
+    return ExponentialBackoff(initial=seconds, factor=1.0, max_interval=seconds)
+
+
 def _flows(env, provider, policy):
     auth = AuthClient()
     alice = auth.register_identity("alice")
@@ -183,7 +187,7 @@ def _flows(env, provider, policy):
         transition_latency_s=0.0,
         transition_sigma=0.0,
         poll_latency_s=0.0,
-        backoff=ConstantBackoff(1.0),
+        backoff=_every(1.0),
         retry_policies={provider.name: policy},
     )
     svc.register_provider(provider)
@@ -196,7 +200,7 @@ def _flows(env, provider, policy):
 def test_retry_recovers_from_service_outage():
     env = Environment()
     provider = FlakyProvider(env, down=2)
-    policy = RetryPolicy(max_attempts=3, backoff=ConstantBackoff(10.0))
+    policy = RetryPolicy(max_attempts=3, backoff=_every(10.0))
     svc, token, flow_id = _flows(env, provider, policy)
     run = svc.run_flow(token, flow_id, {})
     env.run(until=run.completed)
@@ -214,7 +218,7 @@ def test_retry_recovers_from_service_outage():
 def test_critical_exhaustion_dead_letters_never_hangs():
     env = Environment()
     provider = FlakyProvider(env, fail_forever=True)
-    policy = RetryPolicy(max_attempts=2, backoff=ConstantBackoff(5.0), critical=True)
+    policy = RetryPolicy(max_attempts=2, backoff=_every(5.0), critical=True)
     svc, token, flow_id = _flows(env, provider, policy)
     run = svc.run_flow(token, flow_id, {})
     env.run()
@@ -230,7 +234,7 @@ def test_critical_exhaustion_dead_letters_never_hangs():
 def test_noncritical_exhaustion_degrades_and_backlogs():
     env = Environment()
     provider = FlakyProvider(env, fail_forever=True)
-    policy = RetryPolicy(max_attempts=2, backoff=ConstantBackoff(5.0), critical=False)
+    policy = RetryPolicy(max_attempts=2, backoff=_every(5.0), critical=False)
     svc, token, flow_id = _flows(env, provider, policy)
     run = svc.run_flow(token, flow_id, {})
     env.run(until=run.completed)
@@ -247,7 +251,7 @@ def test_attempt_timeout_bounds_a_stuck_action():
     env = Environment()
     provider = FlakyProvider(env, down=0, duration=1e9)  # never finishes
     policy = RetryPolicy(
-        max_attempts=1, backoff=ConstantBackoff(1.0), attempt_timeout_s=30.0
+        max_attempts=1, backoff=_every(1.0), attempt_timeout_s=30.0
     )
     svc, token, flow_id = _flows(env, provider, policy)
     run = svc.run_flow(token, flow_id, {})

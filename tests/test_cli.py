@@ -87,18 +87,27 @@ def test_unknown_sweep_use_case_is_a_usage_error(grid, jobs, capsys):
         ["chaos", "outage", "--duration", "nan"],
         ["sweep", "campaign", "--duration", "-1"],
         ["integrity", "--seed", "-1"],
+        ["sweep", "campaign", "--seeds", "a"],
+        ["sweep", "campaign", "--seeds", ""],
+        ["sweep", "campaign", "--jobs", "0"],
+        ["sweep", "campaign", "--jobs", "-2"],
+        ["quicklook", "--seed", "-1"],
     ],
     ids=["campaign-inf", "trace-inf", "campaign-negative", "chaos-nan",
-         "sweep-negative", "integrity-seed"],
+         "sweep-negative", "integrity-seed", "sweep-seeds-word",
+         "sweep-seeds-empty", "sweep-jobs-zero", "sweep-jobs-negative",
+         "quicklook-seed"],
 )
 def test_invalid_setting_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     """Refused before the campaign is built.  Checked any later, the
-    ``inf`` runs hang and the others exit 1 with a kernel traceback."""
-    monkeypatch.chdir(tmp_path)  # a regressed `trace` writes trace_out/ here
+    ``inf`` runs hang, a bad ``--jobs`` runs the sweep serially, and the
+    others exit 1 with a traceback."""
+    monkeypatch.chdir(tmp_path)  # a regressed command writes its output here
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

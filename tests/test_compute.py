@@ -11,7 +11,6 @@ from repro.compute import (
     ComputeEndpoint,
     ComputeService,
     ComputeTaskStatus,
-    constant_cost,
 )
 from repro.errors import (
     ComputeError,
@@ -22,6 +21,7 @@ from repro.errors import (
 )
 from repro.rng import RngRegistry
 from repro.sim import Environment
+from tests.cost_models import constant_cost
 
 
 def make_world(
@@ -64,9 +64,9 @@ def test_task_runs_function_and_returns_result():
     fid = service.register_function(lambda x: x * 2, constant_cost(5.0))
     tid = service.submit(token, "polaris", fid, 21)
     env.run(until=service.wait(tid))
-    snap = service.get_task(token, tid)
-    assert snap["status"] == "SUCCESS"
-    assert snap["result"] == 42
+    task = service.task_record(tid)
+    assert task.status is ComputeTaskStatus.SUCCESS
+    assert task.outcome.result == 42
     # queue 10 + boot 20 + env cache 30 + cost 5
     assert env.now == pytest.approx(65.0)
 
@@ -158,9 +158,9 @@ def test_function_error_reported_not_raised():
     fid = service.register_function(boom, constant_cost(1.0))
     tid = service.submit(token, "polaris", fid)
     env.run()
-    snap = service.get_task(token, tid)
-    assert snap["status"] == "FAILED"
-    assert "analysis exploded" in snap["error"]
+    task = service.task_record(tid)
+    assert task.status is ComputeTaskStatus.FAILED
+    assert "analysis exploded" in task.outcome.error
 
 
 def test_unknown_function_rejected_at_submit():
@@ -171,7 +171,7 @@ def test_unknown_function_rejected_at_submit():
 
 def test_unknown_endpoint_rejected():
     env, service, token, *_ = make_world()
-    fid = service.register_function(lambda: None)
+    fid = service.register_function(lambda: None, constant_cost(0.0))
     with pytest.raises(EndpointError):
         service.submit(token, "theta", fid)
 
@@ -179,7 +179,7 @@ def test_unknown_endpoint_rejected():
 def test_wrong_scope_rejected():
     env, service, token, ep, sched, auth, alice = make_world()
     bad = auth.issue_token(alice, [TRANSFER_SCOPE], now=0.0)
-    fid = service.register_function(lambda: None)
+    fid = service.register_function(lambda: None, constant_cost(0.0))
     with pytest.raises(PermissionDenied):
         service.submit(bad, "polaris", fid)
 
@@ -187,7 +187,7 @@ def test_wrong_scope_rejected():
 def test_unknown_task_poll():
     env, service, token, *_ = make_world()
     with pytest.raises(ComputeError):
-        service.get_task(token, "ctask-404")
+        service.task_record("ctask-404")
 
 
 def test_cost_model_receives_arguments():

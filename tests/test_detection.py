@@ -223,4 +223,4 @@ def test_track_displacement():
     tracker.update(1, [Detection(3, 4, 13, 14, confidence=0.9)])
     track = tracker.active[0]
     assert track.displacement() == pytest.approx(5.0)
-    assert track.first_frame == 0 and track.last_frame == 1
+    assert [frame for frame, _ in track.boxes] == [0, 1]

@@ -1,4 +1,5 @@
-"""Smoke tests: the fast examples must run end to end.
+"""Smoke tests: the fast examples must run end to end, and every
+example must import.
 
 (The heavier demos — full-scale tracking, quicklook at 1024 channels —
 are exercised by the benchmarks instead.)
@@ -21,6 +22,16 @@ def load_example(name):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(f[:-3] for f in os.listdir(EXAMPLES) if f.endswith(".py")),
+)
+def test_example_imports(name):
+    """Every name an example imports still exists.  Each example has a
+    ``__main__`` guard, so loading it runs nothing."""
+    load_example(name)
 
 
 def test_quickstart_runs(capsys):

@@ -12,7 +12,6 @@ from repro.errors import FlowDefinitionError, FlowError
 from repro.flows import (
     ActionState,
     ActionStatus,
-    ConstantBackoff,
     ExponentialBackoff,
     FlowDefinition,
     FlowState,
@@ -46,8 +45,6 @@ def test_backoff_validation():
         ExponentialBackoff(factor=0.5)
     with pytest.raises(FlowError):
         ExponentialBackoff(initial=10, max_interval=5)
-    with pytest.raises(FlowError):
-        ConstantBackoff(0)
     # Non-finite values would poll at NaN or never again.
     nan, inf = float("nan"), float("inf")
     for bad in (
@@ -58,9 +55,6 @@ def test_backoff_validation():
     ):
         with pytest.raises(FlowError, match="must be finite"):
             ExponentialBackoff(**bad)
-    for interval in (nan, inf):
-        with pytest.raises(FlowError, match="must be finite"):
-            ConstantBackoff(interval)
     # The retry policy that spaces attempts with a backoff.
     for bad in (
         dict(max_attempts=0),
@@ -75,7 +69,8 @@ def test_backoff_validation():
 
 
 def test_constant_backoff():
-    it = ConstantBackoff(2.5).intervals()
+    """Constant polling is the one policy with factor 1."""
+    it = ExponentialBackoff(initial=2.5, factor=1.0, max_interval=2.5).intervals()
     assert [next(it) for _ in range(3)] == [2.5, 2.5, 2.5]
 
 
@@ -355,8 +350,6 @@ def test_unknown_flow_and_run_ids():
     svc, token, provider = make_flows(env)
     with pytest.raises(FlowError):
         svc.run_flow(token, "flow-404", {})
-    with pytest.raises(FlowError):
-        svc.get_run("run-404")
 
 
 def test_duplicate_provider_rejected():
@@ -366,17 +359,6 @@ def test_duplicate_provider_rejected():
         svc.register_provider(MockProvider(env))
 
 
-def test_run_summary_shape():
-    env = Environment()
-    svc, token, provider = make_flows(env, duration=2.0)
-    run = svc.run_flow(token, svc.deploy(linear_def(1)), {})
-    env.run(until=run.completed)
-    s = run.summary()
-    assert s["status"] == "SUCCEEDED"
-    assert "S0" in s["steps"]
-    assert s["overhead_s"] >= 0
-
-
 def test_constant_backoff_reduces_overhead():
     env1 = Environment()
     svc1, token1, _ = make_flows(env1, duration=50.0)
@@ -384,7 +366,8 @@ def test_constant_backoff_reduces_overhead():
     env1.run(until=r1.completed)
 
     env2 = Environment()
-    svc2, token2, _ = make_flows(env2, duration=50.0, backoff=ConstantBackoff(1.0))
+    constant = ExponentialBackoff(initial=1.0, factor=1.0, max_interval=1.0)
+    svc2, token2, _ = make_flows(env2, duration=50.0, backoff=constant)
     r2 = svc2.run_flow(token2, svc2.deploy(linear_def(1)), {})
     env2.run(until=r2.completed)
 
@@ -488,7 +471,7 @@ def test_flow_error_does_not_escape_the_kernel():
     assert "mock exploded" in run.error
 
 
-# -- in-flight runtime (FlowRun.as_of) ----------------------------------------
+# -- in-flight runtime -------------------------------------------------------
 
 
 def test_in_flight_runtime_reads_the_sim_clock():
@@ -508,43 +491,10 @@ def test_in_flight_runtime_reads_the_sim_clock():
     assert run.runtime_seconds == pytest.approx(run.finished_at - run.started_at)
 
 
-def test_as_of_snapshots_in_flight_and_terminal_runs():
-    env = Environment()
-    svc, token, provider = make_flows(env, duration=50.0)
-    run = svc.run_flow(token, svc.deploy(linear_def(1)), {})
-    env.run(until=30.0)
-    snap = run.as_of(30.0)
-    assert snap.in_flight
-    assert snap.runtime_seconds == pytest.approx(30.0)
-    assert snap.as_of == 30.0
-
-    env.run(until=run.completed)
-    done = run.as_of(env.now + 1000.0)  # terminal: window is fixed
-    assert not done.in_flight
-    assert done.runtime_seconds == pytest.approx(run.runtime_seconds)
-    assert done.overhead_seconds == pytest.approx(run.overhead_seconds)
-    assert 0.0 <= done.overhead_fraction <= 1.0
-
-
-def test_summary_of_active_run_is_honest():
-    env = Environment()
-    svc, token, provider = make_flows(env, duration=50.0)
-    run = svc.run_flow(token, svc.deploy(linear_def(1)), {})
-    env.run(until=25.0)
-    doc = run.summary()
-    assert doc["in_flight"] is True
-    assert doc["runtime_s"] == pytest.approx(25.0)
-    env.run(until=run.completed)
-    doc = run.summary()
-    assert doc["in_flight"] is False
-    assert doc["runtime_s"] == pytest.approx(round(run.runtime_seconds, 3))
-
-
 def test_clockless_run_record_still_reports_zero():
     """Hand-built records (no completed event) cannot see a clock."""
     from repro.flows import FlowRun
 
     run = FlowRun(run_id="r", flow_title="t", input={}, started_at=5.0)
     assert run.runtime_seconds == 0.0
-    doc = run.summary()
-    assert doc["runtime_s"] is None and doc["in_flight"] is True
+    assert run.overhead_fraction == 0.0

@@ -20,7 +20,6 @@ from repro.instrument import (
     element_template,
     energy_axis,
     generate_movie,
-    gold_on_carbon_phantom,
     polyamide_film_phantom,
     simulate_trajectories,
     synthesize_cube,
@@ -121,22 +120,13 @@ def test_polyamide_phantom_contents():
 def test_phantom_particles_inside_frame():
     comp, particles = polyamide_film_phantom((96, 80), np.random.default_rng(3))
     for p in particles:
-        x0, y0, x1, y1 = p.bbox
-        assert 0 <= x0 < x1 <= 80
-        assert 0 <= y0 < y1 <= 96
+        assert 0 <= p.col - p.radius < p.col + p.radius <= 80
+        assert 0 <= p.row - p.radius < p.row + p.radius <= 96
 
 
 def test_phantom_too_small_rejected():
     with pytest.raises(ReproError):
         polyamide_film_phantom((4, 4))
-
-
-def test_gold_on_carbon_phantom():
-    comp, particles = gold_on_carbon_phantom((128, 128), np.random.default_rng(0), n_gold=7)
-    assert set(comp) == {"C", "Au"}
-    assert len(particles) == 7
-    # gold map is nonzero exactly around particles
-    assert comp["Au"].max() > 0
 
 
 # -- spatiotemporal -----------------------------------------------------------------

@@ -256,6 +256,38 @@ def test_registry_carries_schemas_for_every_shipped_provider():
         assert schema.output_schema is not None, name
 
 
+def test_registry_reads_annotated_schema_declarations(tmp_path):
+    """``name: str = "x"`` declares like ``name = "x"``; an annotation
+    with no value (``name: str``) declares nothing."""
+    (tmp_path / "annotated.py").write_text(textwrap.dedent(
+        """
+        class Annotated:
+            name: str = "annotated"
+            input_schema: dict = {"path": "str"}
+            output_schema: dict = {"chunks": "int"}
+
+            def run(self, body):
+                return "a-1"
+
+            def status(self, action_id):
+                return None
+
+        class Bare:
+            name: str
+
+            def run(self, body):
+                return "b-1"
+
+            def status(self, action_id):
+                return None
+        """
+    ))
+    schemas = discover_provider_schemas(str(tmp_path))
+    assert set(schemas) == {"annotated"}
+    assert dict(schemas["annotated"].input_schema) == {"path": "str"}
+    assert dict(schemas["annotated"].output_schema) == {"chunks": "int"}
+
+
 def test_known_providers_is_derived_from_the_schema_registry():
     config = LintConfig(allow={})
     assert config.known_providers == frozenset(config.provider_schemas)

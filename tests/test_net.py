@@ -13,7 +13,7 @@ from repro.net import NetworkFabric, Topology, max_min_fair_rates
 from repro.net.fabric import Stream
 from repro.sim import Environment
 from repro.stream import StreamPublisher, StreamReceiver
-from repro.units import MB, Gbps, Mbps
+from repro.units import MB, Gbps
 
 
 def star_topology():

@@ -10,7 +10,7 @@ from repro.auth.identity import (
     SEARCH_INGEST_SCOPE,
     TRANSFER_SCOPE,
 )
-from repro.compute import BatchScheduler, ComputeEndpoint, ComputeService, constant_cost
+from repro.compute import BatchScheduler, ComputeEndpoint, ComputeService
 from repro.errors import FlowError
 from repro.flows import (
     ActionState,
@@ -25,6 +25,7 @@ from repro.sim import Environment
 from repro.storage import VirtualFS
 from repro.transfer import TransferEndpoint, TransferService
 from repro.units import Gbps, MB
+from tests.cost_models import constant_cost
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ def test_compute_provider_passes_args_kwargs(world):
     ep = ComputeEndpoint(env, "p", sched, env_cache_median_s=0, rngs=RngRegistry(0))
     svc = ComputeService(env, auth, RngRegistry(0), api_latency_s=0.0, latency_sigma=0.0)
     svc.register_endpoint(ep)
-    fid = svc.register_function(lambda a, b=0: a + b)
+    fid = svc.register_function(lambda a, b=0: a + b, constant_cost(0.0))
     provider = ComputeActionProvider(svc, token)
     aid = provider.run({"endpoint": "p", "function_id": fid, "args": [2], "kwargs": {"b": 40}})
     env.run()

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.rng import RngRegistry, lognormal_from_median
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_seed_must_be_a_non_negative_int(seed):
+    """Refused at construction, before any stream is drawn; a numpy
+    integer is accepted."""
+    with pytest.raises(ConfigError, match="seed"):
+        RngRegistry(seed=seed)
+    assert RngRegistry(seed=np.int64(3)).seed == 3
 
 
 def test_same_name_is_memoized():
@@ -42,15 +52,6 @@ def test_different_seeds_differ():
     a = RngRegistry(seed=1).stream("x").random(10)
     b = RngRegistry(seed=2).stream("x").random(10)
     assert not np.allclose(a, b)
-
-
-def test_fork_is_reproducible_and_distinct():
-    base = RngRegistry(seed=5)
-    f1 = base.fork(1).stream("x").random(5)
-    f1_again = RngRegistry(seed=5).fork(1).stream("x").random(5)
-    f2 = base.fork(2).stream("x").random(5)
-    np.testing.assert_array_equal(f1, f1_again)
-    assert not np.allclose(f1, f2)
 
 
 def test_lognormal_median_zero_sigma_exact():

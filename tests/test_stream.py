@@ -2,9 +2,8 @@
 
 Covers the credit-window backpressure bound, blackout → gap
 renegotiation with exactly-once delivery to the drain, the in-flight
-analysis kickoff, the ``ingest="stream"`` campaign mode, the
-flow-facing action provider, and the head-to-head latency win over the
-file pipeline.
+analysis kickoff, the ``ingest="stream"`` campaign mode, and the
+head-to-head latency win over the file pipeline.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import run_campaign
-from repro.errors import FlowError, ServiceUnavailable, StreamError
-from repro.flows import ActionState
+from repro.errors import ServiceUnavailable, StreamError
 from repro.net import NetworkFabric, Topology
 from repro.obs import (
     MetricsRegistry,
@@ -423,44 +421,3 @@ def test_chaos_shares_transfer_gate_with_publisher():
         ingest="stream", chaos=SCENARIOS["outage"],
     )
     assert res.app.publisher.gate is res.chaos.gates["transfer"]
-
-
-# -- action provider ---------------------------------------------------------
-
-
-def test_stream_provider_run_status_lifecycle():
-    res = run_campaign(
-        "hyperspectral", duration_s=300.0, seed=5, ingest="stream"
-    )
-    tb = res.testbed
-    provider = tb.flows.provider("stream_ingest")
-    # outside the watched prefix so only the provider triggers ingest;
-    # borrow real acquisition metadata so the analysis descriptor builds
-    meta = res.app.sessions[0].virtual.metadata
-    tb.user_fs.create(
-        "/manual/m.emd", MB(16), created_at=tb.env.now, metadata=meta
-    )
-    session_id = provider.run({"path": "/manual/m.emd"})
-    assert provider.status(session_id).state is ActionState.ACTIVE
-    tb.env.run(until=res.duration_s + 300.0)
-    status = provider.status(session_id)
-    assert status.state is ActionState.SUCCEEDED
-    assert status.result["session_id"] == session_id
-    assert status.result["chunks"] >= 1
-    assert status.active_seconds > 0
-    # a second run of the same path dedups through the checkpoint
-    with pytest.raises(FlowError):
-        provider.run({"path": "/manual/m.emd"})
-
-
-def test_stream_provider_unknown_session_and_missing_file():
-    res = run_campaign(
-        "hyperspectral", duration_s=60.0, seed=5, ingest="stream"
-    )
-    provider = res.testbed.flows.provider("stream_ingest")
-    with pytest.raises(FlowError):
-        provider.status("strm-999999")
-    from repro.errors import EndpointError
-
-    with pytest.raises(EndpointError):
-        provider.run({"path": "/never/was.emd"})

@@ -71,12 +71,11 @@ def test_task_snapshot_pollable(world):
     env, service, token, src_fs, *_ = world
     src_fs.create("/transfer/a.emd", MB(10), created_at=0)
     tid = service.submit(token, "picoprobe-user", "/transfer/a.emd", "alcf-eagle", "/d/a.emd")
-    snap = service.get_task(token, tid)
-    assert snap["status"] in ("QUEUED", "ACTIVE")
+    task = service.task_record(tid)
+    assert task.status in (TaskStatus.QUEUED, TaskStatus.ACTIVE)
     env.run()
-    snap = service.get_task(token, tid)
-    assert snap["status"] == "SUCCEEDED"
-    assert snap["bytes"] == MB(10)
+    assert task.status is TaskStatus.SUCCEEDED
+    assert task.nbytes == MB(10)
 
 
 def test_missing_source_rejected_at_submit(world):
@@ -114,7 +113,7 @@ def test_wrong_scope_rejected(world):
 def test_unknown_task_poll_raises(world):
     env, service, token, *_ = world
     with pytest.raises(TransferError):
-        service.get_task(token, "xfer-999999")
+        service.task_record("xfer-999999")
     with pytest.raises(TransferError):
         service.wait("xfer-999999")
 

@@ -10,42 +10,25 @@ from repro import units
 
 
 def test_decimal_sizes():
-    assert units.KB(1) == 1e3
     assert units.MB(91) == 91e6
-    assert units.GB(6.42) == pytest.approx(6.42e9)
-    assert units.TB(0.1) == pytest.approx(1e11)
-
-
-def test_binary_sizes():
-    assert units.KiB(1) == 1024
-    assert units.MiB(1) == 1024**2
-    assert units.GiB(2) == 2 * 1024**3
+    assert units.MB(1200) == 1.2e9
 
 
 def test_rates_convert_bits_to_bytes():
-    assert units.bps(8) == 1.0
-    assert units.Kbps(8) == 1e3
-    assert units.Mbps(8) == 1e6
     assert units.Gbps(1) == 125e6
+    assert units.Gbps(0.2) == 25e6
 
 
 def test_durations():
-    assert units.seconds(5) == 5.0
     assert units.minutes(2) == 120.0
     assert units.hours(1) == 3600.0
 
 
 def test_format_bytes():
-    assert units.format_bytes(units.GB(6.42)) == "6.42 GB"
+    assert units.format_bytes(6.42e9) == "6.42 GB"
     assert units.format_bytes(units.MB(91)) == "91.00 MB"
     assert units.format_bytes(512) == "512 B"
     assert units.format_bytes(-units.MB(1)) == "-1.00 MB"
-
-
-def test_format_rate():
-    assert units.format_rate(units.Gbps(1)) == "1.00 Gbps"
-    assert units.format_rate(units.Mbps(200)) == "200.00 Mbps"
-    assert units.format_rate(1) == "8 bps"
 
 
 def test_format_duration():

@@ -13,7 +13,6 @@ from repro.viz import (
     BoxStats,
     annotate_frame,
     apply_colormap,
-    bar_chart,
     box_chart,
     draw_box,
     encode_png,
@@ -23,7 +22,6 @@ from repro.viz import (
     normalize,
     png_dimensions,
     to_rgb,
-    write_png,
 )
 
 
@@ -80,12 +78,6 @@ def test_png_rejects_bad_inputs():
         encode_png(np.zeros((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         png_dimensions(b"not a png")
-
-
-def test_write_png(tmp_path):
-    path = tmp_path / "x.png"
-    write_png(path, np.zeros((4, 4), dtype=np.uint8))
-    assert png_dimensions(path.read_bytes()) == (4, 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,19 +184,6 @@ def test_line_chart_escapes_labels():
     svg = line_chart([("a<b>&", [0, 1], [0, 1])], title="t<i>&")
     assert "a&lt;b&gt;&amp;" in svg
     assert "t&lt;i&gt;&amp;" in svg
-
-
-def test_bar_chart_structure():
-    svg = bar_chart(["hyper", "spatio"], [6.42, 21.72], ylabel="GB")
-    assert svg.count("<rect") >= 3  # background + frame + 2 bars
-    assert "hyper" in svg and "spatio" in svg
-
-
-def test_bar_chart_validates():
-    with pytest.raises(ValueError):
-        bar_chart(["a"], [1, 2])
-    with pytest.raises(ValueError):
-        bar_chart([], [])
 
 
 def test_box_stats_from_samples():
