@@ -18,6 +18,7 @@ node to the scheduler immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
@@ -25,7 +26,7 @@ from ..errors import ComputeError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
 from ..rng import RngRegistry, lognormal_from_median
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Store
 from .function import RegisteredFunction
 from .scheduler import BatchScheduler, Node
 
@@ -77,8 +78,13 @@ class ComputeEndpoint:
         tracer: Any = None,
         metrics: Any = None,
     ) -> None:
-        if env_cache_median_s < 0 or idle_timeout_s < 0:
-            raise ComputeError("durations must be >= 0")
+        for field, v in (
+            ("env_cache_median_s", env_cache_median_s),
+            ("env_cache_sigma", env_cache_sigma),
+            ("idle_timeout_s", idle_timeout_s),
+        ):
+            if not (math.isfinite(v) and v >= 0):
+                raise ComputeError(f"{field} must be finite and >= 0, got {v}")
         self.env = env
         self.name = name
         self.scheduler = scheduler
@@ -141,25 +147,10 @@ class ComputeEndpoint:
             self.scheduler.release(node)
             return
         self._bump_epoch(node)
-        yield self._available.put(node)
+        self._available.put(node)
         self._m_warm.set(len(self._available))
 
     # -- task execution ----------------------------------------------------------
-    def execute(
-        self,
-        func: RegisteredFunction,
-        args: tuple,
-        kwargs: dict,
-        span: Any = NULL_SPAN,
-    ) -> Event:
-        """Run a task; returns an event succeeding with a
-        :class:`TaskOutcome` (the outcome's ``error`` is set rather than
-        failing the event, so pollers see FAILED status).  ``span`` is
-        the caller's task span; endpoint phases trace as its children."""
-        done = self.env.event()
-        self.env.process(self._run(func, args, kwargs, done, span))
-        return done
-
     def _counter(self, name: str):
         """Lazily registered counter — chaos-path instruments must not
         appear in a clean campaign's metrics export."""
@@ -169,14 +160,17 @@ class ComputeEndpoint:
             self._lazy_counters[name] = c
         return c
 
-    def _run(
+    def execute(
         self,
         func: RegisteredFunction,
         args: tuple,
         kwargs: dict,
-        done: Event,
         span: Any = NULL_SPAN,
     ) -> Generator:
+        """DES sub-process: ``outcome = yield from ep.execute(...)`` runs a
+        task to its :class:`TaskOutcome` (``error`` is set rather than
+        raised, so pollers see FAILED status).  ``span`` is the caller's
+        task span; endpoint phases trace as its children."""
         outcome = TaskOutcome(queued_at=self.env.now)
         while True:
             wait_span = self.tracer.start("compute.queue_wait", span)
@@ -267,5 +261,4 @@ class ComputeEndpoint:
                 outcome.finished_at = self.env.now
                 if not node_lost:
                     self._park(node)
-            done.succeed(outcome)
-            return
+            return outcome

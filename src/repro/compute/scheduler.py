@@ -16,6 +16,7 @@ endpoint on each node's first task.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
@@ -73,10 +74,12 @@ class BatchScheduler:
             raise SchedulerError(f"n_nodes must be >= 1, got {n_nodes}")
         for name, v in (
             ("queue_median_s", queue_median_s),
+            ("queue_sigma", queue_sigma),
             ("boot_median_s", boot_median_s),
+            ("boot_sigma", boot_sigma),
         ):
-            if v < 0:
-                raise SchedulerError(f"{name} must be >= 0, got {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise SchedulerError(f"{name} must be finite and >= 0, got {v}")
         self.env = env
         self.pool = Resource(env, capacity=n_nodes)
         self.queue_median_s = float(queue_median_s)

@@ -19,7 +19,7 @@ from ..errors import ComputeError, EndpointError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
 from ..rng import RngRegistry, lognormal_from_median
-from ..sim import Environment, Event
+from ..sim import Environment, Process
 from .endpoint import ComputeEndpoint, TaskOutcome
 from .function import CostModel, FunctionRegistry
 
@@ -81,7 +81,7 @@ class ComputeService:
         self.functions = FunctionRegistry()
         self._endpoints: dict[str, ComputeEndpoint] = {}
         self._tasks: dict[str, ComputeTask] = {}
-        self._task_events: dict[str, Event] = {}
+        self._drives: dict[str, Process] = {}
         self._ids = itertools.count(1)
 
     # -- registry ---------------------------------------------------------------
@@ -134,7 +134,6 @@ class ComputeService:
             submitted_at=self.env.now,
         )
         self._tasks[task.task_id] = task
-        self._task_events[task.task_id] = self.env.event()
         # The task span opens at ``submitted_at`` and closes exactly at
         # ``completed_at`` so its duration equals the active time the
         # compute action provider reports for Fig. 4.
@@ -145,7 +144,9 @@ class ComputeService:
             .set("endpoint", endpoint)
             .set("function", function_id)
         )
-        self.env.process(self._drive(task, ep, func, args, kwargs, span))
+        self._drives[task.task_id] = self.env.process(
+            self._drive(task, ep, func, args, kwargs, span)
+        )
         return task.task_id
 
     def task_record(self, task_id: str) -> ComputeTask:
@@ -157,10 +158,11 @@ class ComputeService:
         except KeyError:
             raise ComputeError(f"unknown task: {task_id!r}") from None
 
-    def wait(self, task_id: str) -> Event:
-        """DES event firing at task completion (diagnostic convenience)."""
+    def wait(self, task_id: str) -> Process:
+        """The task's drive process, which ends with the task record at
+        completion; the stream launch joins it alongside delivery."""
         try:
-            return self._task_events[task_id]
+            return self._drives[task_id]
         except KeyError:
             raise ComputeError(f"unknown task: {task_id!r}") from None
 
@@ -182,7 +184,7 @@ class ComputeService:
                 lognormal_from_median(rng, self.api_latency_s, self.latency_sigma)
             )
             task.status = ComputeTaskStatus.RUNNING
-            outcome: TaskOutcome = yield ep.execute(func, args, kwargs, span=span)
+            outcome: TaskOutcome = yield from ep.execute(func, args, kwargs, span=span)
             task.outcome = outcome
             task.completed_at = self.env.now
             task.status = (
@@ -198,4 +200,4 @@ class ComputeService:
         else:
             self._m_failed.inc()
         self._m_duration.observe(task.completed_at - task.submitted_at)
-        self._task_events[task.task_id].succeed(task)
+        return task

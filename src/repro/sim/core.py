@@ -185,7 +185,9 @@ class Initialize(Event):
 class Process(Event):
     """A running process.  As an :class:`Event`, it triggers when the
     underlying generator returns (value = the generator's return value) or
-    raises (failure)."""
+    raises (failure).  A return nothing waits on ends in place, with no
+    exit event queued (a later joiner resumes at once with the value); a
+    failure is always queued, so an unjoined one escapes ``run()``."""
 
     __slots__ = ("_generator", "_target", "_resume_cb")
 
@@ -233,7 +235,10 @@ class Process(Event):
                 self._ok = True
                 self._value = exc.value
                 self._target = None
-                env.schedule(self, priority=NORMAL)
+                if self.callbacks:
+                    env.schedule(self, priority=NORMAL)
+                else:
+                    self.callbacks = None  # nobody joins: end in place
                 break
             except BaseException as exc:
                 self._ok = False

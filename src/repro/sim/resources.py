@@ -117,14 +117,12 @@ class Store:
         """Number of get() requests currently blocked."""
         return len(self._getters)
 
-    def put(self, item: Any) -> Event:
-        """Add ``item``; returns an event that has already succeeded
-        (the store has no bound to wait on)."""
+    def put(self, item: Any) -> None:
+        """Add ``item`` and serve the oldest waiting getter.  Nothing to
+        wait on: the store has no bound."""
         self.env.touch(self, "w")
         self.items.append(item)
-        ev = Event(self.env).succeed()
         self._serve()
-        return ev
 
     def get(self) -> Event:
         """Event that fires with the next item."""

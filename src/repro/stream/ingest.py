@@ -165,7 +165,7 @@ class StreamIngestApp(TriggerApp):
             session.status = "FAILED"
             session.error = f"{type(exc).__name__}: {exc}"
         finally:
-            # Quarantine before ``done`` fires, so the session span
+            # Quarantine before the span ends, so the session span
             # carries the final status.
             try:
                 if session.status != "PUBLISHED" and self._quarantine_open(
@@ -183,5 +183,4 @@ class StreamIngestApp(TriggerApp):
                 ).set("duplicates", session.duplicates)
             finally:
                 span.finish()
-            session.done.succeed(session)
             self._notify(session)

@@ -251,7 +251,6 @@ class StreamPublisher:
             created_at=self.env.now,
             threshold=self.env.event(),
             delivered=self.env.event(),
-            done=self.env.event(),
             virtual=virtual,
             declared_digest=digest,
             failed=self.env.event() if digest is not None else None,

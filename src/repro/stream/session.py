@@ -58,13 +58,12 @@ class StreamSession:
     Lifecycle: ``STREAMING`` → ``DELIVERED`` (all chunks contiguously
     received) → ``PUBLISHED`` (analysis output ingested into search),
     ``FAILED``, or ``QUARANTINED`` (the digest chain did not close —
-    the record was dead-lettered, never indexed).  The DES events fire
-    exactly once each:
+    the record was dead-lettered, never indexed); :attr:`status` is the
+    terminal state.  The DES events fire exactly once each:
 
     * :attr:`threshold` — the first ``threshold_chunks`` chunks landed
       in order; in-flight analysis may start on this partial data;
-    * :attr:`delivered` — every chunk landed;
-    * :attr:`done` — terminal (``PUBLISHED``/``FAILED``/``QUARANTINED``).
+    * :attr:`delivered` — every chunk landed.
 
     Sessions with a :attr:`declared_digest` verify every chunk on
     arrival; :attr:`failed` (created only for those) fires when the
@@ -80,7 +79,6 @@ class StreamSession:
     created_at: float
     threshold: Event
     delivered: Event
-    done: Event
     #: The source :class:`~repro.storage.VirtualFile`, when streaming
     #: out of a virtual filesystem (campaign mode).
     virtual: Any = None

@@ -27,7 +27,7 @@ from ..net import NetworkFabric
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..rng import RngRegistry, lognormal_from_median
-from ..sim import Environment, Event
+from ..sim import Environment
 from .endpoint import TransferEndpoint
 from .faults import NO_FAULTS, FaultPlan
 from .task import TaskStatus, TransferTask
@@ -96,7 +96,6 @@ class TransferService:
         self._m_duration = m.histogram("transfer.task_duration_s")
         self._endpoints: dict[str, TransferEndpoint] = {}
         self._tasks: dict[str, TransferTask] = {}
-        self._task_events: dict[str, Event] = {}
         self._ids = itertools.count(1)
 
     # -- endpoint registry ---------------------------------------------------
@@ -152,7 +151,6 @@ class TransferService:
             requested_at=self.env.now,
         )
         self._tasks[task.task_id] = task
-        self._task_events[task.task_id] = self.env.event()
         # The task span opens at ``requested_at`` and closes exactly at
         # ``completed_at`` so its duration equals ``task.duration`` — the
         # provider-reported active time the Fig. 4 gate checks against.
@@ -176,21 +174,22 @@ class TransferService:
         except KeyError:
             raise TransferError(f"unknown task: {task_id!r}") from None
 
-    def wait(self, task_id: str) -> Event:
-        """DES event firing when the task reaches a terminal state.
-
-        (Test/diagnostic convenience — production clients poll, as the
-        flow executor does.)
-        """
-        try:
-            return self._task_events[task_id]
-        except KeyError:
-            raise TransferError(f"unknown task: {task_id!r}") from None
-
     # -- execution -----------------------------------------------------------
     def _jitter(self, median: float) -> float:
         rng = self.rngs.stream("transfer.latency")
         return lognormal_from_median(rng, median, self.latency_sigma)
+
+    def _finish(
+        self, task: TransferTask, span: Any, error: Optional[str] = None
+    ) -> None:
+        """End ``task`` now: SUCCEEDED when ``error`` is ``None``, else
+        FAILED with it; close its span and record the outcome."""
+        task.status = TaskStatus.SUCCEEDED if error is None else TaskStatus.FAILED
+        task.completed_at = self.env.now
+        task.error = error
+        span.set("status", task.status.value).set("attempts", task.attempts).finish()
+        (self._m_succeeded if error is None else self._m_failed).inc()
+        self._m_duration.observe(task.duration)
 
     def _execute(
         self,
@@ -214,13 +213,7 @@ class TransferService:
             # The source vanished between submission and execution start
             # (chaos node kill, watcher replay race).  Terminate the task
             # instead of letting the process die with it stuck ACTIVE.
-            task.status = TaskStatus.FAILED
-            task.completed_at = self.env.now
-            task.error = f"source disappeared before transfer: {exc}"
-            span.set("status", "FAILED").set("attempts", task.attempts).finish()
-            self._m_failed.inc()
-            self._m_duration.observe(task.duration)
-            self._task_events[task.task_id].succeed(task)
+            self._finish(task, span, f"source disappeared before transfer: {exc}")
             return
 
         while True:
@@ -295,23 +288,17 @@ class TransferService:
                                     f"at-rest digest mismatch on attempt "
                                     f"{task.attempts}"
                                 )
-                                task.status = TaskStatus.FAILED
-                                task.completed_at = self.env.now
-                                task.error = (
+                                attempt_span.set("outcome", "integrity")
+                                self._finish(
+                                    task,
+                                    span,
                                     "integrity: source payload digest "
                                     f"{source_file.payload_digest} does not "
-                                    f"match declared {source_file.checksum}"
+                                    f"match declared {source_file.checksum}",
                                 )
-                                attempt_span.set("outcome", "integrity")
-                                span.set("status", "FAILED").set(
-                                    "attempts", task.attempts
-                                ).finish()
                                 self.ledger.detect(
                                     "file", "at_rest", path=task.source_path
                                 )
-                                self._m_failed.inc()
-                                self._m_duration.observe(task.duration)
-                                self._task_events[task.task_id].succeed(task)
                                 return
                         dst.vfs.copy_in(source_file, task.dest_path, now=self.env.now)
                         if self.ledger is not None:
@@ -329,29 +316,16 @@ class TransferService:
                                 at=self.env.now,
                                 by="transfer",
                             )
-                        task.status = TaskStatus.SUCCEEDED
-                        task.completed_at = self.env.now
                         attempt_span.set("outcome", "succeeded")
-                        span.set("status", "SUCCEEDED").set(
-                            "attempts", task.attempts
-                        ).finish()
-                        self._m_succeeded.inc()
+                        self._finish(task, span)
                         self._m_bytes.inc(float(source_file.size_bytes))
-                        self._m_duration.observe(task.duration)
-                        self._task_events[task.task_id].succeed(task)
                         return
             finally:
                 attempt_span.finish()
 
             self._m_retries.inc()
             if task.attempts >= self.fault_plan.max_attempts:
-                task.status = TaskStatus.FAILED
-                task.completed_at = self.env.now
-                task.error = (
-                    f"exhausted {task.attempts} attempts: {task.faults[-1]}"
+                self._finish(
+                    task, span, f"exhausted {task.attempts} attempts: {task.faults[-1]}"
                 )
-                span.set("status", "FAILED").set("attempts", task.attempts).finish()
-                self._m_failed.inc()
-                self._m_duration.observe(task.duration)
-                self._task_events[task.task_id].succeed(task)
                 return

@@ -216,6 +216,20 @@ def test_scheduler_validation():
         BatchScheduler(env, n_nodes=0)
     with pytest.raises(SchedulerError):
         BatchScheduler(env, queue_median_s=-1)
+    for field in ("queue_median_s", "queue_sigma", "boot_median_s", "boot_sigma"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(SchedulerError, match=f"{field} must be finite"):
+                BatchScheduler(env, **{field: bad})
+
+
+def test_endpoint_durations_must_be_finite_and_non_negative():
+    env = Environment()
+    sched = BatchScheduler(env)
+    for field in ("env_cache_median_s", "env_cache_sigma", "idle_timeout_s"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ComputeError, match=f"{field} must be finite"):
+                ComputeEndpoint(env, "polaris", sched, **{field: bad})
+    assert ComputeEndpoint(env, "polaris", sched).name == "polaris"
 
 
 def test_double_release_rejected():

@@ -175,3 +175,31 @@ def test_replay_is_independent_of_hash_seed():
     assert a.pop("hash_probe") != b.pop("hash_probe")  # the seeds took effect
     assert a["file"]["n_events"] > 0 and a["stream"]["n_events"] > 0
     assert a == b
+
+
+@pytest.mark.parametrize("scenario", ("clean", "full-storm", "corruption"))
+@pytest.mark.parametrize("ingest", ("file", "stream"))
+def test_no_event_is_dispatched_without_a_waiter(monkeypatch, ingest, scenario):
+    """Every event the loop dispatches has a callback: no exit of an
+    unjoined process, no completion event nobody joins.  Counted through
+    the trace recorder's dispatch hook, which sees each event before its
+    callbacks run."""
+    from repro.chaos import NO_CHAOS
+    from repro.core.campaign import run_campaign
+    from repro.sim import EventTraceRecorder
+
+    unwaited: list[str] = []
+    on_dispatch = EventTraceRecorder._on_dispatch
+
+    def counting(self, now, priority, event):
+        if not event.callbacks:
+            unwaited.append(f"{now!r} {priority} {type(event).__name__}")
+        on_dispatch(self, now, priority, event)
+
+    monkeypatch.setattr(EventTraceRecorder, "_on_dispatch", counting)
+    res = run_campaign(
+        "hyperspectral", duration_s=900.0, seed=1, tiebreak="fifo", trace=True,
+        ingest=ingest, chaos=NO_CHAOS if scenario == "clean" else scenario,
+    )
+    assert len(res.trace) > 0
+    assert unwaited == [], f"{len(unwaited)} unwaited, first: {unwaited[:3]}"

@@ -139,7 +139,7 @@ def test_same_tick_store_puts_from_two_processes_race():
 
     def producer(env, item):
         yield env.timeout(5.0)
-        yield store.put(item)
+        store.put(item)
 
     env.process(producer(env, "x"))
     env.process(producer(env, "y"))

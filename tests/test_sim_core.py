@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import NORMAL, URGENT, AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim import (
+    NORMAL,
+    URGENT,
+    AllOf,
+    AnyOf,
+    Environment,
+    Event,
+    EventTraceRecorder,
+    Timeout,
+)
 
 
 def test_time_starts_at_zero():
@@ -261,6 +270,44 @@ def test_process_return_value_is_event_value():
     env.process(parent(env))
     env.run()
     assert results == [99]
+
+
+def test_unjoined_process_ends_in_place():
+    env = Environment()
+    rec = EventTraceRecorder(env)
+
+    def lone(env):
+        yield env.timeout(2)
+        return 7
+
+    p = env.process(lone(env))
+    env.run()
+    # Its start and its timer are dispatched; its exit is not queued.
+    assert rec.lines == ["0.0 0 Initialize", "2.0 1 Timeout"]
+    assert p.processed and not p.is_alive
+    assert p.value == 7
+
+
+def test_late_joiner_resumes_at_once_with_return_value():
+    env = Environment()
+    seen = []
+
+    def child(env):
+        yield env.timeout(1)
+        return "result"
+
+    c = env.process(child(env))
+
+    def joiner(env):
+        yield env.timeout(5)
+        value = yield c  # c returned at t=1 with nobody joined
+        seen.append((env.now, value))
+
+    env.process(joiner(env))
+    env.run()
+    assert seen == [(5.0, "result")]
+    assert env.run(until=c) == "result"
+    assert env.now == 5.0
 
 
 def test_all_of_waits_for_slowest():

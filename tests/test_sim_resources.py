@@ -128,7 +128,7 @@ def test_store_fifo_order():
     def producer(env, store):
         for i in range(5):
             yield env.timeout(1)
-            yield store.put(i)
+            store.put(i)
 
     def consumer(env, store):
         for _ in range(5):
@@ -152,7 +152,7 @@ def test_store_get_blocks_until_put():
 
     def producer(env, store):
         yield env.timeout(42)
-        yield store.put("late")
+        assert store.put("late") is None  # put never blocks: nothing to wait on
 
     env.process(consumer(env, store))
     env.process(producer(env, store))
@@ -195,15 +195,12 @@ def test_store_preserves_items_exactly(items):
     store = Store(env)
     received = []
 
-    def producer(env):
-        for it in items:
-            yield store.put(it)
-
     def consumer(env):
         for _ in items:
             received.append((yield store.get()))
 
-    env.process(producer(env))
+    for it in items:  # put never blocks, so the producer is a plain loop
+        store.put(it)
     env.process(consumer(env))
     env.run()
     assert received == items

@@ -58,7 +58,7 @@ def test_successful_transfer_moves_file(world):
     env, service, token, src_fs, dst_fs, *_ = world
     f = src_fs.create("/transfer/a.emd", MB(125), created_at=0)
     tid = service.submit(token, "picoprobe-user", "/transfer/a.emd", "alcf-eagle", "/data/a.emd")
-    env.run(until=service.wait(tid))
+    env.run()
     task = service.task_record(tid)
     assert task.status is TaskStatus.SUCCEEDED
     assert dst_fs.exists("/data/a.emd")
@@ -114,8 +114,6 @@ def test_unknown_task_poll_raises(world):
     env, service, token, *_ = world
     with pytest.raises(TransferError):
         service.task_record("xfer-999999")
-    with pytest.raises(TransferError):
-        service.wait("xfer-999999")
 
 
 def test_duplicate_endpoint_registration(world):
@@ -138,7 +136,8 @@ def test_endpoint_efficiency_slows_transfer(world):
     service.register_endpoint(slow)
     src_fs.create("/transfer/a.emd", MB(125), created_at=0)
     tid = service.submit(token, "picoprobe-user", "/transfer/a.emd", "slow-dest", "/d/a.emd")
-    env.run(until=service.wait(tid))
+    env.run()
+    assert service.task_record(tid).status is TaskStatus.SUCCEEDED
     # 125 MB at 10% of 1 Gbps ≈ 10 s.
     assert 9.5 < env.now < 12.0
 
@@ -397,18 +396,16 @@ def test_transient_retry_partial_bytes_accounting():
 def test_source_deleted_before_execution_fails_task(world):
     """Regression: a source vanishing between submission and execution
     start used to kill the execute process, leaving the task stuck
-    ACTIVE and its waiters pending forever."""
+    ACTIVE for every poller."""
     env, service, token, src_fs, dst_fs, *_ = world
     src_fs.create("/transfer/gone.emd", MB(10), created_at=0)
     tid = service.submit(
         token, "picoprobe-user", "/transfer/gone.emd", "alcf-eagle", "/data/gone.emd"
     )
     src_fs.delete("/transfer/gone.emd")  # vanishes before execution starts
-    done = service.wait(tid)
     env.run()
     task = service.task_record(tid)
     assert task.status is TaskStatus.FAILED
     assert task.completed_at is not None
     assert "disappeared" in task.error
-    assert done.triggered  # waiters released, not stuck
     assert not dst_fs.exists("/data/gone.emd")
