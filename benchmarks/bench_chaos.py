@@ -65,17 +65,16 @@ def test_chaos_disabled_is_free(benchmark, output_dir):
     benchmark(no_chaos_run)
 
     base, disabled = min(plain), min(off)
-    lines = [
-        f"plain campaign:    {base * 1e3:.1f} ms (best of 3)",
-        f"NO_CHAOS campaign: {disabled * 1e3:.1f} ms (best of 3)",
-        f"disabled-chaos cost: {100 * (disabled - base) / base:+.1f}%",
-        f"event traces identical: "
-        f"{campaign_trace(base_res) == campaign_trace(off_res)}",
-    ]
-    report("bench_chaos_disabled", lines, output_dir)
+    # Wall times vary with the host, so they go to stdout only.
+    print(
+        f"\nplain {base * 1e3:.1f} ms, NO_CHAOS {disabled * 1e3:.1f} ms "
+        f"(best of 3): disabled-chaos cost {100 * (disabled - base) / base:+.1f}%"
+    )
+    identical = campaign_trace(base_res) == campaign_trace(off_res)
+    report("bench_chaos_disabled", [f"event traces identical: {identical}"], output_dir)
     # Bit-identity is the hard gate (also enforced by tier-1); timing
     # must stay within noise, not within an order of magnitude.
-    assert campaign_trace(base_res) == campaign_trace(off_res)
+    assert identical
     assert disabled < base * 1.5
 
 

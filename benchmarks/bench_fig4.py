@@ -57,7 +57,7 @@ def test_fig4_breakdown(benchmark, campaigns, output_dir):
         path = os.path.join(output_dir, f"fig4_{name}.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        lines.append(f"  panel: {path}")
+        lines.append(f"  panel: {os.path.relpath(path, output_dir)}")
 
         # Transfer dominates active flow time (Sec. 3.3's bottleneck
         # finding) in both use cases.

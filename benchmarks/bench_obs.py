@@ -59,12 +59,13 @@ def test_tracing_overhead(benchmark, output_dir):
 
     base, full = min(untraced), min(traced)
     n_spans = len(traced_res.testbed.obs.tracer.spans)
-    lines = [
-        f"untraced campaign: {base * 1e3:.1f} ms (best of 3)",
-        f"traced campaign:   {full * 1e3:.1f} ms (best of 3), {n_spans} spans",
-        f"tracing cost: {100 * (full - base) / base:+.1f}%",
-    ]
-    report("bench_obs_overhead", lines, output_dir)
+    # Wall times vary with the host, so they go to stdout only; the
+    # tracked tracing cost is the e2e harness's trace_overhead_frac.
+    print(
+        f"\nuntraced {base * 1e3:.1f} ms, traced {full * 1e3:.1f} ms "
+        f"(best of 3): tracing cost {100 * (full - base) / base:+.1f}%"
+    )
+    report("bench_obs_overhead", [f"traced campaign: {n_spans} spans"], output_dir)
     # The disabled path must not have regressed; the enabled path's
     # cost should stay well under one order of magnitude.
     assert full < base * 3.0

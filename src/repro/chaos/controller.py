@@ -34,8 +34,7 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from ..flows.action import ActionState
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from .corruption import ChunkCorruptor
 from .gate import ServiceGate
 from .plan import (
@@ -79,8 +78,7 @@ class ChaosController:
         observer: Any = None,
         stream: Any = None,
         filesystems: Any = None,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.plan = plan
@@ -96,30 +94,16 @@ class ChaosController:
         #: Name -> :class:`~repro.storage.VirtualFS`, the targets the
         #: plan's bit-rot windows and metadata mismatches may hit.
         self.filesystems: dict[str, Any] = dict(filesystems or {})
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._lazy: dict[str, Any] = {}
+        self.tracer = obs.tracer
+        # ``chaos.*`` instruments are fetched where they fire, so a plan
+        # that never injects leaves none in the export.
+        self._metrics = obs.metrics
         self.gates: dict[str, ServiceGate] = {}
         #: Ordered, seed-deterministic record of every injection edge.
         self.injections: list[dict[str, Any]] = []
         #: Sim-time from backlog enqueue to successful catch-up.
         self.recovery_latencies: list[float] = []
         self.installed = False
-
-    # -- metrics ----------------------------------------------------------
-    def _counter(self, name: str):
-        c = self._lazy.get(name)
-        if c is None:
-            c = self._metrics.counter(name)
-            self._lazy[name] = c
-        return c
-
-    def _histogram(self, name: str):
-        h = self._lazy.get(name)
-        if h is None:
-            h = self._metrics.histogram(name)
-            self._lazy[name] = h
-        return h
 
     def _log(self, kind: str, **detail: Any) -> None:
         self.injections.append({"t": self.env.now, "kind": kind, **detail})
@@ -128,7 +112,7 @@ class ChaosController:
         """One corruption injection: log it, count it, and emit the
         ``chaos.corruption`` span the integrity audit joins against."""
         self._log(kind, path=path, **detail)
-        self._counter("chaos.corruptions").inc()
+        self._metrics.counter("chaos.corruptions").inc()
         span = self.tracer.start("chaos.corruption")
         try:
             span.set("kind", kind).set("path", path)
@@ -202,7 +186,7 @@ class ChaosController:
         )
         try:
             self._log("outage_start", service=w.service, until=w.end_s)
-            self._counter("chaos.outages").inc()
+            self._metrics.counter("chaos.outages").inc()
             yield self.env.timeout(w.duration_s)
             gate = self.gates.get(w.service)
             span.set("rejections", gate.rejections if gate else 0)
@@ -227,7 +211,7 @@ class ChaosController:
         )
         try:
             self._log("link_degraded", a=d.a, b=d.b, scale=d.scale)
-            self._counter("chaos.degradations").inc()
+            self._metrics.counter("chaos.degradations").inc()
             self.fabric.set_link_health(d.a, d.b, d.scale)
             yield self.env.timeout(d.duration_s)
             self.fabric.set_link_health(d.a, d.b, 1.0)
@@ -243,7 +227,7 @@ class ChaosController:
         span = self.tracer.start("chaos.watcher_crash").set("down_s", c.down_s)
         try:
             self._log("watcher_crash", down_s=c.down_s)
-            self._counter("chaos.watcher_crashes").inc()
+            self._metrics.counter("chaos.watcher_crashes").inc()
             self.observer.stop()
             yield self.env.timeout(c.down_s)
             replayed = self.observer.restart(replay=True)
@@ -335,7 +319,7 @@ class ChaosController:
                     entry.caught_up_at = self.env.now
                     latency = entry.recovery_latency_s or 0.0
                     self.recovery_latencies.append(latency)
-                    self._histogram("chaos.recovery_latency_s").observe(latency)
+                    self._metrics.histogram("chaos.recovery_latency_s").observe(latency)
                     span.set("status", "SUCCEEDED").set("latency_s", latency)
                 else:
                     entry.error = (

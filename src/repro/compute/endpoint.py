@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import ComputeError
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment, Store
 from .function import RegisteredFunction
@@ -75,8 +74,7 @@ class ComputeEndpoint:
         env_cache_sigma: float = 0.2,
         idle_timeout_s: float = 600.0,
         rngs: Optional[RngRegistry] = None,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         for field, v in (
             ("env_cache_median_s", env_cache_median_s),
@@ -92,16 +90,14 @@ class ComputeEndpoint:
         self.env_cache_sigma = float(env_cache_sigma)
         self.idle_timeout_s = float(idle_timeout_s)
         self.rngs = rngs or RngRegistry(seed=0)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
+        self.tracer = obs.tracer
+        m = self._metrics = obs.metrics
         self._m_tasks = m.counter(f"endpoint.{name}.tasks")
         self._m_cold = m.counter(f"endpoint.{name}.cold_starts")
         self._m_warm = m.gauge(f"endpoint.{name}.warm_nodes")
         self._m_queue_wait = m.histogram(f"endpoint.{name}.queue_wait_s")
         self._available: Store = Store(env)  # parked warm + fresh nodes
         self._park_epoch: dict[str, int] = {}  # reaper invalidation tokens
-        self._metrics = m
-        self._lazy_counters: dict[str, Any] = {}
         #: Chaos hooks: a node-failure spec (duck-typed, see
         #: :class:`repro.chaos.NodeFailureSpec`) plus its RNG stream.
         #: ``None`` (the default) makes zero draws and zero extra events.
@@ -151,21 +147,12 @@ class ComputeEndpoint:
         self._m_warm.set(len(self._available))
 
     # -- task execution ----------------------------------------------------------
-    def _counter(self, name: str):
-        """Lazily registered counter — chaos-path instruments must not
-        appear in a clean campaign's metrics export."""
-        c = self._lazy_counters.get(name)
-        if c is None:
-            c = self._metrics.counter(name)
-            self._lazy_counters[name] = c
-        return c
-
     def execute(
         self,
         func: RegisteredFunction,
         args: tuple,
         kwargs: dict,
-        span: Any = NULL_SPAN,
+        span: Any,
     ) -> Generator:
         """DES sub-process: ``outcome = yield from ep.execute(...)`` runs a
         task to its :class:`TaskOutcome` (``error`` is set rather than
@@ -232,7 +219,9 @@ class ComputeEndpoint:
                         node_lost = True
                         outcome.node_failures += 1
                         self.node_failures += 1
-                        self._counter(
+                        # Registered on first failure: a clean campaign's
+                        # export carries no chaos instrument.
+                        self._metrics.counter(
                             f"endpoint.{self.name}.node_failures"
                         ).inc()
                         exec_span.set("ok", False).set("node_failed", True)

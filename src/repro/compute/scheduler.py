@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import SchedulerError
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment, Resource
 from ..sim.resources import Request
@@ -67,8 +66,7 @@ class BatchScheduler:
         boot_median_s: float = 30.0,
         boot_sigma: float = 0.2,
         rngs: Optional[RngRegistry] = None,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         if n_nodes < 1:
             raise SchedulerError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -87,8 +85,8 @@ class BatchScheduler:
         self.boot_median_s = float(boot_median_s)
         self.boot_sigma = float(boot_sigma)
         self.rngs = rngs or RngRegistry(seed=0)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
+        self.tracer = obs.tracer
+        m = obs.metrics
         self._m_provisions = m.counter("scheduler.provisions")
         self._m_releases = m.counter("scheduler.releases")
         self._m_busy = m.gauge("scheduler.busy_nodes")

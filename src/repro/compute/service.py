@@ -16,8 +16,7 @@ from typing import Any, Callable, Generator, Optional
 from ..auth import ScopeAuthorizer, Token
 from ..auth.identity import COMPUTE_SCOPE, AuthClient
 from ..errors import ComputeError, EndpointError
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment, Process
 from .endpoint import ComputeEndpoint, TaskOutcome
@@ -61,8 +60,7 @@ class ComputeService:
         rngs: Optional[RngRegistry] = None,
         api_latency_s: float = 0.2,
         latency_sigma: float = 0.3,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.authorizer = ScopeAuthorizer(auth, COMPUTE_SCOPE)
@@ -72,8 +70,8 @@ class ComputeService:
         #: Chaos hook: a duck-typed outage gate (see
         #: :class:`repro.chaos.ServiceGate`).  ``None`` means always up.
         self.gate: Any = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
+        self.tracer = obs.tracer
+        m = obs.metrics
         self._m_submitted = m.counter("compute.tasks_submitted")
         self._m_succeeded = m.counter("compute.tasks_succeeded")
         self._m_failed = m.counter("compute.tasks_failed")
@@ -174,7 +172,7 @@ class ComputeService:
         func,
         args: tuple,
         kwargs: dict,
-        span: Any = NULL_SPAN,
+        span: Any,
     ) -> Generator:
         # Cloud routing hop: service receives the task, ships it to the
         # endpoint's queue.

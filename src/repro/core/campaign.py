@@ -26,7 +26,7 @@ from ..instrument import (
     FileCopier,
     UseCaseSpec,
 )
-from ..obs import Observability
+from ..obs import NULL_OBS, Observability
 from ..sim import Environment
 from ..testbed import DEFAULT_CALIBRATION, Calibration, Testbed, build_testbed
 from ..units import hours
@@ -315,16 +315,14 @@ def run_campaign(
         seed=config.seed,
         calibration=calibration,
         fault_plan=plan.transfer_faults,
-        obs=Observability(env) if config.obs else None,
+        obs=Observability(env) if config.obs else NULL_OBS,
         retry_policies=plan.policy_map(),
     )
     ledger = None
     if config.verified:
         from ..integrity import IntegrityLedger
 
-        ledger = IntegrityLedger(
-            env, tracer=tb.obs.tracer, metrics=tb.obs.metrics
-        )
+        ledger = IntegrityLedger(env, obs=tb.obs)
         tb.transfer.ledger = ledger
 
     fn, cost_model = _ANALYSES[spec.signal_type]
@@ -357,8 +355,7 @@ def run_campaign(
             env,
             host="polaris-mom",
             ingest_bytes_per_s=calibration.checksum_bytes_per_s,
-            tracer=tb.obs.tracer,
-            metrics=tb.obs.metrics,
+            obs=tb.obs,
         )
         publisher = StreamPublisher(
             env,
@@ -367,8 +364,7 @@ def run_campaign(
             src_host="picoprobe-user-machine",
             rngs=tb.rngs,
             efficiency=calibration.endpoint_efficiency,
-            tracer=tb.obs.tracer,
-            metrics=tb.obs.metrics,
+            obs=tb.obs,
         )
         if ledger is not None:
             receiver.ledger = ledger
@@ -407,8 +403,7 @@ def run_campaign(
             observer=observer,
             stream=publisher,
             filesystems={"picoprobe-user": tb.user_fs, "eagle": tb.eagle_fs},
-            tracer=tb.obs.tracer,
-            metrics=tb.obs.metrics,
+            obs=tb.obs,
         )
         controller.install()
 

@@ -24,7 +24,7 @@ from typing import Any
 from ..auth import Token
 from ..compute import ComputeService, ComputeTaskStatus
 from ..errors import FlowError, ServiceUnavailable
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from ..search import SearchService
 from ..sim import Environment
 from ..transfer import TaskStatus, TransferService
@@ -162,12 +162,12 @@ class SearchIngestActionProvider:
         env: Environment,
         service: SearchService,
         token: Token,
-        tracer: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.service = service
         self.token = token
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = obs.tracer
         #: Integrity hook: a duck-typed
         #: :class:`~repro.integrity.IntegrityLedger`.  When set, every
         #: ingest must present a closed digest chain for its subject;
@@ -200,9 +200,7 @@ class SearchIngestActionProvider:
         self.env.process(self._drive(record, body, span))
         return action_id
 
-    def _drive(self, record: dict, body: dict[str, Any], span: Any = None):
-        if span is None:
-            span = NULL_TRACER.start("search.ingest")
+    def _drive(self, record: dict, body: dict[str, Any], span: Any):
         try:
             if self.ledger is not None:
                 ok, reason = self.ledger.check_publishable(body.get("subject"))

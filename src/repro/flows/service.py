@@ -31,8 +31,8 @@ from typing import Any, Generator, Iterator, Optional
 from ..auth import ScopeAuthorizer, Token
 from ..auth.identity import FLOWS_SCOPE, AuthClient
 from ..errors import ActionTimeout, FlowError, ServiceUnavailable
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_OBS
+from ..obs.tracer import NULL_SPAN
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment
 from .action import ActionProvider, ActionState, ActionStatus
@@ -81,8 +81,7 @@ class FlowsService:
         poll_latency_s: float = 0.15,
         backoff: ExponentialBackoff = PAPER_BACKOFF,
         retry_policies: "dict[str, RetryPolicy] | None" = None,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.authorizer = ScopeAuthorizer(auth, FLOWS_SCOPE)
@@ -92,9 +91,8 @@ class FlowsService:
         self.poll_latency_s = float(poll_latency_s)
         self.backoff = backoff
         self.retry_policies: dict[str, RetryPolicy] = dict(retry_policies or {})
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        m = self._metrics
+        self.tracer = obs.tracer
+        m = self._metrics = obs.metrics
         self._m_started = m.counter("flows.runs_started")
         self._m_succeeded = m.counter("flows.runs_succeeded")
         self._m_failed = m.counter("flows.runs_failed")
@@ -102,10 +100,8 @@ class FlowsService:
         self._m_transitions = m.counter("flows.transitions")
         self._m_runtime = m.histogram("flows.runtime_s")
         self._m_active_runs = m.gauge("flows.active_runs")
-        #: Chaos-path instruments, registered lazily on first use so a
-        #: clean campaign's metrics export is bit-identical to one built
-        #: before the retry machinery existed.
-        self._lazy_counters: dict[str, Any] = {}
+        # Retries, degraded steps and dead letters are counted where they
+        # fire, so a clean campaign's export carries none of them.
         self._providers: dict[str, ActionProvider] = {}
         self._definitions: dict[str, FlowDefinition] = {}
         self._runs: dict[str, FlowRun] = {}
@@ -175,14 +171,6 @@ class FlowsService:
         return sorted(self._runs.values(), key=lambda r: r.run_id)
 
     # -- internals ---------------------------------------------------------------
-    def _counter(self, name: str):
-        """Lazily registered counter (see ``_lazy_counters``)."""
-        c = self._lazy_counters.get(name)
-        if c is None:
-            c = self._metrics.counter(name)
-            self._lazy_counters[name] = c
-        return c
-
     def _transition(self) -> Generator:
         rng = self.rngs.stream("flows.latency")
         delay = lognormal_from_median(
@@ -310,7 +298,7 @@ class FlowsService:
             attempt.ended_at = self.env.now
 
             if len(step.attempt_history) < policy.max_attempts:
-                self._counter("flows.retries").inc()
+                self._metrics.counter("flows.retries").inc()
                 retry_span = (
                     self.tracer.start("flow.retry", step_span)
                     .set("attempt", attempt.number)
@@ -329,7 +317,7 @@ class FlowsService:
             # Exhausted.  Non-critical states degrade; critical ones
             # dead-letter and fail the run.
             if not policy.critical:
-                self._counter("flows.degraded_steps").inc()
+                self._metrics.counter("flows.degraded_steps").inc()
                 step.degraded = True
                 step.error = failure
                 run.degraded = True
@@ -345,7 +333,7 @@ class FlowsService:
                 )
                 step_span.set("degraded", True)
                 return None
-            self._counter("flows.dead_letters").inc()
+            self._metrics.counter("flows.dead_letters").inc()
             self.dead_letters.append(
                 DeadLetter(
                     run_id=run.run_id,
@@ -369,7 +357,7 @@ class FlowsService:
             raise FlowError(f"state {state.name!r} failed: {failure}")
 
     def _execute(
-        self, definition: FlowDefinition, run: FlowRun, run_span: Any = NULL_SPAN
+        self, definition: FlowDefinition, run: FlowRun, run_span: Any
     ) -> Generator:
         context: dict[str, Any] = {"input": run.input, "states": {}}
         step_span = NULL_SPAN

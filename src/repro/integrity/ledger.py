@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..errors import IntegrityError
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from .chain import DigestChain
 
 __all__ = ["IntegrityLedger", "QuarantineRecord"]
@@ -71,10 +70,10 @@ class _Detection:
 class IntegrityLedger:
     """Campaign-wide digest chains plus the quarantine dead-letter."""
 
-    def __init__(self, env: Any, tracer: Any = None, metrics: Any = None) -> None:
+    def __init__(self, env: Any, obs: Any = NULL_OBS) -> None:
         self.env = env
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = obs.tracer
+        self._metrics = obs.metrics
         self.chains: dict[str, DigestChain] = {}
         self._by_subject: dict[str, str] = {}
         self.detections: list[_Detection] = []
@@ -82,10 +81,6 @@ class IntegrityLedger:
         self.quarantined: list[QuarantineRecord] = []
         self._quarantined_paths: set[str] = set()
         self.published: list[str] = []
-        # Lazy counters: only corruption campaigns ever materialise them.
-        self._m_detect: Any = None
-        self._m_repair: Any = None
-        self._m_quarantine: Any = None
 
     # -- chain bookkeeping (clean path: no spans, no metrics) --------------
     def begin(self, path: str, declared: str, subject: str, at: float) -> DigestChain:
@@ -129,9 +124,7 @@ class IntegrityLedger:
             seq=seq, session_id=session_id,
         )
         self.detections.append(d)
-        if self._m_detect is None:
-            self._m_detect = self._metrics.counter("integrity.detections")
-        self._m_detect.inc()
+        self._metrics.counter("integrity.detections").inc()
         span = self.tracer.start("integrity.detect")
         try:
             span.set("mode", mode).set("kind", kind).set("path", path)
@@ -157,9 +150,7 @@ class IntegrityLedger:
             seq=seq, session_id=session_id,
         )
         self.repairs.append(r)
-        if self._m_repair is None:
-            self._m_repair = self._metrics.counter("integrity.repairs")
-        self._m_repair.inc()
+        self._metrics.counter("integrity.repairs").inc()
         span = self.tracer.start("integrity.repair")
         try:
             span.set("mode", mode).set("kind", kind).set("path", path)
@@ -201,9 +192,7 @@ class IntegrityLedger:
         )
         self._quarantined_paths.add(path)
         self.quarantined.append(record)
-        if self._m_quarantine is None:
-            self._m_quarantine = self._metrics.counter("integrity.quarantined")
-        self._m_quarantine.inc()
+        self._metrics.counter("integrity.quarantined").inc()
         span = self.tracer.start("integrity.quarantine")
         try:
             span.set("path", path).set("subject", record.subject).set(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import EndpointError
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_OBS
+from ..obs.tracer import NULL_SPAN
 from ..sim import URGENT, Environment, Event, Timeout
 from .topology import Link, Topology
 
@@ -106,18 +106,15 @@ class NetworkFabric:
         self,
         env: Environment,
         topology: Topology,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.topology = topology
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
-        self._metrics = m
+        self.tracer = obs.tracer
+        m = self._metrics = obs.metrics
         self._m_streams = m.counter("net.streams_started")
         self._m_bytes = m.counter("net.bytes_delivered")
         self._m_active = m.gauge("net.active_streams")
-        self._m_aborted: Any = None  # lazy; only aborting campaigns register it
         #: Admitted streams, in admission order.
         self._streams: dict[int, Stream] = {}
         #: Timestamp of the last full settle; settling twice at one
@@ -244,11 +241,9 @@ class NetworkFabric:
         del self._streams[stream.stream_id]
         self._m_active.set(len(self._streams))
         # Aborted partials do not count toward ``net.bytes_delivered``;
-        # aborts get their own (lazily created) counter so the chaos
+        # aborts get their own counter, registered here so the chaos
         # instrument never appears in a clean campaign's export.
-        if self._m_aborted is None:
-            self._m_aborted = self._metrics.counter("net.streams_aborted")
-        self._m_aborted.inc()
+        self._metrics.counter("net.streams_aborted").inc()
         stream.rate = 0.0
         stream.span.set("status", "aborted").finish()
         done.succeed(stream)

@@ -6,21 +6,22 @@ instead of hand-maintained:
 
 * :mod:`~repro.obs.tracer` — parented spans timestamped from
   ``Environment.now`` (plus a free no-op path);
-* :mod:`~repro.obs.metrics` — counters, gauges, and sim-time-bucketed
-  histograms registered by services at construction;
+* :mod:`~repro.obs.metrics` — counters, gauges, and histograms in
+  one-minute sim-time buckets, registered by services at construction
+  (fault-path ones where they first fire);
 * :mod:`~repro.obs.analysis` — per-step Active/Overhead and the
   critical path derived **from spans alone**, cross-checked against
   the ``StepRecord`` numbers by the tier-1 consistency gate;
 * :mod:`~repro.obs.export` — JSON-lines, Chrome ``trace_event``, and
   metrics-CSV exporters behind ``python -m repro trace``.
 
-:class:`Observability` bundles one tracer + one metrics registry for
-threading through :func:`repro.testbed.build_testbed`.
+:class:`Observability` bundles one tracer + one metrics registry; every
+instrumented service takes it as ``obs=`` (default :data:`NULL_OBS`,
+the free disabled path), and :func:`repro.testbed.build_testbed` hands
+one bundle to all of them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..sim import Environment
 from .analysis import (
@@ -92,12 +93,9 @@ __all__ = [
 class Observability:
     """One tracer + one metrics registry, bound to an environment."""
 
-    enabled = True
-
-    def __init__(self, env: Environment, metrics_bucket_s: float = 60.0) -> None:
-        self.env: Optional[Environment] = env
+    def __init__(self, env: Environment) -> None:
         self.tracer = SimTracer(env)
-        self.metrics = MetricsRegistry(env, default_bucket_s=metrics_bucket_s)
+        self.metrics = MetricsRegistry(env)
 
 
 class _NullObservability:
@@ -105,8 +103,6 @@ class _NullObservability:
 
     __slots__ = ()
 
-    enabled = False
-    env = None
     tracer = NULL_TRACER
     metrics = NULL_METRICS
 

@@ -11,13 +11,15 @@ instruments, so services may update unconditionally.
 * :class:`Gauge` — instantaneous level sampled on every ``set``
   (active streams, node occupancy, queue depth); the full ``(t, v)``
   series is retained for export.
-* :class:`Histogram` — values aggregated per fixed-width sim-time
+* :class:`Histogram` — values aggregated per one-minute sim-time
   bucket (count/sum/min/max), e.g. per-minute queue-wait statistics.
+
+Fault-path instruments (retries, NAKs, chaos injections) are fetched
+from the registry where they fire, so they enter an export the first
+time they fire and a clean run's export holds none of them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..errors import SimulationError
 from ..sim import Environment
@@ -72,15 +74,14 @@ class Gauge:
 class Histogram:
     """Values aggregated into fixed-width simulation-time buckets."""
 
-    __slots__ = ("name", "bucket_s", "buckets", "_env")
+    __slots__ = ("name", "buckets", "_env")
 
     kind = "histogram"
+    #: Width of every histogram's sim-time buckets, in seconds.
+    bucket_s = 60.0
 
-    def __init__(self, name: str, env: Environment, bucket_s: float = 60.0) -> None:
-        if bucket_s <= 0:
-            raise SimulationError(f"histogram bucket width must be > 0, got {bucket_s}")
+    def __init__(self, name: str, env: Environment) -> None:
         self.name = name
-        self.bucket_s = float(bucket_s)
         #: bucket index -> [count, sum, min, max]
         self.buckets: dict[int, list[float]] = {}
         self._env = env
@@ -114,11 +115,8 @@ class MetricsRegistry:
     for the same name with a different kind is an error.
     """
 
-    enabled = True
-
-    def __init__(self, env: Environment, default_bucket_s: float = 60.0) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.default_bucket_s = float(default_bucket_s)
         self._instruments: dict[str, object] = {}
 
     def _get(self, name: str, kind: str, factory):
@@ -139,9 +137,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, "gauge", lambda: Gauge(name, self.env))
 
-    def histogram(self, name: str, bucket_s: Optional[float] = None) -> Histogram:
-        width = self.default_bucket_s if bucket_s is None else bucket_s
-        return self._get(name, "histogram", lambda: Histogram(name, self.env, width))
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, "histogram", lambda: Histogram(name, self.env))
 
     def instruments(self) -> list:
         """All instruments sorted by name (stable export order)."""
@@ -181,15 +178,13 @@ class NullMetricsRegistry:
 
     __slots__ = ()
 
-    enabled = False
-
     def counter(self, name: str) -> NullInstrument:
         return NULL_INSTRUMENT
 
     def gauge(self, name: str) -> NullInstrument:
         return NULL_INSTRUMENT
 
-    def histogram(self, name: str, bucket_s: Optional[float] = None) -> NullInstrument:
+    def histogram(self, name: str) -> NullInstrument:
         return NULL_INSTRUMENT
 
     def instruments(self) -> list:

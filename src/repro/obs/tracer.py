@@ -14,7 +14,8 @@ Two implementations share the interface:
   returns the singleton :data:`NULL_SPAN` whose methods are no-ops —
   no allocation, no bookkeeping, nothing retained.
 
-Instrumented services accept ``tracer=None`` and fall back to
+Instrumented services take an :class:`~repro.obs.Observability` bundle
+as ``obs=`` and default to :data:`~repro.obs.NULL_OBS`, whose tracer is
 :data:`NULL_TRACER`, so tracing is free unless a campaign opts in.
 """
 
@@ -84,8 +85,6 @@ class Span:
 class SimTracer:
     """Records spans against an environment's simulation clock."""
 
-    enabled = True
-
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._spans: list[Span] = []
@@ -103,9 +102,6 @@ class SimTracer:
     def spans(self) -> list[Span]:
         """All spans in creation (= span id) order."""
         return list(self._spans)
-
-    def finished_spans(self) -> list[Span]:
-        return [s for s in self._spans if s.ended]
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -151,16 +147,11 @@ class NullTracer:
 
     __slots__ = ()
 
-    enabled = False
-
     def start(self, name: str, parent: Any = None) -> NullSpan:
         return NULL_SPAN
 
     @property
     def spans(self) -> list[Span]:
-        return []
-
-    def finished_spans(self) -> list[Span]:
         return []
 
     def __len__(self) -> int:

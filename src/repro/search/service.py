@@ -13,7 +13,7 @@ from typing import Any, Iterable, Optional
 
 from ..auth import ScopeAuthorizer, Token
 from ..auth.identity import SEARCH_INGEST_SCOPE, SEARCH_QUERY_SCOPE, AuthClient
-from ..obs.metrics import NULL_METRICS
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment
 from .index import FieldFilter, SearchIndex
@@ -32,7 +32,7 @@ class SearchService:
         ingest_latency_s: float = 0.8,
         query_latency_s: float = 0.15,
         latency_sigma: float = 0.3,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self._ingest_auth = ScopeAuthorizer(auth, SEARCH_INGEST_SCOPE)
@@ -41,7 +41,7 @@ class SearchService:
         self.ingest_latency_s = float(ingest_latency_s)
         self.query_latency_s = float(query_latency_s)
         self.latency_sigma = float(latency_sigma)
-        m = metrics if metrics is not None else NULL_METRICS
+        m = obs.metrics
         self._m_ingests = m.counter("search.ingests")
         self._m_queries = m.counter("search.queries")
         #: Chaos hook: a duck-typed outage gate (see

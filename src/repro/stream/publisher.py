@@ -37,8 +37,7 @@ from ..errors import EndpointError, ServiceUnavailable, StreamError
 from ..flows.backoff import ExponentialBackoff
 from ..integrity.digest import chunk_digest, mangle
 from ..net import NetworkFabric
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment, Event
 from ..units import MB
@@ -168,8 +167,7 @@ class StreamPublisher:
         abort_poll_s: float = 0.05,
         efficiency: float = 1.0,
         max_retransmits: int = 4,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.fabric = fabric
@@ -211,14 +209,13 @@ class StreamPublisher:
         #: computed from the payload *as it is at send time* — at-rest
         #: rot mid-session surfaces as chunk digest mismatches.
         self.source_fs: Any = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
-        self._metrics = m
+        self.tracer = obs.tracer
+        m = self._metrics = obs.metrics
         self._m_sessions = m.counter("stream.sessions_started")
         self._m_chunks = m.counter("stream.chunks_sent")
         self._m_bytes = m.counter("stream.bytes_sent")
-        self._m_renegotiations: Any = None  # lazy; chaos-path only
-        self._m_retransmits: Any = None  # lazy; corruption-path only
+        # Renegotiations and retransmits are counted by counters fetched
+        # where they fire: a clean run's export carries neither.
         self._ids = itertools.count(1)
         self.sessions: list[StreamSession] = []
 
@@ -228,7 +225,6 @@ class StreamPublisher:
         path: str,
         nbytes: float,
         virtual: Any = None,
-        parent_span: Any = None,
         digest: Optional[str] = None,
     ) -> StreamSession:
         """Open a session for one acquisition and start streaming it.
@@ -258,7 +254,7 @@ class StreamPublisher:
         self.sessions.append(session)
         self._m_sessions.inc()
         self.receiver.open(session, self.window)
-        self.env.process(self._run(session, sizes, parent_span))
+        self.env.process(self._run(session, sizes))
         return session
 
     # -- internals ---------------------------------------------------------
@@ -306,11 +302,11 @@ class StreamPublisher:
         if self.handshake_s > 0:
             yield self.env.timeout(self._handshake_jitter())
 
-    def _run(self, session: StreamSession, sizes: "list[float]", parent_span: Any):
+    def _run(self, session: StreamSession, sizes: "list[float]"):
         receiver = self.receiver
         retries: dict[int, int] = {}
         span = (
-            self.tracer.start("stream.deliver", parent_span)
+            self.tracer.start("stream.deliver")
             .set("session_id", session.session_id)
             .set("bytes", session.total_bytes)
             .set("chunks", session.total_chunks)
@@ -343,11 +339,7 @@ class StreamPublisher:
                     # Delivery timeout: the stalled stream was withdrawn.
                     receiver.refund(session)
                     session.renegotiations += 1
-                    if self._m_renegotiations is None:
-                        self._m_renegotiations = self._metrics.counter(
-                            "stream.renegotiations"
-                        )
-                    self._m_renegotiations.inc()
+                    self._metrics.counter("stream.renegotiations").inc()
                     yield from self._handshake()
                     # Resume from the receiver's acknowledged gap pointer.
                     seq = receiver.ack(session)
@@ -374,11 +366,7 @@ class StreamPublisher:
                             session.failed.succeed(session)
                         return
                     session.retransmits += 1
-                    if self._m_retransmits is None:
-                        self._m_retransmits = self._metrics.counter(
-                            "stream.retransmits"
-                        )
-                    self._m_retransmits.inc()
+                    self._metrics.counter("stream.retransmits").inc()
                     continue
                 seq = max(seq + 1, receiver.ack(session))
             span.set("renegotiations", session.renegotiations)

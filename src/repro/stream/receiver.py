@@ -31,8 +31,8 @@ from typing import Any, Callable, Optional
 
 from ..errors import StreamError
 from ..integrity.digest import chunk_digest
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_OBS
+from ..obs.tracer import NULL_SPAN
 from ..sim import URGENT, Environment, Event, Timeout
 from .session import FrameChunk, StreamSession, chunk_sizes
 
@@ -91,20 +91,17 @@ class StreamReceiver:
         env: Environment,
         host: str,
         ingest_bytes_per_s: float = 0.0,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.host = host
         self.ingest_bytes_per_s = float(ingest_bytes_per_s)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
-        self._metrics = m
+        self.tracer = obs.tracer
+        m = self._metrics = obs.metrics
         self._m_chunks = m.counter("stream.chunks_delivered")
         self._m_bytes = m.counter("stream.bytes_delivered")
-        self._m_duplicates: Any = None  # lazy; clean runs never see one
-        self._m_naks: Any = None  # lazy; corruption-path only
-        self._m_gaps: Any = None  # lazy; corruption-path only
+        # Duplicates, NAKs and gaps are counted by counters fetched where
+        # they fire: clean runs see none, and their export carries none.
         #: Integrity hook: a duck-typed
         #: :class:`~repro.integrity.IntegrityLedger` receiving
         #: detect/repair events for NAK'd chunks.  ``None`` disables.
@@ -200,9 +197,7 @@ class StreamReceiver:
             state.max_in_flight = window_used
         if chunk.seq < state.next_seq or chunk.seq in state.pending:
             session.duplicates += 1
-            if self._m_duplicates is None:
-                self._m_duplicates = self._metrics.counter("stream.duplicates")
-            self._m_duplicates.inc()
+            self._metrics.counter("stream.duplicates").inc()
             self._return_credit(state)
             return "duplicate"
         if session.declared_digest is not None and state.sizes is not None:
@@ -216,9 +211,7 @@ class StreamReceiver:
                 )
                 session.naks += 1
                 state.nak_seqs.add(chunk.seq)
-                if self._m_naks is None:
-                    self._m_naks = self._metrics.counter("stream.naks")
-                self._m_naks.inc()
+                self._metrics.counter("stream.naks").inc()
                 if self.ledger is not None:
                     self.ledger.detect(
                         "stream",
@@ -244,9 +237,7 @@ class StreamReceiver:
             session.first_chunk_at = self.env.now
         if chunk.seq > state.next_seq:
             session.gaps += 1
-            if self._m_gaps is None:
-                self._m_gaps = self._metrics.counter("stream.gaps")
-            self._m_gaps.inc()
+            self._metrics.counter("stream.gaps").inc()
         state.pending[chunk.seq] = chunk
         # Release the contiguous run into the drain queue.  The walk is
         # counter-driven (not an iteration over the mutating dict), so

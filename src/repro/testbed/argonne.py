@@ -38,7 +38,7 @@ from ..flows import (
 )
 from ..instrument import PicoProbe
 from ..net import NetworkFabric, Topology
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS
 from ..rng import RngRegistry
 from ..search import SearchIndex, SearchService
 from ..sim import Environment
@@ -86,7 +86,7 @@ def build_testbed(
     calibration: Calibration = DEFAULT_CALIBRATION,
     fault_plan: FaultPlan = NO_FAULTS,
     operator_name: str = "operator",
-    obs: Any = None,
+    obs: Any = NULL_OBS,
     retry_policies: Optional[dict] = None,
 ) -> Testbed:
     """Construct the full testbed on ``env`` (a fresh one by default).
@@ -99,9 +99,6 @@ def build_testbed(
     campaigns install theirs through this).
     """
     env = env or Environment()
-    if obs is None:
-        obs = NULL_OBS
-    tracer, metrics = obs.tracer, obs.metrics
     rngs = RngRegistry(seed=seed)
     cal = calibration
 
@@ -125,7 +122,7 @@ def build_testbed(
     topo.add_link(
         "anl-backbone", "polaris-mom", cal.alcf_lan_bps, latency_s=cal.wan_latency_s / 4
     )
-    fabric = NetworkFabric(env, topo, tracer=tracer, metrics=metrics)
+    fabric = NetworkFabric(env, topo, obs=obs)
 
     # -- identities ----------------------------------------------------------
     auth = AuthClient()
@@ -156,8 +153,7 @@ def build_testbed(
         throughput_sigma=cal.transfer_throughput_sigma,
         checksum_bytes_per_s=cal.checksum_bytes_per_s,
         fault_plan=fault_plan,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
     )
     transfer.register_endpoint(
         TransferEndpoint(
@@ -190,8 +186,7 @@ def build_testbed(
         boot_median_s=cal.node_boot_median_s,
         boot_sigma=cal.node_boot_sigma,
         rngs=rngs,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
     )
     polaris = ComputeEndpoint(
         env,
@@ -201,8 +196,7 @@ def build_testbed(
         env_cache_sigma=cal.env_cache_sigma,
         idle_timeout_s=cal.node_idle_timeout_s,
         rngs=rngs,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
     )
     compute = ComputeService(
         env,
@@ -210,8 +204,7 @@ def build_testbed(
         rngs,
         api_latency_s=cal.compute_api_latency_s,
         latency_sigma=cal.compute_latency_sigma,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
     )
     compute.register_endpoint(polaris)
 
@@ -222,7 +215,7 @@ def build_testbed(
         rngs,
         ingest_latency_s=cal.search_ingest_latency_s,
         latency_sigma=cal.search_latency_sigma,
-        metrics=metrics,
+        obs=obs,
     )
     portal_index = search.create_index(PORTAL_INDEX)
 
@@ -240,14 +233,11 @@ def build_testbed(
             max_interval=cal.backoff_max_s,
         ),
         retry_policies=retry_policies,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
     )
     flows.register_provider(TransferActionProvider(transfer, token))
     flows.register_provider(ComputeActionProvider(compute, token))
-    flows.register_provider(
-        SearchIngestActionProvider(env, search, token, tracer=tracer)
-    )
+    flows.register_provider(SearchIngestActionProvider(env, search, token, obs=obs))
     gladier = GladierClient(flows, token)
 
     instrument = PicoProbe(rngs, operator=operator_name)

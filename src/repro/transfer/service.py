@@ -24,8 +24,7 @@ from ..auth import ScopeAuthorizer, Token
 from ..auth.identity import TRANSFER_SCOPE, AuthClient
 from ..errors import EndpointError, TransferError
 from ..net import NetworkFabric
-from ..obs.metrics import NULL_METRICS
-from ..obs.tracer import NULL_TRACER
+from ..obs import NULL_OBS
 from ..rng import RngRegistry, lognormal_from_median
 from ..sim import Environment
 from .endpoint import TransferEndpoint
@@ -65,8 +64,7 @@ class TransferService:
         throughput_sigma: float = 0.0,
         checksum_bytes_per_s: float = 400e6,
         fault_plan: FaultPlan = NO_FAULTS,
-        tracer: Any = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.env = env
         self.fabric = fabric
@@ -86,8 +84,8 @@ class TransferService:
         #: (failing fast on bit rot — the recomputed checksum can never
         #: match) and attests the ``transferred`` chain hop.
         self.ledger: Any = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        m = metrics if metrics is not None else NULL_METRICS
+        self.tracer = obs.tracer
+        m = obs.metrics
         self._m_submitted = m.counter("transfer.tasks_submitted")
         self._m_succeeded = m.counter("transfer.tasks_succeeded")
         self._m_failed = m.counter("transfer.tasks_failed")
@@ -196,10 +194,8 @@ class TransferService:
         task: TransferTask,
         src: TransferEndpoint,
         dst: TransferEndpoint,
-        span: Any = None,
+        span: Any,
     ) -> Generator:
-        if span is None:
-            span = NULL_TRACER.start("transfer.task")
         if self.ledger is not None:
             span.set("path", task.source_path)
         rng = self.rngs.stream("transfer.faults")

@@ -27,7 +27,7 @@ import tempfile
 from typing import Any, Optional
 
 from ..errors import CheckpointError
-from ..obs.metrics import NULL_METRICS
+from ..obs import NULL_OBS
 
 __all__ = ["CheckpointStore"]
 
@@ -38,10 +38,10 @@ class CheckpointStore:
     def __init__(
         self,
         path: "str | os.PathLike | None" = None,
-        metrics: Any = None,
+        obs: Any = NULL_OBS,
     ) -> None:
         self.path = os.fspath(path) if path is not None else None
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._metrics = obs.metrics
         #: Where a corrupt store was moved on load, if that happened.
         self.quarantined_path: Optional[str] = None
         self.quarantine_reason: Optional[str] = None

@@ -90,7 +90,7 @@ def test_chain_rejects_unknown_stage():
 def _ledger_world():
     env = Environment()
     obs = Observability(env)
-    ledger = IntegrityLedger(env, tracer=obs.tracer, metrics=obs.metrics)
+    ledger = IntegrityLedger(env, obs=obs)
     return env, obs, ledger
 
 

@@ -4,6 +4,7 @@ Across seeds (and including a run that fails mid-flow), the span tree
 must reproduce the executor's StepRecord accounting: per-step
 ``overhead = observed - active``, per-run runtime equal to the root
 span's duration, and critical-path tiles summing exactly to runtime.
+Fault-path instruments enter the metrics export only once they fire.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def test_failed_run_trace_matches_records():
         transition_latency_s=1.0,
         transition_sigma=0.0,
         poll_latency_s=0.0,
-        tracer=obs.tracer,
-        metrics=obs.metrics,
+        obs=obs,
     )
     svc.register_provider(FlakyProvider(env))
     definition = FlowDefinition(
@@ -147,3 +147,84 @@ def test_failed_run_trace_matches_records():
     assert sum(s.duration for s in segs) == pytest.approx(
         trace.runtime_seconds, abs=TOL
     )
+
+
+# -- fault-path instruments -------------------------------------------------
+
+#: Instruments a service fetches from the registry only where a fault
+#: fires (retries, chaos injections, integrity events, stream repairs).
+FAULT_INSTRUMENTS = frozenset({
+    "flows.retries",
+    "flows.degraded_steps",
+    "flows.dead_letters",
+    "endpoint.alcf-polaris.node_failures",
+    "chaos.corruptions",
+    "chaos.outages",
+    "chaos.degradations",
+    "chaos.watcher_crashes",
+    "chaos.recovery_latency_s",
+    "net.streams_aborted",
+    "integrity.detections",
+    "integrity.repairs",
+    "integrity.quarantined",
+    "stream.renegotiations",
+    "stream.retransmits",
+    "stream.duplicates",
+    "stream.naks",
+    "stream.gaps",
+})
+
+_STORM = {
+    "chaos.degradations",
+    "chaos.outages",
+    "chaos.watcher_crashes",
+    "endpoint.alcf-polaris.node_failures",
+}
+
+
+@pytest.mark.parametrize(
+    "ingest, scenario, fired",
+    [
+        ("file", None, set()),
+        ("file", "full-storm", _STORM),
+        (
+            "file",
+            "corruption",
+            {
+                "chaos.corruptions",
+                "flows.dead_letters",
+                "flows.retries",
+                "integrity.detections",
+                "integrity.quarantined",
+            },
+        ),
+        ("stream", None, set()),
+        ("stream", "full-storm", _STORM),
+        (
+            "stream",
+            "corruption",
+            {
+                "chaos.corruptions",
+                "integrity.detections",
+                "integrity.quarantined",
+                "integrity.repairs",
+                "stream.naks",
+                "stream.retransmits",
+            },
+        ),
+    ],
+)
+def test_fault_instruments_enter_the_export_when_they_fire(ingest, scenario, fired):
+    chaos = {} if scenario is None else {"chaos": scenario}
+    res = run_campaign(
+        "hyperspectral", duration_s=900.0, seed=1, obs=True, ingest=ingest, **chaos
+    )
+    exported = {
+        inst.name: inst
+        for inst in res.testbed.obs.metrics.instruments()
+        if inst.name in FAULT_INSTRUMENTS
+    }
+    assert set(exported) == fired
+    for inst in exported.values():
+        # Registered where it fires, so never exported at zero.
+        assert (inst.count if inst.kind == "histogram" else inst.value) > 0

@@ -7,7 +7,13 @@ strings are not uses; uses inside the defining module are.  Package
 ``__init__`` modules only re-export, and the lint rules register
 through ``@register``, so neither is scanned for exports.
 
-This is a static check over the AST: it imports nothing.
+It also keeps one spelling for observability: a service takes its
+tracer and metrics registry as one ``obs`` bundle, so outside
+``repro/obs`` and ``repro/lint`` no function has a ``tracer`` or
+``metrics`` parameter and no module imports ``NULL_TRACER`` or
+``NULL_METRICS``.
+
+These are static checks over the AST: they import nothing.
 """
 
 from __future__ import annotations
@@ -89,3 +95,30 @@ def test_allowlist_is_not_stale():
     unused = _unused_exports()
     gained_a_caller = sorted(set(ALLOWED) - set(unused))
     assert not gained_a_caller, f"allowlisted but now used; drop them: {gained_a_caller}"
+
+
+def _obs_wiring():
+    """``tracer``/``metrics`` parameters and ``NULL_TRACER``/``NULL_METRICS``
+    imports in the package, outside ``obs/`` and ``lint/``."""
+    skip = tuple(os.path.join(PACKAGE, d) + os.sep for d in ("obs", "lint"))
+    hits = []
+    for path in _python_files(PACKAGE):
+        if path.startswith(skip):
+            continue
+        where = os.path.relpath(path, PACKAGE)
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in ("tracer", "metrics"):
+                        hits.append(f"{where}:{node.lineno} parameter {arg.arg}")
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in ("NULL_TRACER", "NULL_METRICS"):
+                        hits.append(f"{where}:{node.lineno} imports {alias.name}")
+    return hits
+
+
+def test_services_take_one_obs_bundle():
+    hits = _obs_wiring()
+    assert not hits, f"take obs= (an Observability bundle) instead: {hits}"

@@ -14,7 +14,7 @@ from repro.core import run_campaign
 from repro.errors import ServiceUnavailable, StreamError
 from repro.net import NetworkFabric, Topology
 from repro.obs import (
-    MetricsRegistry,
+    Observability,
     derive_runs,
     derive_stream_sessions,
     format_ingest_comparison,
@@ -173,11 +173,12 @@ def test_blackout_renegotiation_delivers_exactly_once():
     publisher withdraws it, renegotiates, and resumes from the
     receiver's ack — every frame reaches the drain exactly once."""
     env, fabric = _fabric_world()
-    metrics = MetricsRegistry(env)
-    receiver = StreamReceiver(env, host="node", metrics=metrics)
+    obs = Observability(env)
+    metrics = obs.metrics
+    receiver = StreamReceiver(env, host="node", obs=obs)
     publisher = StreamPublisher(
         env, fabric, receiver, src_host="inst",
-        chunk_bytes=MB(8), chunk_timeout_s=0.5, metrics=metrics,
+        chunk_bytes=MB(8), chunk_timeout_s=0.5, obs=obs,
     )
     session = publisher.start("/acq.emd", MB(8) * 10)
 
@@ -270,13 +271,14 @@ def test_corrupt_chunk_nak_selective_retransmit():
     selectively (only the bad sequence), repaired on the clean resend,
     and the stream still delivers every frame exactly once."""
     env, fabric = _fabric_world()
-    metrics = MetricsRegistry(env)
+    obs = Observability(env)
+    metrics = obs.metrics
     ledger = _RecordingLedger()
-    receiver = StreamReceiver(env, host="node", metrics=metrics)
+    receiver = StreamReceiver(env, host="node", obs=obs)
     receiver.ledger = ledger
     publisher = StreamPublisher(
         env, fabric, receiver, src_host="inst",
-        chunk_bytes=MB(8), metrics=metrics,
+        chunk_bytes=MB(8), obs=obs,
     )
     publisher.corruptor = _ScriptedCorruptor({
         (3, 0): ("chunk_corrupt", 1.0),
@@ -308,11 +310,12 @@ def test_retransmit_cap_fails_session():
     per-sequence retransmit budget: the session FAILs, fires its
     ``failed`` event, and the drain never completes."""
     env, fabric = _fabric_world()
-    metrics = MetricsRegistry(env)
-    receiver = StreamReceiver(env, host="node", metrics=metrics)
+    obs = Observability(env)
+    metrics = obs.metrics
+    receiver = StreamReceiver(env, host="node", obs=obs)
     publisher = StreamPublisher(
         env, fabric, receiver, src_host="inst",
-        chunk_bytes=MB(8), max_retransmits=2, metrics=metrics,
+        chunk_bytes=MB(8), max_retransmits=2, obs=obs,
     )
     publisher.corruptor = _ScriptedCorruptor({
         (2, r): ("chunk_corrupt", 1.0) for r in range(10)

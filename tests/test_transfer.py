@@ -301,15 +301,16 @@ def test_parallel_transfers_contend_for_switch(world):
 
 def _faulty_world(fault_plan):
     """A two-host world with a metered fabric for byte accounting."""
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs import Observability
 
     env = Environment()
-    metrics = MetricsRegistry(env)
+    obs = Observability(env)
+    metrics = obs.metrics
     topo = Topology()
     topo.add_node("a")
     topo.add_node("b")
     topo.add_link("a", "b", Gbps(1))
-    fabric = NetworkFabric(env, topo, metrics=metrics)
+    fabric = NetworkFabric(env, topo, obs=obs)
     auth = AuthClient()
     alice = auth.register_identity("alice")
     token = auth.issue_token(alice, [TRANSFER_SCOPE], now=0.0)

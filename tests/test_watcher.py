@@ -178,13 +178,14 @@ def test_checkpoint_corrupt_file_quarantined(tmp_path):
     """A corrupt store must never abort the restart: it is renamed to
     ``<path>.corrupt``, the watcher continues with an empty store, and
     a warning metric fires."""
-    from repro.obs import MetricsRegistry
+    from repro.obs import Observability
     from repro.sim import Environment
 
     path = tmp_path / "ckpt.json"
     path.write_text("{invalid json")
-    metrics = MetricsRegistry(Environment())
-    ckpt = CheckpointStore(path, metrics=metrics)
+    obs = Observability(Environment())
+    metrics = obs.metrics
+    ckpt = CheckpointStore(path, obs=obs)
     assert ckpt.quarantined_path == f"{path}.corrupt"
     assert "corrupt" in ckpt.quarantine_reason
     assert not path.exists()
