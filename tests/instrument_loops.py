@@ -1,11 +1,13 @@
-"""Reference loop implementations of the instrument generators.
+"""Reference implementations of the instrument generators.
 
 These are the pre-vectorization per-frame / per-pixel code paths, kept
 verbatim as the *numeric ground truth* for the batched implementations
 in :mod:`repro.instrument.spatiotemporal` and
-:mod:`repro.instrument.phantoms`: ``tests/test_dataplane_identity.py``
-asserts the vectorized outputs are bit-for-bit equal to these across
-seeds.  They live with the tests, outside the shipped package.
+:mod:`repro.instrument.phantoms`, plus the float64, einsum-ordered
+hyperspectral synthesis that :mod:`repro.instrument.xray` replaced:
+``tests/test_dataplane_identity.py`` asserts the shipped outputs are
+bit-for-bit equal to these across seeds.  They live with the tests,
+outside the shipped package.
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose
@@ -16,6 +18,7 @@ import numpy as np
 
 from repro.instrument.phantoms import Particle
 from repro.instrument.spatiotemporal import MovieSpec, simulate_trajectories
+from repro.instrument.xray import bremsstrahlung, element_template
 
 
 def render_frame_loops(
@@ -81,3 +84,38 @@ def particle_mask_loops(
     for p in particles:
         out += _soft_disk_loops(shape, p.row, p.col, p.radius)
     return out
+
+
+def synthesize_cube_reference(
+    composition_maps: "dict[str, np.ndarray]",
+    energies: np.ndarray,
+    rng: np.random.Generator,
+    counts_per_pixel: float = 2000.0,
+    background_fraction: float = 0.15,
+    resolution_ev: float = 130.0,
+    beam_energy_kev: float = 300.0,
+    poisson: bool = True,
+) -> np.ndarray:
+    """Frozen float64 ``synthesize_cube``: the float work in einsum's
+    memory order, the Poisson draw from that E-major λ, and the counts
+    returned as float64."""
+    elements = sorted(composition_maps)
+    e = np.asarray(energies, dtype=np.float64)
+    weights = np.stack(
+        [np.asarray(composition_maps[el], dtype=np.float64) for el in elements]
+    )  # K x H x W
+    templates = np.stack(
+        [element_template(el, e, resolution_ev) for el in elements]
+    )  # K x E
+    cube = np.einsum("khw,ke->hwe", weights, templates, optimize=True)
+    total_mass = weights.sum(axis=0)  # H x W
+    cont = bremsstrahlung(e, beam_energy_kev)
+    cube += background_fraction * total_mass[:, :, None] * cont[None, None, :]
+    norm = cube.sum(axis=2, keepdims=True)
+    scale = counts_per_pixel * np.divide(
+        total_mass[:, :, None], norm, out=np.zeros_like(norm), where=norm > 0
+    )
+    cube *= scale
+    if poisson:
+        cube = rng.poisson(cube).astype(np.float64)
+    return cube

@@ -15,9 +15,11 @@ import pytest
 
 from repro.analysis.detection import BlobDetector, Detection, DetectorParams, nms
 from repro.analysis.hyperspectral import identify_elements
-from repro.instrument.phantoms import Particle, particle_mask
+from repro.instrument import PicoProbe
+from repro.instrument.phantoms import Particle, particle_mask, polyamide_film_phantom
 from repro.instrument.spatiotemporal import MovieSpec, generate_movie
-from repro.instrument.xray import ELEMENT_LINES
+from repro.instrument.xray import ELEMENT_LINES, energy_axis, synthesize_cube
+from repro.rng import RngRegistry
 
 from tests import analysis_loops as aloops
 from tests import instrument_loops as iloops
@@ -65,6 +67,47 @@ def test_particle_mask_bit_identical(seed):
     got = particle_mask((128, 128), particles)
     ref = iloops.particle_mask_loops((128, 128), particles)
     assert np.array_equal(got, ref)
+
+
+#: The Fig. 2 quicklook cube and an odd shape (H x W x E).
+CUBE_SHAPES = ((64, 64, 1024), (37, 23, 200))
+
+
+def _cube_inputs(seed, shape):
+    """Phantom maps, energy axis and the generator they were drawn from."""
+    rng = np.random.default_rng(seed)
+    comp, _ = polyamide_film_phantom(shape[:2], rng)
+    return comp, energy_axis(shape[2]), rng
+
+
+@pytest.mark.parametrize("shape", CUBE_SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_synthesize_cube_expectation_bit_identical(seed, shape):
+    got = synthesize_cube(*_cube_inputs(seed, shape), poisson=False)
+    ref = iloops.synthesize_cube_reference(*_cube_inputs(seed, shape), poisson=False)
+    assert got.dtype == ref.dtype == np.float64
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", CUBE_SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_synthesize_cube_counts_equal_reference(seed, shape):
+    got = synthesize_cube(*_cube_inputs(seed, shape))
+    ref = iloops.synthesize_cube_reference(*_cube_inputs(seed, shape))
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)  # by value: the dtypes may differ
+
+
+@pytest.mark.parametrize("shape", CUBE_SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_acquire_hyperspectral_equals_reference(seed, shape):
+    signal, _ = PicoProbe(RngRegistry(seed)).acquire_hyperspectral(
+        shape=shape[:2], n_channels=shape[2]
+    )
+    rng = RngRegistry(seed).stream("instrument.hyperspectral")
+    comp, _ = polyamide_film_phantom(shape[:2], rng)
+    ref = iloops.synthesize_cube_reference(comp, energy_axis(shape[2]), rng)
+    assert np.array_equal(signal.data, ref)
 
 
 # -- analysis: detection ---------------------------------------------------
