@@ -32,6 +32,7 @@ __all__ = ["write_hmsa", "read_hmsa"]
 _DTYPE_TO_HMSA = {
     np.dtype(np.uint8): "byte",
     np.dtype(np.int16): "int16",
+    np.dtype(np.uint16): "uint16",
     np.dtype(np.int32): "int32",
     np.dtype(np.int64): "int64",
     np.dtype(np.float32): "float32",

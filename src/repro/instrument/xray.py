@@ -6,7 +6,9 @@ flavoured spectra: Gaussian characteristic lines at tabulated energies,
 a Kramers-style bremsstrahlung continuum, detector energy resolution, and
 Poisson counting noise.  Cube synthesis is fully vectorized — one
 spectral template per element, combined with per-pixel composition maps
-by a single einsum.
+by a single einsum — and a noisy cube holds photon counts as unsigned
+integers (uint16 unless a count needs more), the way EDS detectors
+report them.
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ def synthesize_cube(
     map (relative abundance at each pixel).  The expected spectrum at a
     pixel is the weighted sum of element templates plus a continuum
     scaled by total local mass; Poisson noise models counting statistics.
+
+    With ``poisson=True`` the cube holds the drawn counts as uint16, or
+    as the smallest unsigned type that holds the largest count when it
+    passes 65,535.  With ``poisson=False`` it is the float64 expectation
+    λ.  Either way the array is C-contiguous.
     """
     elements = sorted(composition_maps)
     if not elements:
@@ -140,17 +147,31 @@ def synthesize_cube(
     )  # K x E
 
     # Expected signal: per-pixel weighted sum of templates (K contraction).
+    # einsum hands the H×W×E cube back energy-major in memory (its E×H×W
+    # view is the C-contiguous one), so the continuum, the norm and the
+    # scale run on that view and walk memory in order.  numpy reduces in
+    # memory order, so every float equals the H×W×E arithmetic's.  A
+    # C-order copy taken before this point would not: its norm would
+    # switch to pairwise summation and move λ's last bits.
     cube = np.einsum("khw,ke->hwe", weights, templates, optimize=True)
+    ehw = cube.transpose(2, 0, 1)
     total_mass = weights.sum(axis=0)  # H x W
     cont = bremsstrahlung(e, beam_energy_kev)
-    cube += background_fraction * total_mass[:, :, None] * cont[None, None, :]
+    ehw += (background_fraction * total_mass) * cont[:, None, None]
 
     # Normalize so a unit-mass pixel integrates to counts_per_pixel.
-    norm = cube.sum(axis=2, keepdims=True)
-    scale = counts_per_pixel * np.divide(
-        total_mass[:, :, None], norm, out=np.zeros_like(norm), where=norm > 0
+    norm = ehw.sum(axis=0)
+    ehw *= counts_per_pixel * np.divide(
+        total_mass, norm, out=np.zeros_like(norm), where=norm > 0
     )
-    cube *= scale
-    if poisson:
-        cube = rng.poisson(cube).astype(np.float64)
-    return cube
+    # The draw fills the cube in C order, so it reads a C-order λ in
+    # order.  The E-major array is released first: it and the int64
+    # draw are never alive at once.
+    lam = np.ascontiguousarray(cube)
+    del cube, ehw
+    if not poisson:
+        return lam
+    counts = rng.poisson(lam)
+    del lam
+    top = int(counts.max(initial=0))
+    return counts.astype(np.promote_types(np.uint16, np.min_scalar_type(top)))

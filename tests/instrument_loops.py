@@ -3,11 +3,11 @@
 These are the pre-vectorization per-frame / per-pixel code paths, kept
 verbatim as the *numeric ground truth* for the batched implementations
 in :mod:`repro.instrument.spatiotemporal` and
-:mod:`repro.instrument.phantoms`, plus the float64, einsum-ordered
-hyperspectral synthesis that :mod:`repro.instrument.xray` replaced:
-``tests/test_dataplane_identity.py`` asserts the shipped outputs are
-bit-for-bit equal to these across seeds.  They live with the tests,
-outside the shipped package.
+:mod:`repro.instrument.phantoms`, plus the float64 hyperspectral
+synthesis that :mod:`repro.instrument.xray` replaced:
+``tests/test_dataplane_identity.py`` asserts the shipped outputs equal
+these across seeds (floats bit for bit, integer counts by value).  They
+live with the tests, outside the shipped package.
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose

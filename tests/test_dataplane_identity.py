@@ -3,9 +3,11 @@
 Every batched implementation is checked bit-for-bit (``array_equal`` on
 float64 output, ``==`` on dataclass lists) against its frozen pre-PR
 loop reference in ``tests/instrument_loops.py`` /
-``tests/analysis_loops.py``, across seeds.  No tolerance is used
-anywhere: the vectorizations were chosen so float accumulation order is
-preserved exactly, and this suite is what keeps that true.
+``tests/analysis_loops.py``, across seeds; the hyperspectral counts,
+integers now, equal the float64 reference's counts by value.  No
+tolerance is used anywhere: the vectorizations were chosen so float
+accumulation order is preserved exactly, and this suite is what keeps
+that true.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.detection import BlobDetector, Detection, DetectorParams, nms
-from repro.analysis.hyperspectral import identify_elements
+from repro.analysis.hyperspectral import (
+    identify_elements,
+    intensity_figure_svg,
+    spectrum_figure_svg,
+    sum_spectrum,
+)
+from repro.emd import EmdFile, EmdSignal, SampleInfo, default_dims, write_emd
 from repro.instrument import PicoProbe
 from repro.instrument.phantoms import Particle, particle_mask, polyamide_film_phantom
 from repro.instrument.spatiotemporal import MovieSpec, generate_movie
@@ -108,6 +116,48 @@ def test_acquire_hyperspectral_equals_reference(seed, shape):
     comp, _ = polyamide_film_phantom(shape[:2], rng)
     ref = iloops.synthesize_cube_reference(comp, energy_axis(shape[2]), rng)
     assert np.array_equal(signal.data, ref)
+
+
+def test_synthesize_cube_widens_past_uint16(tmp_path):
+    # A bright 4x4 map: counts pass 65,535, so the cube comes back in
+    # the next unsigned type up, by value equal to the reference, and
+    # round-trips through an EMD file.
+    def inputs():
+        rng = np.random.default_rng(3)
+        comp = {"C": np.ones((4, 4)), "Au": rng.uniform(0.0, 1.0, (4, 4))}
+        return comp, energy_axis(64), rng
+
+    got = synthesize_cube(*inputs(), counts_per_pixel=5e6)
+    ref = iloops.synthesize_cube_reference(*inputs(), counts_per_pixel=5e6)
+    assert ref.max() > np.iinfo(np.uint16).max
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, ref)
+
+    md = PicoProbe().stamp_metadata("hyperspectral", got.shape, got.dtype.str, SampleInfo(), 0.0)
+    signal = EmdSignal("bright", got, default_dims(got.shape, "hyperspectral"), md)
+    path = tmp_path / "bright.emd"
+    write_emd(path, signal, compression="zlib")
+    with EmdFile(path) as f:
+        back = f.signal().data.read()
+    assert back.dtype == np.uint32
+    assert np.array_equal(back, ref)
+
+
+def test_quicklook_panels_same_from_counts_as_from_float64():
+    # The Fig. 2 reductions of the uint16 counts sum exactly, so both
+    # panels and the identified lines equal those of the float64 cube
+    # with the same values.
+    signal, _ = PicoProbe(RngRegistry(1000)).acquire_hyperspectral(
+        shape=(64, 64), n_channels=1024
+    )
+    counts, energies = signal.data, signal.dims[2].values
+    as_f8 = counts.astype(np.float64)
+    assert counts.dtype == np.uint16
+    assert intensity_figure_svg(counts) == intensity_figure_svg(as_f8)
+    assert spectrum_figure_svg(counts, energies) == spectrum_figure_svg(as_f8, energies)
+    assert identify_elements(sum_spectrum(counts), energies) == identify_elements(
+        sum_spectrum(as_f8), energies
+    )
 
 
 # -- analysis: detection ---------------------------------------------------

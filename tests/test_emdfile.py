@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from repro.emd import (
     read_emd,
     write_emd,
 )
+from repro.emd.h5lite import H5LiteFile
 from repro.errors import FormatError
+from repro.instrument import MovieSpec, PicoProbe
+from repro.rng import RngRegistry
 
 
 def make_metadata(signal_type="hyperspectral", shape=(4, 5, 6)):
@@ -101,6 +106,56 @@ def test_spatiotemporal_default_chunking_allows_frame_reads(tmp_path):
         np.testing.assert_array_equal(frame, sig.data[2])
         # chunked per frame
         assert h.data.chunks == (1, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "shape,dtype,rows",
+    [
+        ((64, 64, 1024), np.uint16, 4),  # the Fig. 2 quicklook cube
+        ((128, 128, 1024), np.uint16, 2),  # the CLI quicklook cube
+        ((64, 64, 1024), np.float64, 1),  # a row wider than a band
+        ((4, 5, 6), np.float64, 4),  # at most the signal's height
+    ],
+)
+def test_hyperspectral_default_chunking_is_row_bands(tmp_path, shape, dtype, rows):
+    sig = EmdSignal(
+        name="acq0",
+        data=np.zeros(shape, dtype=dtype),
+        dims=default_dims(shape, "hyperspectral"),
+        metadata=make_metadata("hyperspectral", shape),
+    )
+    path = tmp_path / "h.emd"
+    write_emd(path, sig, compression="zlib")
+    with read_emd(path) as f:
+        assert f.signal().data.chunks == (rows,) + shape[1:]
+
+
+def test_quicklook_cube_band_read_decodes_one_block(tmp_path):
+    sig, _ = PicoProbe(RngRegistry(seed=11)).acquire_hyperspectral(
+        shape=(64, 64), n_channels=1024
+    )
+    assert sig.data.dtype == np.uint16
+    path = tmp_path / "q.emd"
+    write_emd(path, sig, compression="zlib")
+    with H5LiteFile(path) as f:
+        ds = f[f"data/{sig.name}/data"]
+        np.testing.assert_array_equal(ds[0:4], sig.data[0:4])
+        assert f.read_stats["block_reads"] == 1
+        np.testing.assert_array_equal(ds.read(), sig.data)
+        assert f.read_stats["block_reads"] == 1 + 16
+
+
+def test_movie_file_bytes_unchanged(tmp_path):
+    # The time-first layout is one zlib chunk per frame; this digest was
+    # recorded before hyperspectral cubes moved to row bands.
+    sig, _ = PicoProbe(RngRegistry(seed=5), operator="bench").acquire_spatiotemporal(
+        MovieSpec(n_frames=3, shape=(32, 32), n_particles=2)
+    )
+    path = tmp_path / "m.emd"
+    write_emd(path, sig, compression="zlib")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9aae6c84544a30a38f8eee44824e50a5fe739eba73eb750251c645e64c3231f4"
+    )
 
 
 def test_signal_dim_mismatch_rejected():

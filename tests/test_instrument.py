@@ -72,6 +72,7 @@ def test_synthesize_cube_shape_and_counts():
     e = energy_axis(256)
     cube = synthesize_cube(comp, e, rng, counts_per_pixel=1000.0)
     assert cube.shape == (8, 8, 256)
+    assert cube.dtype == np.uint16  # photon counts, stored as counts
     # Per-pixel totals should be near the requested counts (Poisson).
     totals = cube.sum(axis=2)
     assert abs(totals.mean() - 1000.0) < 50
@@ -188,6 +189,8 @@ def test_picoprobe_hyperspectral_acquisition():
     probe = PicoProbe(RngRegistry(0), operator="alice")
     sig, particles = probe.acquire_hyperspectral(shape=(32, 32), n_channels=128, acquired_at=10.0)
     assert sig.data.shape == (32, 32, 128)
+    assert sig.data.dtype == np.uint16
+    assert sig.metadata.dtype == "<u2"
     assert sig.metadata.operator == "alice"
     assert sig.metadata.signal_type == "hyperspectral"
     assert sig.metadata.acquired_at == 10.0
