@@ -23,16 +23,21 @@ declares:
   ``chaos.corruption`` span so the integrity audit can join injections
   to detections.
 
+A filesystem or link the plan names that the testbed lacks fails
+``install()`` with :class:`~repro.errors.ChaosError` before anything is
+armed.
+
 Every injection appends to :attr:`injections` — a plain, ordered,
 seed-deterministic log that the determinism tests compare across runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
+from ..errors import ChaosError
 from ..flows.action import ActionState
 from ..obs import NULL_OBS
 from .corruption import ChunkCorruptor
@@ -123,10 +128,37 @@ class ChaosController:
             span.finish()
 
     # -- arming ----------------------------------------------------------
+    def _check_targets(self) -> None:
+        """Raise :class:`ChaosError` naming every filesystem or link the
+        plan targets that the testbed lacks, before anything is armed."""
+        problems = []
+        spec = self.plan.corruption
+        if spec is not None:
+            wanted = {w.fs for w in spec.bitrot}
+            if spec.meta_mismatch_prob > 0:
+                wanted.add(spec.meta_mismatch_fs)
+            missing = sorted(wanted - self.filesystems.keys())
+            if missing:
+                problems.append(
+                    f"unknown filesystem(s) {missing} "
+                    f"(testbed has {sorted(self.filesystems)})"
+                )
+        if self.fabric is not None:
+            links = sorted("--".join(ln.key) for ln in self.fabric.topology.links())
+            missing = sorted(
+                {"--".join(sorted((d.a, d.b))) for d in self.plan.degradations}
+                - set(links)
+            )
+            if missing:
+                problems.append(f"unknown link(s) {missing} (testbed has {links})")
+        if problems:
+            raise ChaosError("chaos plan names " + "; ".join(problems))
+
     def install(self) -> None:
         """Install gates and start one process per scheduled fault."""
         if self.installed:
             return
+        self._check_targets()
         self.installed = True
         services = {
             "transfer": self.transfer,
@@ -165,15 +197,12 @@ class ChaosController:
                 self.stream.corruptor = ChunkCorruptor(
                     spec, self.rngs.stream("chaos.corruption"), self
                 )
-                self.stream.max_retransmits = spec.max_retransmits
             for w in spec.bitrot:
-                fs = self.filesystems.get(w.fs)
-                if fs is not None:
-                    self.env.process(self._bitrot_window(w, fs))
+                self.env.process(self._bitrot_window(w, self.filesystems[w.fs]))
             if spec.meta_mismatch_prob > 0:
-                fs = self.filesystems.get(spec.meta_mismatch_fs)
-                if fs is not None:
-                    self._arm_meta_mismatch(spec, fs)
+                self._arm_meta_mismatch(
+                    spec, self.filesystems[spec.meta_mismatch_fs]
+                )
 
     # -- fault processes --------------------------------------------------
     def _outage_process(self, w: OutageWindow) -> Generator:

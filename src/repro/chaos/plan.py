@@ -17,7 +17,7 @@ campaign bit-identical to one built before this subsystem existed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import ChaosError
@@ -215,9 +215,6 @@ class DataCorruptionSpec:
     bitrot: tuple[BitRotWindow, ...] = ()
     meta_mismatch_prob: float = 0.0
     meta_mismatch_fs: str = "picoprobe-user"
-    #: Per-sequence retransmit budget the publisher applies before
-    #: declaring a session unrepairable.
-    max_retransmits: int = 4
 
     def __post_init__(self) -> None:
         for name in ("chunk_corrupt_prob", "chunk_truncate_prob", "meta_mismatch_prob"):
@@ -229,10 +226,6 @@ class DataCorruptionSpec:
             raise ChaosError(
                 "chunk_corrupt_prob + chunk_truncate_prob must not exceed 1, "
                 f"got {total}"
-            )
-        if self.max_retransmits < 1:
-            raise ChaosError(
-                f"max_retransmits must be >= 1, got {self.max_retransmits}"
             )
 
     @property

@@ -126,7 +126,6 @@ SCENARIOS: dict[str, ChaosPlan] = {
                 ),
             ),
             meta_mismatch_prob=0.08,
-            max_retransmits=4,
         ),
         transfer_faults=FaultPlan(corrupt_prob=0.08, max_attempts=4),
         retry_policies=_RETRIES,

@@ -20,7 +20,7 @@ file — we leave this use case to future work").  Both are built here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from ..emd import AcquisitionMetadata, SampleInfo
@@ -34,7 +34,7 @@ from ..storage import VirtualFS
 from ..testbed.calibration import Calibration
 from ..units import MB
 from .functions import build_search_document
-from .tools import analysis_tool, publish_tool
+from .tools import publish_tool, transfer_tool
 
 __all__ = [
     "CompressionSpec",
@@ -201,21 +201,6 @@ def compressed_picoprobe_flow(
     state shrank the file in place — and the analysis state receives the
     compressed descriptor from the compress step's output.
     """
-    transfer = GladierTool(
-        name="picoprobe_transfer_compressed",
-        states=(
-            FlowState(
-                name="TransferData",
-                provider="transfer",
-                parameters={
-                    "source_endpoint": "$.input.source_endpoint",
-                    "source_path": "$.input.source_path",
-                    "dest_endpoint": "$.input.dest_endpoint",
-                    "dest_path": "$.input.dest_path",
-                },
-            ),
-        ),
-    )
     analyze = GladierTool(
         name="picoprobe_analysis_compressed",
         states=(
@@ -230,7 +215,9 @@ def compressed_picoprobe_flow(
             ),
         ),
     )
-    return client.compose(title, [compress_tool(codec), transfer, analyze, publish_tool()])
+    return client.compose(
+        title, [compress_tool(codec), transfer_tool(), analyze, publish_tool()]
+    )
 
 
 # ---------------------------------------------------------------------------

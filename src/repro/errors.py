@@ -82,8 +82,8 @@ class FlowError(ReproError):
 
 
 class FlowDefinitionError(FlowError):
-    """A flow definition is structurally invalid (unknown state, no start,
-    unreachable states, duplicate state names)."""
+    """A flow definition is structurally invalid (no states, duplicate
+    state names)."""
 
 
 class ActionTimeout(FlowError):
@@ -113,7 +113,7 @@ class ConfigError(ReproError, ValueError):
 
 class ChaosError(ReproError):
     """A chaos plan or scenario is inconsistent (bad window, bad scale,
-    unknown service name)."""
+    unknown service name, or a filesystem or link the testbed lacks)."""
 
 
 class EmptyWindowError(ReproError, ValueError):

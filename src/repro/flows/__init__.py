@@ -1,9 +1,9 @@
 """Globus-Flows/Gladier-style orchestration substrate.
 
-Flow definitions (validated state machines with parameter templating),
-action providers over the transfer/compute/search services, a run
-executor with the paper's exponential polling backoff, and Gladier-style
-tool composition.
+Flow definitions (state sequences run in order, with parameter
+templating), action providers over the transfer/compute/search
+services, a run executor with the paper's exponential polling backoff,
+and Gladier-style tool composition.
 """
 
 from .action import ActionProvider, ActionState, ActionStatus, check_body

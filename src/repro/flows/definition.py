@@ -1,19 +1,19 @@
-"""Flow definitions: a validated linear/branching state machine.
+"""Flow definitions: a titled sequence of states, run in order.
 
-A :class:`FlowDefinition` is a named set of :class:`FlowState` entries —
-each binds an action provider to a parameter template — plus a start
-state.  Parameter templates use a JSONPath-like subset: any string value
-beginning with ``"$."`` is resolved against the run context, e.g.
-``"$.input.source_path"`` or ``"$.states.TransferData.task_id"``, which
-is how Globus Flows threads one step's output into the next.  A doubled
-sigil escapes: ``"$$.raw"`` passes the literal string ``"$.raw"``
-through unresolved.
+A :class:`FlowDefinition` is a tuple of :class:`FlowState` entries, each
+binding an action provider to a parameter template; a run executes them
+in tuple order.  Parameter templates use a JSONPath-like subset: any
+string value beginning with ``"$."`` is resolved against the run
+context, e.g. ``"$.input.source_path"`` or
+``"$.states.TransferData.task_id"``, which is how Globus Flows threads
+one step's output into the next.  A doubled sigil escapes: ``"$$.raw"``
+passes the literal string ``"$.raw"`` through unresolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import FlowDefinitionError
 
@@ -58,7 +58,6 @@ class FlowState:
     name: str
     provider: str
     parameters: dict[str, Any] = field(default_factory=dict)
-    next: Optional[str] = None  # None = terminal state
 
     def resolve(self, context: dict[str, Any]) -> dict[str, Any]:
         return resolve_template(self.parameters, context)
@@ -66,10 +65,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowDefinition:
-    """A validated flow: title, start state, and the state table."""
+    """A validated flow: a title and its states in execution order."""
 
     title: str
-    start_at: str
     states: tuple[FlowState, ...]
 
     def __post_init__(self) -> None:
@@ -79,50 +77,3 @@ class FlowDefinition:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise FlowDefinitionError(f"duplicate state names: {sorted(dupes)}")
-        table = set(names)
-        if self.start_at not in table:
-            raise FlowDefinitionError(
-                f"start state {self.start_at!r} not among {sorted(table)}"
-            )
-        for s in self.states:
-            if s.next is not None and s.next not in table:
-                raise FlowDefinitionError(
-                    f"state {s.name!r} transitions to unknown state {s.next!r}"
-                )
-        # Walk from start: every state must be reachable, no cycles.
-        seen: list[str] = []
-        current: Optional[str] = self.start_at
-        by_name = {s.name: s for s in self.states}
-        while current is not None:
-            if current in seen:
-                raise FlowDefinitionError(
-                    f"cycle detected at state {current!r} (flows must terminate)"
-                )
-            seen.append(current)
-            current = by_name[current].next
-        unreachable = table - set(seen)
-        if unreachable:
-            raise FlowDefinitionError(
-                f"unreachable states: {sorted(unreachable)}"
-            )
-
-    def state(self, name: str) -> FlowState:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise FlowDefinitionError(f"unknown state: {name!r}")
-
-    def ordered_states(self) -> list[FlowState]:
-        """States in execution order from ``start_at``."""
-        out = []
-        current: Optional[str] = self.start_at
-        while current is not None:
-            s = self.state(current)
-            out.append(s)
-            current = s.next
-        return out
-
-    @property
-    def n_transitions(self) -> int:
-        """Orchestration transitions: enter + between states + exit."""
-        return len(self.ordered_states()) + 1

@@ -10,7 +10,7 @@ and :class:`GladierClient` chains them into runnable flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..auth import Token
@@ -26,8 +26,8 @@ __all__ = ["GladierTool", "GladierClient"]
 class GladierTool:
     """A reusable fragment of flow states.
 
-    States inside a tool are chained in the order given; a tool's last
-    state links to the next tool at composition time.
+    A tool's states run in the order given; composition runs the tools
+    one after another.
     """
 
     name: str
@@ -47,23 +47,9 @@ class GladierClient:
         self._deployed: dict[str, str] = {}  # title -> flow_id
 
     def compose(self, title: str, tools: Sequence[GladierTool]) -> FlowDefinition:
-        """Chain the tools' states into one linear flow definition."""
-        if not tools:
-            raise FlowDefinitionError("compose() requires at least one tool")
-        all_states: list[FlowState] = []
-        for tool in tools:
-            all_states.extend(tool.states)
-        names = [s.name for s in all_states]
-        if len(set(names)) != len(names):
-            raise FlowDefinitionError(
-                f"tools contribute duplicate state names: {names}"
-            )
-        chained: list[FlowState] = []
-        for i, s in enumerate(all_states):
-            nxt = names[i + 1] if i + 1 < len(all_states) else None
-            chained.append(replace(s, next=nxt))
+        """Concatenate the tools' states into one flow definition."""
         return FlowDefinition(
-            title=title, start_at=chained[0].name, states=tuple(chained)
+            title=title, states=tuple(s for tool in tools for s in tool.states)
         )
 
     def deploy(self, definition: FlowDefinition) -> str:

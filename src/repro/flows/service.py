@@ -1,9 +1,9 @@
 """The flows service: deploys definitions and executes runs.
 
 This is the Globus Flows / Gladier execution model (Sec. 2.2): a cloud
-state machine advances through action states; on each state it submits
-the action to its provider, then **polls** for completion under the
-exponential-backoff policy.  Every state transition costs a service
+run steps through a flow's action states in order; on each state it
+submits the action to its provider, then **polls** for completion under
+the exponential-backoff policy.  Every state transition costs a service
 round-trip (``transition_latency_s``), and each poll costs a small API
 latency — together these produce the orchestration overhead the paper
 measures at 49.2% / 21.1% of median runtime.
@@ -362,7 +362,7 @@ class FlowsService:
         context: dict[str, Any] = {"input": run.input, "states": {}}
         step_span = NULL_SPAN
         try:
-            for state in definition.ordered_states():
+            for state in definition.states:
                 step = StepRecord(
                     name=state.name, provider=state.provider, entered_at=self.env.now
                 )

@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError
-from ..obs.analysis import derive_integrity_events
+from ..obs.analysis import _latency_stats, derive_integrity_events
 
 __all__ = [
     "InjectionRecord",
@@ -64,19 +62,6 @@ class InjectionRecord:
         if self.detected_at is None:
             return None
         return self.detected_at - self.at
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    if not values:
-        return {"n": 0.0}
-    arr = np.asarray(list(values))
-    return {
-        "n": float(arr.size),
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "max": float(arr.max()),
-    }
 
 
 @dataclass
@@ -113,7 +98,7 @@ class IntegrityAuditReport:
             lat = i.latency_s
             if lat is not None and i.detect_mode in by_mode:
                 by_mode[i.detect_mode].append(lat)
-        return {mode: _stats(vals) for mode, vals in by_mode.items()}
+        return {mode: _latency_stats(vals) for mode, vals in by_mode.items()}
 
 
 def audit_spans(spans: Sequence[Any]) -> IntegrityAuditReport:

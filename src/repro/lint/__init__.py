@@ -13,12 +13,12 @@ hazard class,
   reads;
 * **S2xx DES safety** — non-Event yields and swallowed simulation
   errors in process generators;
-* **F3xx flow validation** — dangling transitions, unreachable states
-  and unknown providers in literal
-  :class:`~repro.flows.FlowDefinition` constructions;
+* **F3xx flow validation** — provider names absent from the
+  action-provider registry in literal :class:`~repro.flows.FlowState`
+  constructions;
 * **F4xx flow dataflow** — an interprocedural symbolic execution of
   literal flow definitions that propagates each provider's declared
-  ``output_schema`` through the state chain: dangling ``$.`` payload
+  ``output_schema`` through the state sequence: dangling ``$.`` payload
   references (including ``$.states`` refs to unknown or later states),
   parameters outside a provider's ``input_schema``, type conflicts
   where a payload key flows into a parameter of another type, and

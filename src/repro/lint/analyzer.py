@@ -47,7 +47,7 @@ _HOTPATH_RE = re.compile(r"#\s*repro:\s*hotpath\b", re.IGNORECASE)
 
 #: Bumped whenever rule logic changes in a way that invalidates cached
 #: findings; part of the incremental cache's environment fingerprint.
-RULES_VERSION = 5
+RULES_VERSION = 6
 
 #: rule_id -> rule class, in registration order (report order is by
 #: location anyway; the dict keeps lookup and ``--select`` validation O(1)).
@@ -59,7 +59,7 @@ def register(cls: type["Rule"]) -> type["Rule"]:
     rid = cls.rule_id
     if not re.fullmatch(r"[DSFRPN]\d{3}", rid):
         raise ValueError(
-            f"rule id must look like D101/S201/F301/R501/P601/N701, got {rid!r}"
+            f"rule id must look like D101/S201/F304/R501/P601/N701, got {rid!r}"
         )
     if rid in _REGISTRY and _REGISTRY[rid] is not cls:
         raise ValueError(f"duplicate rule id {rid!r}")

@@ -5,7 +5,7 @@ registry.  Seven packs, id-spaced by concern:
 
 * ``D1xx`` — determinism under a seed (:mod:`.determinism`)
 * ``S2xx`` — DES kernel safety (:mod:`.des_safety`)
-* ``F3xx`` — flow-definition validation (:mod:`.flowdef`)
+* ``F3xx`` — provider names in flow states (:mod:`.flowdef`)
 * ``F4xx`` — whole-flow payload dataflow (:mod:`.dataflow`) and
   fault-path resilience (:mod:`.resilience`)
 * ``R5xx`` — resource lifecycle over the CFG/call-graph engine
@@ -41,11 +41,7 @@ from .determinism import (
     WallClockCall,
     WallSleep,
 )
-from .flowdef import (
-    DanglingTransition,
-    UnknownProvider,
-    UnreachableState,
-)
+from .flowdef import UnknownProvider
 from .hotpath import HotpathAllocation, InvariantLoopLookup, PerElementArrayLoop
 from .lifecycle import (
     HeldRequestAcrossYield,
@@ -70,8 +66,6 @@ __all__ = [
     "EnvVarRead",
     "YieldNonEvent",
     "SwallowedSimError",
-    "DanglingTransition",
-    "UnreachableState",
     "UnknownProvider",
     "DanglingPayloadReference",
     "UndeclaredParameter",

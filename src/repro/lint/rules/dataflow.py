@@ -1,15 +1,15 @@
 """F4xx rules: whole-flow dataflow analysis over payload schemas.
 
-The F3xx pack proves a literal flow's *state graph* is sound; this pack
-proves its *payloads* are.  Every action provider declares a literal
+F304 checks a literal flow's provider names; this pack proves its
+*payloads* are sound.  Every action provider declares a literal
 ``input_schema``/``output_schema`` (see :mod:`repro.flows.action`), and
 the one static registry scan (:func:`repro.lint.discover_provider_schemas`)
 makes those contracts visible here.  ``F401`` then symbolically executes
 each literal :class:`~repro.flows.FlowDefinition` state by state,
 propagating the set of payload keys every completed state makes
-available, so a ``$.states.X.key`` template that no reachable upstream
-state can have produced is rejected at review time — the silent
-payload-shape drift that otherwise only surfaces mid-campaign.  ``F402``
+available, so a ``$.states.X.key`` template that no upstream state can
+have produced is rejected at review time — the silent payload-shape
+drift that otherwise only surfaces mid-campaign.  ``F402``
 checks every literal :class:`~repro.flows.FlowState` (including
 fragments inside Gladier tools) against its provider's input schema;
 ``F403`` flags keys bound to conflicting types, both across the dataflow
@@ -32,11 +32,7 @@ from typing import Iterator, Mapping, Optional
 from ..analyzer import FileContext, Rule, register
 from ..config import ProviderSchema, _class_literal_assign, _literal_str_dict
 from ..diagnostics import Severity
-from .flowdef import (
-    LiteralState,
-    chain_order,
-    parse_literal_definition,
-)
+from .flowdef import LiteralState, parse_literal_definition
 
 __all__ = [
     "DanglingPayloadReference",
@@ -130,31 +126,23 @@ def _ref_type(
 class _FlowDataflow:
     """Shared symbolic execution of one literal flow definition.
 
-    Walks states in execution order, recording each completed state's
-    declared ``output_schema`` as the payload available downstream, and
-    accumulates findings tagged by kind so F401 and F403 can each report
-    their own."""
+    Walks the states in tuple (execution) order, recording each completed
+    state's declared ``output_schema`` as the payload available
+    downstream, and accumulates findings tagged by kind so F401 and F403
+    can each report their own."""
 
-    def __init__(
-        self,
-        start_at: Optional[str],
-        states: list[LiteralState],
-        ctx: FileContext,
-    ) -> None:
+    def __init__(self, states: list[LiteralState], ctx: FileContext) -> None:
         self.findings: list[tuple[str, ast.AST, str]] = []
-        order = chain_order(start_at, states)
-        by_name = {s.name: s for s in states}
         names = {s.name for s in states}
         #: state name -> declared output schema (None = undeclared)
         produced: dict[str, Optional[Mapping[str, str]]] = {}
-        for name in order:
-            state = by_name[name]
+        for state in states:
             schema = ctx.config.provider_schema(state.provider or "")
             if state.parameters is not None:
                 self._check_references(state, names, produced)
                 if schema is not None:
                     self._check_types(state, schema, produced)
-            produced[name] = schema.output_schema if schema is not None else None
+            produced[state.name] = schema.output_schema if schema is not None else None
 
     def _check_references(
         self,
@@ -247,24 +235,23 @@ class _FlowDataflow:
 
 
 def _flow_findings(ctx: FileContext, node: ast.Call) -> Optional[_FlowDataflow]:
-    parsed = parse_literal_definition(node)
-    if parsed is None:
+    states = parse_literal_definition(node)
+    if states is None:
         return None
-    start_at, states = parsed
-    return _FlowDataflow(start_at, states, ctx)
+    return _FlowDataflow(states, ctx)
 
 
 @register
 class DanglingPayloadReference(Rule):
-    """F401: a ``$.`` template reference that no reachable upstream state
-    can have produced — the step deploys, then every run dies resolving
-    its parameters (or worse, resolves against drifted payload shapes).
+    """F401: a ``$.`` template reference that no upstream state can have
+    produced — the step deploys, then every run dies resolving its
+    parameters (or worse, resolves against drifted payload shapes).
 
     Four shapes: a root other than ``$.input``/``$.states``; a
-    ``$.states.X`` naming no state of the flow; one naming the current,
-    a later or an unreachable state (templates resolve only against
-    steps that already completed); and a key the upstream state's
-    declared ``output_schema`` does not produce.
+    ``$.states.X`` naming no state of the flow; one naming the current
+    or a later state (templates resolve only against steps that already
+    completed); and a key the upstream state's declared
+    ``output_schema`` does not produce.
     """
 
     rule_id = "F401"

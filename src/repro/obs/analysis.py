@@ -207,7 +207,7 @@ def derive_runs(spans: Sequence[Span]) -> list[RunTrace]:
 def critical_path(run: RunTrace) -> list[Segment]:
     """Tile a run's timeline into its critical-path segments.
 
-    Flows are sequential state machines, so the critical path *is* the
+    A flow runs its states in sequence, so the critical path *is* the
     timeline: per step, the pre-action wait (transition + submission
     latency), the action's active interval, and the post-action
     detection lag (the polling gap Fig. 4 attributes to orchestration);

@@ -6,7 +6,6 @@ from repro.flows import FlowDefinition, FlowState
 #: Analyze reads Publish's result, but Publish runs after it.
 FORWARD = FlowDefinition(
     title="forward state reference",
-    start_at="Analyze",
     states=(
         FlowState(
             name="Analyze",
@@ -15,7 +14,6 @@ FORWARD = FlowDefinition(
                 "endpoint": "$.input.compute_endpoint",
                 "function_id": "$.states.Publish.subject",  # expect: F401
             },
-            next="Publish",
         ),
         FlowState(
             name="Publish",
@@ -32,7 +30,6 @@ FORWARD = FlowDefinition(
 #: Analyze reads the result of a state this flow does not have.
 UNKNOWN = FlowDefinition(
     title="unknown state reference",
-    start_at="Transfer",
     states=(
         FlowState(
             name="Transfer",
@@ -43,7 +40,6 @@ UNKNOWN = FlowDefinition(
                 "dest_endpoint": "$.input.dest_endpoint",
                 "dest_path": "$.input.dest_path",
             },
-            next="Analyze",
         ),
         FlowState(
             name="Analyze",

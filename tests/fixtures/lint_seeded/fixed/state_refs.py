@@ -1,11 +1,10 @@
-"""The fixes: reference only states that completed earlier in the chain,
+"""The fixes: reference only states that completed earlier in the flow,
 and take everything else from ``$.input``."""
 
 from repro.flows import FlowDefinition, FlowState
 
 FORWARD = FlowDefinition(
     title="backward state reference",
-    start_at="Analyze",
     states=(
         FlowState(
             name="Analyze",
@@ -14,7 +13,6 @@ FORWARD = FlowDefinition(
                 "endpoint": "$.input.compute_endpoint",
                 "function_id": "$.input.function_id",
             },
-            next="Publish",
         ),
         FlowState(
             name="Publish",
@@ -30,7 +28,6 @@ FORWARD = FlowDefinition(
 
 UNKNOWN = FlowDefinition(
     title="input reference",
-    start_at="Transfer",
     states=(
         FlowState(
             name="Transfer",
@@ -41,7 +38,6 @@ UNKNOWN = FlowDefinition(
                 "dest_endpoint": "$.input.dest_endpoint",
                 "dest_path": "$.input.dest_path",
             },
-            next="Analyze",
         ),
         FlowState(
             name="Analyze",

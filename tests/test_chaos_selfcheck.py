@@ -23,7 +23,9 @@ from repro.auth import AuthClient
 from repro.auth.identity import FLOWS_SCOPE
 from repro.chaos import (
     SCENARIOS,
+    BitRotWindow,
     ChaosPlan,
+    DataCorruptionSpec,
     LinkDegradation,
     NO_CHAOS,
     NodeFailureSpec,
@@ -192,7 +194,7 @@ def _flows(env, provider, policy):
     )
     svc.register_provider(provider)
     flow_id = svc.deploy(
-        FlowDefinition(title="t", start_at="A", states=(FlowState("A", "mock"),))
+        FlowDefinition(title="t", states=(FlowState("A", "mock"),))
     )
     return svc, token, flow_id
 
@@ -370,6 +372,39 @@ def test_unknown_scenario_rejected():
         run_campaign("hyperspectral", chaos="nope", duration_s=10.0)
     with pytest.raises(ChaosError, match="unknown scenario"):
         run_chaos_campaign("nope", duration_s=10.0)
+
+
+# -- fault targets the testbed lacks ------------------------------------------
+# Unchecked, a misspelt filesystem disarms its fault silently (a clean run
+# with the ledger armed) and a misspelt link fails mid-run; the plan must
+# fail before the clock starts, naming what the testbed has.
+
+
+def _run_with(plan):
+    return run_campaign("hyperspectral", duration_s=600.0, seed=1, chaos=plan)
+
+
+def test_bitrot_on_unknown_filesystem_fails_up_front():
+    window = BitRotWindow(
+        fs="picoprobe_user", start_s=0.0, duration_s=600.0, prob=1.0
+    )
+    plan = ChaosPlan(corruption=DataCorruptionSpec(bitrot=(window,)))
+    with pytest.raises(ChaosError, match=r"\['picoprobe_user'\].*'picoprobe-user'"):
+        _run_with(plan)
+
+
+def test_meta_mismatch_on_unknown_filesystem_fails_up_front():
+    spec = DataCorruptionSpec(meta_mismatch_prob=1.0, meta_mismatch_fs="nope")
+    with pytest.raises(ChaosError, match=r"\['nope'\].*'eagle'"):
+        _run_with(ChaosPlan(corruption=spec))
+
+
+def test_degradation_of_unknown_link_fails_up_front():
+    link = LinkDegradation("a", "b", start_s=100.0, duration_s=60.0, scale=0.5)
+    with pytest.raises(
+        ChaosError, match=r"\['a--b'\].*'picoprobe-user-machine--site-switch'"
+    ):
+        _run_with(ChaosPlan(degradations=(link,)))
 
 
 # -- watcher crash mid-campaign ------------------------------------------------

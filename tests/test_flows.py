@@ -146,59 +146,23 @@ def test_resolve_template_missing_path():
 
 
 def linear_def(n=3):
-    states = tuple(
-        FlowState(name=f"S{i}", provider="mock", next=(f"S{i+1}" if i < n - 1 else None))
-        for i in range(n)
-    )
-    return FlowDefinition(title="t", start_at="S0", states=states)
+    states = tuple(FlowState(name=f"S{i}", provider="mock") for i in range(n))
+    return FlowDefinition(title="t", states=states)
 
 
 def test_definition_valid_linear():
     d = linear_def()
-    assert [s.name for s in d.ordered_states()] == ["S0", "S1", "S2"]
-    assert d.n_transitions == 4
+    assert [s.name for s in d.states] == ["S0", "S1", "S2"]
 
 
 def test_definition_rejects_empty():
     with pytest.raises(FlowDefinitionError, match="no states"):
-        FlowDefinition(title="t", start_at="x", states=())
-
-
-def test_definition_rejects_bad_start():
-    with pytest.raises(FlowDefinitionError, match="start state"):
-        FlowDefinition(title="t", start_at="zzz", states=(FlowState("a", "p"),))
-
-
-def test_definition_rejects_unknown_transition():
-    with pytest.raises(FlowDefinitionError, match="unknown state"):
-        FlowDefinition(
-            title="t", start_at="a", states=(FlowState("a", "p", next="ghost"),)
-        )
+        FlowDefinition(title="t", states=())
 
 
 def test_definition_rejects_duplicates():
     with pytest.raises(FlowDefinitionError, match="duplicate"):
-        FlowDefinition(
-            title="t", start_at="a", states=(FlowState("a", "p"), FlowState("a", "p"))
-        )
-
-
-def test_definition_rejects_cycle():
-    with pytest.raises(FlowDefinitionError, match="cycle"):
-        FlowDefinition(
-            title="t",
-            start_at="a",
-            states=(FlowState("a", "p", next="b"), FlowState("b", "p", next="a")),
-        )
-
-
-def test_definition_rejects_unreachable():
-    with pytest.raises(FlowDefinitionError, match="unreachable"):
-        FlowDefinition(
-            title="t",
-            start_at="a",
-            states=(FlowState("a", "p"), FlowState("orphan", "p")),
-        )
+        FlowDefinition(title="t", states=(FlowState("a", "p"), FlowState("a", "p")))
 
 
 # -- executor with a mock provider ------------------------------------------------------
@@ -314,10 +278,10 @@ def test_template_threading_between_states():
     env = Environment()
     svc, token, provider = make_flows(env, duration=1.0)
     states = (
-        FlowState("A", "mock", parameters={"path": "$.input.path"}, next="B"),
+        FlowState("A", "mock", parameters={"path": "$.input.path"}),
         FlowState("B", "mock", parameters={"prev_ok": "$.states.A.mock"}),
     )
-    d = FlowDefinition(title="t", start_at="A", states=states)
+    d = FlowDefinition(title="t", states=states)
     run = svc.run_flow(token, svc.deploy(d), {"path": "/x.emd"})
     env.run(until=run.completed)
     assert provider.bodies[0] == {"path": "/x.emd"}
@@ -340,7 +304,7 @@ def test_parallel_runs_interleave():
 def test_unknown_provider_rejected_at_deploy():
     env = Environment()
     svc, token, provider = make_flows(env)
-    bad = FlowDefinition(title="t", start_at="a", states=(FlowState("a", "ghost"),))
+    bad = FlowDefinition(title="t", states=(FlowState("a", "ghost"),))
     with pytest.raises(FlowError, match="unknown action provider"):
         svc.deploy(bad)
 
@@ -386,11 +350,11 @@ def test_gladier_compose_chains_tools():
     )
     client = GladierClient(svc, token)
     d = client.compose("pipeline", [t1, t2])
-    names = [s.name for s in d.ordered_states()]
-    assert names == ["Transfer", "Analyze", "Publish"]
+    assert d.states == t1.states + t2.states
     run = client.run_flow(d, {})
     env.run(until=run.completed)
     assert run.status is RunStatus.SUCCEEDED
+    assert [step.name for step in run.steps] == ["Transfer", "Analyze", "Publish"]
 
 
 def test_gladier_deploy_memoized():

@@ -68,14 +68,9 @@ def run_flow_with(durations, backoff=None, transition=0.0, poll=0.0):
     )
     svc.register_provider(TimedProvider(env, durations))
     states = tuple(
-        FlowState(
-            name=f"S{i}",
-            provider="timed",
-            next=(f"S{i+1}" if i < len(durations) - 1 else None),
-        )
-        for i in range(len(durations))
+        FlowState(name=f"S{i}", provider="timed") for i in range(len(durations))
     )
-    d = FlowDefinition(title="t", start_at="S0", states=states)
+    d = FlowDefinition(title="t", states=states)
     run = svc.run_flow(token, svc.deploy(d), {})
     env.run(until=run.completed)
     return run

@@ -85,8 +85,9 @@ def test_select_restricts_rules(dirty_tree, capsys):
 
 
 def test_unknown_rule_id_is_a_usage_error(dirty_tree, capsys):
-    # D106/D107/S202/F303 were folded into N701/N703, N704, R504, F401
-    for rid in ("Z123", "D106", "D107", "S202", "F303"):
+    # D106/D107/S202/F303 were folded into N701/N703, N704, R504, F401;
+    # F301/F302 checked next/start_at pointers, which flows no longer have
+    for rid in ("Z123", "D106", "D107", "S202", "F303", "F301", "F302"):
         assert lint_main([str(dirty_tree), "--select", rid]) == 2
         assert f"unknown rule id: {rid}" in capsys.readouterr().out
 
@@ -100,8 +101,8 @@ def test_list_rules_prints_catalog(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     listed = {line.split()[0] for line in out.splitlines()}
-    assert {"D101", "S201", "F301", "F304", "F401", "R504", "N701"} <= listed
-    assert not listed & {"D106", "D107", "S202", "F303"}
+    assert {"D101", "S201", "F304", "F401", "R504", "N701"} <= listed
+    assert not listed & {"D106", "D107", "S202", "F303", "F301", "F302"}
 
 
 def test_fail_on_warn_threshold(tmp_path, capsys):

@@ -29,7 +29,7 @@ def rule_ids(source: str, **config_kwargs):
 
 #: A well-formed transfer state reused across fixtures.
 TRANSFER_A = """\
-FlowState(name="A", provider="transfer", next="B",
+FlowState(name="A", provider="transfer",
           parameters={"source_endpoint": "$.input.src_ep",
                       "source_path": "$.input.src",
                       "dest_endpoint": "$.input.dst_ep",
@@ -40,7 +40,7 @@ FlowState(name="A", provider="transfer", next="B",
 def flow(second_state: str) -> str:
     return (
         'd = FlowDefinition(\n'
-        '    title="t", start_at="A",\n'
+        '    title="t",\n'
         '    states=(\n'
         + textwrap.indent(TRANSFER_A, " " * 8)
         + textwrap.indent(second_state, " " * 8)
@@ -88,9 +88,9 @@ def test_f401_gives_undeclared_providers_benefit_of_the_doubt():
     schemas["mystery"] = ProviderSchema(name="mystery")
     src = """
     d = FlowDefinition(
-        title="t", start_at="A",
+        title="t",
         states=(
-            FlowState(name="A", provider="mystery", next="B"),
+            FlowState(name="A", provider="mystery"),
             FlowState(name="B", provider="mystery",
                       parameters={"x": "$.states.A.whatever"}),
         ),
@@ -166,9 +166,9 @@ def test_f403_fires_on_template_type_conflict_through_the_dataflow():
     # compute's cold_start is declared bool; transfer's dest_path is str.
     src = """
     d = FlowDefinition(
-        title="t", start_at="A",
+        title="t",
         states=(
-            FlowState(name="A", provider="compute", next="B",
+            FlowState(name="A", provider="compute",
                       parameters={"endpoint": "$.input.ep",
                                   "function_id": "$.input.fn"}),
             FlowState(name="B", provider="transfer",

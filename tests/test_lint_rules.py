@@ -141,32 +141,15 @@ def test_s203_accepts_handlers_that_record_or_reraise():
     assert rule_ids(src) == []
 
 
-# -- F301: dangling transitions ----------------------------------------------
-
-
-def test_f301_fires_on_dangling_next_and_bad_start():
-    dangling = """
-    d = FlowDefinition(
-        title="t", start_at="A",
-        states=(FlowState(name="A", provider="transfer", next="Missing"),),
-    )
-    """
-    bad_start = """
-    d = FlowDefinition(
-        title="t", start_at="Nope",
-        states=(FlowState(name="A", provider="transfer"),),
-    )
-    """
-    assert "F301" in rule_ids(dangling)
-    assert "F301" in rule_ids(bad_start)
+# -- literal definitions F401 still reads -------------------------------------
 
 
 def test_f301_clean_on_wellformed_chain():
     src = """
     d = FlowDefinition(
-        title="t", start_at="A",
+        title="t",
         states=(
-            FlowState(name="A", provider="transfer", next="B"),
+            FlowState(name="A", provider="transfer"),
             FlowState(name="B", provider="compute"),
         ),
     )
@@ -174,26 +157,10 @@ def test_f301_clean_on_wellformed_chain():
     assert rule_ids(src) == []
 
 
-# -- F302: unreachable states -------------------------------------------------
-
-
-def test_f302_fires_on_unreachable_state():
-    src = """
-    d = FlowDefinition(
-        title="t", start_at="A",
-        states=(
-            FlowState(name="A", provider="transfer"),
-            FlowState(name="Orphan", provider="compute"),
-        ),
-    )
-    """
-    assert "F302" in rule_ids(src)
-
-
 def test_f302_skips_dynamic_definitions():
     src = """
     states = build_states()
-    d = FlowDefinition(title="t", start_at="A", states=states)
+    d = FlowDefinition(title="t", states=states)
     """
     assert rule_ids(src) == []
 
@@ -270,9 +237,9 @@ def test_s202_accepts_with_tryfinally_and_ownership_transfer():
 def test_f303_clean_on_backward_reference():
     src = """
     d = FlowDefinition(
-        title="t", start_at="A",
+        title="t",
         states=(
-            FlowState(name="A", provider="transfer", next="B"),
+            FlowState(name="A", provider="transfer"),
             FlowState(name="B", provider="compute",
                       parameters={"endpoint": "$.input.ep",
                                   "function_id": "$.states.A.task_id"}),

@@ -120,10 +120,9 @@ def test_failed_run_trace_matches_records():
     svc.register_provider(FlakyProvider(env))
     definition = FlowDefinition(
         title="two-step",
-        start_at="A",
         states=(
-            FlowState(name="A", provider="mock", next="B"),
-            FlowState(name="B", provider="mock", next=None),
+            FlowState(name="A", provider="mock"),
+            FlowState(name="B", provider="mock"),
         ),
     )
     run = svc.run_flow(token, svc.deploy(definition), {})
