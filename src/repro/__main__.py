@@ -205,6 +205,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 parts.append(f"{len(plan.watcher_crashes)} watcher crash(es)")
             if plan.transfer_faults.transient_prob or plan.transfer_faults.corrupt_prob:
                 parts.append("transfer faults")
+            if plan.corruption is not None:
+                c = plan.corruption
+                parts.append(
+                    f"chunk corruption p={c.chunk_corrupt_prob}, "
+                    f"truncation p={c.chunk_truncate_prob}, "
+                    f"{len(c.bitrot)} bit-rot window(s), "
+                    f"metadata mismatch p={c.meta_mismatch_prob}"
+                )
             print(f"{name:15s} {', '.join(parts)}")
         return 0
 

@@ -11,7 +11,7 @@ convention Velox/EMD uses), and re-parsed by
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import FormatError
@@ -100,8 +100,54 @@ class AcquisitionMetadata:
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["shape"] = list(self.shape)
+        """The fields as one JSON object with sorted keys (``extra`` holds
+        JSON values and is written as it is)."""
+        mic = self.microscope
+        stage = mic.stage
+        sample = self.sample
+        doc = {
+            "acquisition_id": self.acquisition_id,
+            "acquired_at": self.acquired_at,
+            "acquired_at_iso": self.acquired_at_iso,
+            "operator": self.operator,
+            "signal_type": self.signal_type,
+            "shape": list(self.shape),
+            "dtype": self.dtype,
+            "microscope": {
+                "instrument": mic.instrument,
+                "beam_energy_kev": mic.beam_energy_kev,
+                "probe_size_pm": mic.probe_size_pm,
+                "magnification": mic.magnification,
+                "camera_length_mm": mic.camera_length_mm,
+                "stage": {
+                    "x_um": stage.x_um,
+                    "y_um": stage.y_um,
+                    "z_um": stage.z_um,
+                    "alpha_deg": stage.alpha_deg,
+                    "beta_deg": stage.beta_deg,
+                },
+                "detectors": [
+                    {
+                        "name": d.name,
+                        "kind": d.kind,
+                        "solid_angle_sr": d.solid_angle_sr,
+                        "pixel_size_um": d.pixel_size_um,
+                        "energy_resolution_ev": d.energy_resolution_ev,
+                        "enabled": d.enabled,
+                    }
+                    for d in mic.detectors
+                ],
+                "vacuum_environment": mic.vacuum_environment,
+            },
+            "sample": {
+                "name": sample.name,
+                "description": sample.description,
+                "elements": list(sample.elements),
+                "preparation": sample.preparation,
+            },
+            "software_version": self.software_version,
+            "extra": self.extra,
+        }
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -113,9 +159,12 @@ class AcquisitionMetadata:
         return cls.from_dict(doc)
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "AcquisitionMetadata":
+    def from_dict(cls, doc: Any) -> "AcquisitionMetadata":
+        """Parse a metadata document; a malformed one raises
+        :class:`FormatError`."""
         try:
-            mic = doc.get("microscope", {})
+            _object(doc, "the document")
+            mic = _object(doc.get("microscope", {}), "microscope")
             stage = StagePosition(**mic.get("stage", {}))
             detectors = tuple(
                 DetectorConfig(**d) for d in mic.get("detectors", ())
@@ -130,7 +179,7 @@ class AcquisitionMetadata:
                 detectors=detectors,
                 vacuum_environment=mic.get("vacuum_environment", "high-vacuum"),
             )
-            samp = doc.get("sample", {})
+            samp = _object(doc.get("sample", {}), "sample")
             sample = SampleInfo(
                 name=samp.get("name", ""),
                 description=samp.get("description", ""),
@@ -143,15 +192,31 @@ class AcquisitionMetadata:
                 acquired_at_iso=doc.get("acquired_at_iso", ""),
                 operator=doc.get("operator", ""),
                 signal_type=doc["signal_type"],
-                shape=tuple(doc["shape"]),
+                shape=_shape(doc["shape"]),
                 dtype=doc.get("dtype", ""),
                 microscope=microscope,
                 sample=sample,
                 software_version=doc.get("software_version", ""),
-                extra=doc.get("extra", {}),
+                extra=_object(doc.get("extra", {}), "extra"),
             )
         except KeyError as exc:
             raise FormatError(f"metadata missing required field: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"invalid metadata: {exc}") from exc
+
+
+def _object(value: Any, name: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _shape(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        type(n) is int and n >= 0 for n in value
+    ):
+        raise ValueError(f"shape must be a list of non-negative ints, got {value!r}")
+    return tuple(value)
 
 
 def iso_from_campaign_seconds(t: float, campaign_epoch: str = "2023-06-01T00:00:00") -> str:

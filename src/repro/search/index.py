@@ -31,15 +31,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _walk_strings(value: Any) -> Iterable[str]:
+def _walk_strings(value: Any, out: list[str]) -> None:
+    """Append every string in ``value`` to ``out``, depth first."""
     if isinstance(value, str):
-        yield value
+        out.append(value)
     elif isinstance(value, dict):
         for v in value.values():
-            yield from _walk_strings(v)
+            _walk_strings(v, out)
     elif isinstance(value, (list, tuple)):
         for v in value:
-            yield from _walk_strings(v)
+            _walk_strings(v, out)
 
 
 def _dig(doc: dict, path: str) -> Any:
@@ -150,9 +151,15 @@ class SearchIndex:
             raise SearchError(f"subject must be a non-empty string, got {subject!r}")
         if self.validate:
             validate_datacite(content)
+        if isinstance(visible_to, str):
+            raise SearchError(
+                f"visible_to must be a collection of identities, not the string {visible_to!r}"
+            )
         visible = tuple(visible_to)
         if not visible:
             raise SearchError("visible_to must not be empty (use 'public')")
+        if not all(isinstance(v, str) and v for v in visible):
+            raise SearchError(f"visible_to entries must be non-empty strings, got {visible!r}")
         if subject in self._entries:
             self._remove_postings(subject)
         entry = GmetaEntry(
@@ -162,10 +169,11 @@ class SearchIndex:
             ingested_at=float(now),
         )
         self._entries[subject] = entry
-        counts = Counter()
-        for text in _walk_strings(content):
-            counts.update(tokenize(text))
-        for term, tf in counts.items():
+        strings: list[str] = []
+        _walk_strings(content, strings)
+        # No token spans the joining space: one pass counts what a
+        # tokenize() per string would, in the same first-seen order.
+        for term, tf in Counter(tokenize(" ".join(strings))).items():
             self._postings[term][subject] = tf
         return entry
 

@@ -63,6 +63,16 @@ def test_unknown_chaos_scenario_is_a_usage_error(argv, capsys):
     assert captured.out == ""
 
 
+def test_chaos_list_names_the_corruption_faults(capsys):
+    assert main(["chaos", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in lines if ln.split()[0] == "corruption"]
+    assert line.split(None, 1)[1] == (
+        "transfer faults, chunk corruption p=0.04, truncation p=0.02, "
+        "1 bit-rot window(s), metadata mismatch p=0.08"
+    )
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("grid", ["campaign", "chaos"])
 def test_unknown_sweep_use_case_is_a_usage_error(grid, jobs, capsys):

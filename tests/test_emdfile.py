@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -197,6 +198,50 @@ def test_metadata_missing_field_raises():
         AcquisitionMetadata.from_json("{}")
     with pytest.raises(FormatError):
         AcquisitionMetadata.from_json("not json")
+
+
+def _payload(**fields):
+    doc = {
+        "acquisition_id": "acq-0001",
+        "acquired_at": 12.5,
+        "signal_type": "hyperspectral",
+        "shape": [4, 5, 6],
+    }
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '"x"',
+        _payload(microscope=[]),
+        _payload(acquired_at="x"),
+        _payload(acquired_at=None),
+        _payload(shape=5),
+        _payload(microscope={"stage": {"bogus": 1}}),
+        _payload(microscope={"detectors": [{"name": "XPAD"}]}),
+        _payload(shape="abc"),
+        _payload(shape=[-1, 2.5]),
+        _payload(extra=[1]),
+    ],
+    ids=[
+        "array", "string", "microscope-array", "acquired-at-text",
+        "acquired-at-null", "shape-int", "stage-unknown-field",
+        "detector-without-kind", "shape-string", "shape-negative-float",
+        "extra-array",
+    ],
+)
+def test_malformed_metadata_raises_format_error(text):
+    with pytest.raises(FormatError, match="invalid metadata"):
+        AcquisitionMetadata.from_json(text)
+
+
+def test_minimal_metadata_payload_parses():
+    md = AcquisitionMetadata.from_json(_payload())
+    assert md.shape == (4, 5, 6)
+    assert md.extra == {} and md.microscope == MicroscopeState()
 
 
 def test_estimate_emd_size_matches_payload():

@@ -228,6 +228,16 @@ def test_empty_visible_to_rejected():
         idx.ingest("s", record(), visible_to=())
 
 
+@pytest.mark.parametrize(
+    "visible_to", ["public", ("public", ""), ("public", None)], ids=["string", "empty", "none"]
+)
+def test_malformed_visible_to_rejected(visible_to):
+    idx = SearchIndex("t")
+    with pytest.raises(SearchError, match="visible_to"):
+        idx.ingest("s", record(), visible_to=visible_to)
+    assert len(idx) == 0
+
+
 def test_bad_subject_rejected():
     idx = SearchIndex("portal")
     with pytest.raises(SearchError):
