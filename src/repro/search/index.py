@@ -153,13 +153,15 @@ class SearchIndex:
             validate_datacite(content)
         if isinstance(visible_to, str):
             raise SearchError(
-                f"visible_to must be a collection of identities, not the string {visible_to!r}"
+                f"visible_to must be a collection of identities, got {visible_to!r}"
             )
         visible = tuple(visible_to)
         if not visible:
             raise SearchError("visible_to must not be empty (use 'public')")
         if not all(isinstance(v, str) and v for v in visible):
-            raise SearchError(f"visible_to entries must be non-empty strings, got {visible!r}")
+            raise SearchError(
+                f"visible_to entries must be non-empty strings, got {visible!r}"
+            )
         if subject in self._entries:
             self._remove_postings(subject)
         entry = GmetaEntry(
