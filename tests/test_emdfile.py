@@ -11,6 +11,7 @@ import pytest
 from repro.emd import (
     AcquisitionMetadata,
     DetectorConfig,
+    EmdFile,
     EmdSignal,
     MicroscopeState,
     SampleInfo,
@@ -236,6 +237,17 @@ def _payload(**fields):
 def test_malformed_metadata_raises_format_error(text):
     with pytest.raises(FormatError, match="invalid metadata"):
         AcquisitionMetadata.from_json(text)
+
+
+def test_damaged_metadata_payload_fails_at_read(tmp_path):
+    path = tmp_path / "d.emd"
+    write_emd(path, make_signal())
+    raw = path.read_bytes()
+    assert raw.count(b'"shape": [4, 5, 6]') == 1
+    path.write_bytes(raw.replace(b'"shape": [4, 5, 6]', b'"shape": "4, 5, 6"'))
+    with EmdFile(path) as f:
+        with pytest.raises(FormatError, match="invalid metadata"):
+            f.metadata()
 
 
 def test_minimal_metadata_payload_parses():
