@@ -1,15 +1,17 @@
 """The chaos controller: schedules a plan's faults onto a live testbed.
 
 ``install()`` arms everything the :class:`~repro.chaos.plan.ChaosPlan`
-declares:
+declares, from the built :class:`~repro.testbed.Testbed`:
 
+* the **transfer fault plan** and the flow executor's **retry
+  policies**, set on the testbed's transfer and flows services;
 * **outage gates** on the transfer/compute/search services (the services
   hold them duck-typed; see :mod:`repro.chaos.gate`), with one DES
   process per window that traces the outage and drains the flow
   executor's degraded-action backlog when the window closes;
 * **link degradation** processes driving
   :meth:`~repro.net.NetworkFabric.set_link_health` at each event's edges;
-* **node failures** by handing the compute endpoint the plan's
+* **node failures** by handing the Polaris endpoint the plan's
   :class:`~repro.chaos.plan.NodeFailureSpec` plus a dedicated
   ``chaos.nodes`` RNG stream;
 * **watcher crashes** that stop the directory observer and restart it
@@ -37,9 +39,9 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ..errors import ChaosError
-from ..flows.action import ActionState
-from ..obs import NULL_OBS
+from ..errors import ChaosError, ServiceUnavailable
+from ..flows.action import ActionState, ActionStatus
+from ..testbed import Testbed
 from .corruption import ChunkCorruptor
 from .gate import ServiceGate
 from .plan import (
@@ -62,53 +64,29 @@ _SERVICE_PROVIDER = {
 
 
 class ChaosController:
-    """Arms a :class:`ChaosPlan` against testbed components.
-
-    All parameters are duck-typed handles from the testbed; pass ``None``
-    for any subsystem a unit test does not exercise.
-    """
+    """Arms a :class:`ChaosPlan` against a built testbed, its directory
+    ``observer`` and its stream publisher (``None`` in file mode)."""
 
     def __init__(
-        self,
-        env: Any,
-        plan: ChaosPlan,
-        *,
-        transfer: Any = None,
-        compute: Any = None,
-        search: Any = None,
-        fabric: Any = None,
-        flows: Any = None,
-        compute_endpoints: tuple = (),
-        rngs: Any = None,
-        observer: Any = None,
-        stream: Any = None,
-        filesystems: Any = None,
-        obs: Any = NULL_OBS,
+        self, testbed: Testbed, plan: ChaosPlan, observer: Any, stream: Any = None
     ) -> None:
-        self.env = env
+        self.tb = testbed
+        self.env = testbed.env
         self.plan = plan
-        self.transfer = transfer
-        self.compute = compute
-        self.search = search
-        self.fabric = fabric
-        self.flows = flows
-        self.compute_endpoints = tuple(compute_endpoints)
-        self.rngs = rngs
         self.observer = observer
         self.stream = stream
         #: Name -> :class:`~repro.storage.VirtualFS`, the targets the
         #: plan's bit-rot windows and metadata mismatches may hit.
-        self.filesystems: dict[str, Any] = dict(filesystems or {})
-        self.tracer = obs.tracer
+        self.filesystems = {fs.name: fs for fs in (testbed.user_fs, testbed.eagle_fs)}
+        self.tracer = testbed.obs.tracer
         # ``chaos.*`` instruments are fetched where they fire, so a plan
         # that never injects leaves none in the export.
-        self._metrics = obs.metrics
+        self._metrics = testbed.obs.metrics
         self.gates: dict[str, ServiceGate] = {}
         #: Ordered, seed-deterministic record of every injection edge.
         self.injections: list[dict[str, Any]] = []
         #: Sim-time from backlog enqueue to successful catch-up.
         self.recovery_latencies: list[float] = []
-        self.installed = False
 
     def _log(self, kind: str, **detail: Any) -> None:
         self.injections.append({"t": self.env.now, "kind": kind, **detail})
@@ -143,37 +121,28 @@ class ChaosController:
                     f"unknown filesystem(s) {missing} "
                     f"(testbed has {sorted(self.filesystems)})"
                 )
-        if self.fabric is not None:
-            links = sorted("--".join(ln.key) for ln in self.fabric.topology.links())
-            missing = sorted(
-                {"--".join(sorted((d.a, d.b))) for d in self.plan.degradations}
-                - set(links)
-            )
-            if missing:
-                problems.append(f"unknown link(s) {missing} (testbed has {links})")
+        links = sorted("--".join(ln.key) for ln in self.tb.fabric.topology.links())
+        missing = sorted(
+            {"--".join(sorted((d.a, d.b))) for d in self.plan.degradations} - set(links)
+        )
+        if missing:
+            problems.append(f"unknown link(s) {missing} (testbed has {links})")
         if problems:
             raise ChaosError("chaos plan names " + "; ".join(problems))
 
     def install(self) -> None:
-        """Install gates and start one process per scheduled fault."""
-        if self.installed:
-            return
+        """Arm the whole plan: the transfer fault plan, the flow retry
+        policies, the outage gates and one process per scheduled fault."""
         self._check_targets()
-        self.installed = True
-        services = {
-            "transfer": self.transfer,
-            "compute": self.compute,
-            "search": self.search,
-        }
+        tb, plan = self.tb, self.plan
+        tb.transfer.fault_plan = plan.transfer_faults
+        tb.flows.retry_policies = dict(plan.retry_policies)
         by_service: dict[str, list[OutageWindow]] = {}
-        for w in self.plan.outages:
+        for w in plan.outages:
             by_service.setdefault(w.service, []).append(w)
         for name, windows in sorted(by_service.items()):
-            svc = services.get(name)
-            if svc is None:
-                continue
-            gate = ServiceGate(name, windows, self.plan.connect_timeout_s)
-            svc.gate = gate
+            gate = ServiceGate(name, windows, plan.connect_timeout_s)
+            getattr(tb, name).gate = gate  # tb.transfer / compute / search
             self.gates[name] = gate
             for w in gate.windows:
                 self.env.process(self._outage_process(w))
@@ -181,21 +150,18 @@ class ChaosController:
             # The streaming control plane rides the same data-movement
             # service: a transfer outage also rejects stream handshakes.
             self.stream.gate = self.gates["transfer"]
-        for d in self.plan.degradations:
-            if self.fabric is not None:
-                self.env.process(self._degradation_process(d))
-        if self.plan.node_failures is not None and self.plan.node_failures.prob > 0:
-            for ep in self.compute_endpoints:
-                ep.node_chaos = self.plan.node_failures
-                ep.chaos_rng = self.rngs.stream("chaos.nodes")
-        for c in self.plan.watcher_crashes:
-            if self.observer is not None:
-                self.env.process(self._watcher_process(c))
-        spec = self.plan.corruption
-        if spec is not None and spec.enabled and self.rngs is not None:
+        for d in plan.degradations:
+            self.env.process(self._degradation_process(d))
+        if plan.node_failures is not None and plan.node_failures.prob > 0:
+            tb.polaris.node_chaos = plan.node_failures
+            tb.polaris.chaos_rng = tb.rngs.stream("chaos.nodes")
+        for c in plan.watcher_crashes:
+            self.env.process(self._watcher_process(c))
+        spec = plan.corruption
+        if spec is not None and spec.enabled:
             if self.stream is not None and spec.chunk_faults:
                 self.stream.corruptor = ChunkCorruptor(
-                    spec, self.rngs.stream("chaos.corruption"), self
+                    spec, tb.rngs.stream("chaos.corruption"), self
                 )
             for w in spec.bitrot:
                 self.env.process(self._bitrot_window(w, self.filesystems[w.fs]))
@@ -217,13 +183,9 @@ class ChaosController:
             self._log("outage_start", service=w.service, until=w.end_s)
             self._metrics.counter("chaos.outages").inc()
             yield self.env.timeout(w.duration_s)
-            gate = self.gates.get(w.service)
-            span.set("rejections", gate.rejections if gate else 0)
-            self._log(
-                "outage_end",
-                service=w.service,
-                rejections=gate.rejections if gate else 0,
-            )
+            rejections = self.gates[w.service].rejections
+            span.set("rejections", rejections)
+            self._log("outage_end", service=w.service, rejections=rejections)
         finally:
             span.finish()
         # Service is back: catch up the non-critical work that degraded
@@ -241,9 +203,9 @@ class ChaosController:
         try:
             self._log("link_degraded", a=d.a, b=d.b, scale=d.scale)
             self._metrics.counter("chaos.degradations").inc()
-            self.fabric.set_link_health(d.a, d.b, d.scale)
+            self.tb.fabric.set_link_health(d.a, d.b, d.scale)
             yield self.env.timeout(d.duration_s)
-            self.fabric.set_link_health(d.a, d.b, 1.0)
+            self.tb.fabric.set_link_health(d.a, d.b, 1.0)
             self._log("link_restored", a=d.a, b=d.b)
         finally:
             span.finish()
@@ -272,7 +234,7 @@ class ChaosController:
         Each qualifying creation gets one seeded draw; hits rot
         ``delay_s`` after creation (the file has usually been observed,
         maybe even streamed, by then — the interesting case)."""
-        rng = self.rngs.stream("chaos.bitrot")
+        rng = self.tb.rngs.stream("chaos.bitrot")
         if w.start_s > self.env.now:
             yield self.env.timeout(w.start_s - self.env.now)
 
@@ -302,7 +264,7 @@ class ChaosController:
         """Corrupt-at-birth: with ``meta_mismatch_prob`` a freshly
         created acquisition's payload never matched its declared
         checksum.  Stays armed for the whole campaign."""
-        rng = self.rngs.stream("chaos.metadata")
+        rng = self.tb.rngs.stream("chaos.metadata")
 
         def on_create(f: Any) -> None:
             if f.kind != "emd" or f.payload is not None:
@@ -316,12 +278,13 @@ class ChaosController:
     # -- degraded-work catch-up ------------------------------------------
     def _drain_backlog(self, provider_name: str) -> Generator:
         """Re-drive backlogged actions for ``provider_name`` to terminal
-        state, recording each entry's recovery latency."""
-        if self.flows is None:
-            return
+        state, recording each entry's recovery latency.  A catch-up whose
+        submission fails, or whose poll a later outage rejects, ends
+        FAILED with the error on its entry, and the drain moves on."""
+        flows = self.tb.flows
         pending = [
             e
-            for e in self.flows.backlog
+            for e in flows.backlog
             if e.provider == provider_name and not e.recovered and e.error is None
         ]
         for entry in pending:
@@ -331,7 +294,7 @@ class ChaosController:
                 .set("state", entry.state)
             )
             try:
-                provider = self.flows.provider(entry.provider)
+                provider = flows.provider(entry.provider)
                 try:
                     action_id = provider.run(dict(entry.body))
                 except Exception as exc:
@@ -339,9 +302,14 @@ class ChaosController:
                     span.set("status", "FAILED")
                     continue
                 status = None
-                for interval in self.flows.backoff.intervals():
-                    yield self.env.timeout(interval + self.flows.poll_latency_s)
-                    status = provider.status(action_id)
+                for interval in flows.backoff.intervals():
+                    yield self.env.timeout(interval + flows.poll_latency_s)
+                    try:
+                        status = provider.status(action_id)
+                    except ServiceUnavailable as exc:
+                        status = ActionStatus(
+                            ActionState.FAILED, error=f"{type(exc).__name__}: {exc}"
+                        )
                     if status.state.terminal:
                         break
                 if status is not None and status.state is ActionState.SUCCEEDED:
@@ -356,31 +324,28 @@ class ChaosController:
                     ) or "catch-up failed"
                     span.set("status", "FAILED")
             finally:
-                # `provider.status` can raise ServiceUnavailable mid-poll
-                # and the kernel can throw into the generator; the span
-                # must end on those edges too (finish() is idempotent).
+                # The kernel can throw into the generator; the span must
+                # end on that edge too (finish() is idempotent).
                 span.finish()
 
     def drain_remaining(self) -> Generator:
         """Catch up every still-pending backlog entry (end-of-campaign
         sweep for entries whose outage window outlived the run)."""
-        for provider_name in sorted({e.provider for e in (self.flows.backlog if self.flows else [])}):
+        for provider_name in sorted({e.provider for e in self.tb.flows.backlog}):
             yield from self._drain_backlog(provider_name)
 
     # -- reporting --------------------------------------------------------
     def report(self) -> dict[str, Any]:
         """Seed-deterministic summary of what chaos did and what recovered."""
-        flows = self.flows
+        flows = self.tb.flows
         retries = 0
         degraded_runs = 0
-        if flows is not None:
-            for run in flows.runs:
-                if run.degraded:
-                    degraded_runs += 1
-                for step in run.steps:
-                    retries += max(0, step.attempts - 1)
-        backlog = list(flows.backlog) if flows is not None else []
-        recovered = [e for e in backlog if e.recovered]
+        for run in flows.runs:
+            if run.degraded:
+                degraded_runs += 1
+            for step in run.steps:
+                retries += max(0, step.attempts - 1)
+        recovered = sum(e.recovered for e in flows.backlog)
         latencies = sorted(self.recovery_latencies)
         percentiles: dict[str, float] = {}
         if latencies:
@@ -395,16 +360,12 @@ class ChaosController:
             "gate_rejections": {
                 name: gate.rejections for name, gate in sorted(self.gates.items())
             },
-            "node_failures": sum(
-                getattr(ep, "node_failures", 0) for ep in self.compute_endpoints
-            ),
+            "node_failures": self.tb.polaris.node_failures,
             "flow_retries": retries,
             "degraded_runs": degraded_runs,
-            "dead_letters": [
-                d.summary() for d in (flows.dead_letters if flows is not None else [])
-            ],
-            "backlog_total": len(backlog),
-            "backlog_recovered": len(recovered),
-            "backlog_pending": len(backlog) - len(recovered),
+            "dead_letters": [d.summary() for d in flows.dead_letters],
+            "backlog_total": len(flows.backlog),
+            "backlog_recovered": recovered,
+            "backlog_pending": len(flows.backlog) - recovered,
             "recovery_latency_s": percentiles,
         }

@@ -43,9 +43,6 @@ class ServiceGate:
                 return w
         return None
 
-    def down(self, now: float) -> bool:
-        return self.window_at(now) is not None
-
     def check(self, now: float) -> None:
         w = self.window_at(now)
         if w is None:

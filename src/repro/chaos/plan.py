@@ -17,6 +17,8 @@ campaign bit-identical to one built before this subsystem existed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -40,6 +42,16 @@ __all__ = [
 CHAOS_SERVICES = ("transfer", "compute", "search")
 
 
+def _non_negative(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):  # NaN fails too
+        raise ChaosError(f"{what} must be finite and >= 0, got {value}")
+
+
+def _positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):  # NaN fails too
+        raise ChaosError(f"{what} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class OutageWindow:
     """One cloud service is unreachable during ``[start_s, end_s)``.
@@ -59,10 +71,8 @@ class OutageWindow:
             raise ChaosError(
                 f"unknown service {self.service!r}; expected one of {CHAOS_SERVICES}"
             )
-        if self.start_s < 0:
-            raise ChaosError(f"outage start must be >= 0, got {self.start_s}")
-        if self.duration_s <= 0:
-            raise ChaosError(f"outage duration must be positive, got {self.duration_s}")
+        _non_negative("outage start", self.start_s)
+        _positive("outage duration", self.duration_s)
 
     @property
     def end_s(self) -> float:
@@ -89,12 +99,8 @@ class LinkDegradation:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ChaosError(f"degradation start must be >= 0, got {self.start_s}")
-        if self.duration_s <= 0:
-            raise ChaosError(
-                f"degradation duration must be positive, got {self.duration_s}"
-            )
+        _non_negative("degradation start", self.start_s)
+        _positive("degradation duration", self.duration_s)
         if not 0.0 <= self.scale < 1.0:
             raise ChaosError(f"degradation scale must be in [0, 1), got {self.scale}")
 
@@ -122,8 +128,10 @@ class NodeFailureSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
             raise ChaosError(f"failure prob must be in [0, 1], got {self.prob}")
-        if self.retry_budget < 0:
-            raise ChaosError(f"retry_budget must be >= 0, got {self.retry_budget}")
+        if not (isinstance(self.retry_budget, numbers.Integral) and self.retry_budget >= 0):
+            raise ChaosError(
+                f"retry_budget must be an integer >= 0, got {self.retry_budget!r}"
+            )
         if not 0.0 <= self.min_frac <= self.max_frac <= 1.0:
             raise ChaosError(
                 f"need 0 <= min_frac <= max_frac <= 1, got "
@@ -149,10 +157,8 @@ class WatcherCrash:
     down_s: float
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ChaosError(f"crash time must be >= 0, got {self.at_s}")
-        if self.down_s <= 0:
-            raise ChaosError(f"downtime must be positive, got {self.down_s}")
+        _non_negative("crash time", self.at_s)
+        _positive("downtime", self.down_s)
 
 
 @dataclass(frozen=True)
@@ -173,16 +179,11 @@ class BitRotWindow:
     delay_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ChaosError(f"bit-rot start must be >= 0, got {self.start_s}")
-        if self.duration_s <= 0:
-            raise ChaosError(
-                f"bit-rot duration must be positive, got {self.duration_s}"
-            )
+        _non_negative("bit-rot start", self.start_s)
+        _positive("bit-rot duration", self.duration_s)
         if not 0.0 <= self.prob <= 1.0:
             raise ChaosError(f"bit-rot prob must be in [0, 1], got {self.prob}")
-        if self.delay_s < 0:
-            raise ChaosError(f"bit-rot delay must be >= 0, got {self.delay_s}")
+        _non_negative("bit-rot delay", self.delay_s)
 
     @property
     def end_s(self) -> float:
@@ -264,10 +265,7 @@ class ChaosPlan:
     retry_policies: tuple[tuple[str, RetryPolicy], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.connect_timeout_s < 0:
-            raise ChaosError(
-                f"connect_timeout_s must be >= 0, got {self.connect_timeout_s}"
-            )
+        _non_negative("connect_timeout_s", self.connect_timeout_s)
         # Overlapping windows for one service would make "which window
         # rejected me" ambiguous in reports; forbid them.
         by_service: dict[str, list[OutageWindow]] = {}
@@ -308,9 +306,6 @@ class ChaosPlan:
         """True when the plan injects data corruption, which the
         campaign's integrity ledger must then detect."""
         return self.corruption is not None and self.corruption.enabled
-
-    def policy_map(self) -> dict[str, RetryPolicy]:
-        return dict(self.retry_policies)
 
 
 #: The default everywhere: inject nothing, reconfigure nothing.

@@ -314,9 +314,7 @@ def run_campaign(
         env=env,
         seed=config.seed,
         calibration=calibration,
-        fault_plan=plan.transfer_faults,
         obs=Observability(env) if config.obs else NULL_OBS,
-        retry_policies=plan.policy_map(),
     )
     ledger = None
     if config.verified:
@@ -390,21 +388,7 @@ def run_campaign(
 
     controller: Optional[ChaosController] = None
     if plan.enabled:
-        controller = ChaosController(
-            env,
-            plan,
-            transfer=tb.transfer,
-            compute=tb.compute,
-            search=tb.search,
-            fabric=tb.fabric,
-            flows=tb.flows,
-            compute_endpoints=(tb.polaris,),
-            rngs=tb.rngs,
-            observer=observer,
-            stream=publisher,
-            filesystems={"picoprobe-user": tb.user_fs, "eagle": tb.eagle_fs},
-            obs=tb.obs,
-        )
+        controller = ChaosController(tb, plan, observer, stream=publisher)
         controller.install()
 
     copier = FileCopier(

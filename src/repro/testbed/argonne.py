@@ -43,7 +43,7 @@ from ..rng import RngRegistry
 from ..search import SearchIndex, SearchService
 from ..sim import Environment
 from ..storage import VirtualFS
-from ..transfer import FaultPlan, NO_FAULTS, TransferEndpoint, TransferService
+from ..transfer import TransferEndpoint, TransferService
 from .calibration import DEFAULT_CALIBRATION, Calibration
 
 __all__ = ["Testbed", "build_testbed", "PICOPROBE_EP", "EAGLE_EP", "POLARIS_EP", "PORTAL_INDEX"]
@@ -84,19 +84,17 @@ def build_testbed(
     env: Optional[Environment] = None,
     seed: int = 0,
     calibration: Calibration = DEFAULT_CALIBRATION,
-    fault_plan: FaultPlan = NO_FAULTS,
     operator_name: str = "operator",
     obs: Any = NULL_OBS,
-    retry_policies: Optional[dict] = None,
 ) -> Testbed:
     """Construct the full testbed on ``env`` (a fresh one by default).
 
     Pass an :class:`~repro.obs.Observability` bundle as ``obs`` to
     thread one tracer + metrics registry through every service; by
     default tracing is off and every instrumentation point is a no-op.
-    ``retry_policies`` maps action-provider names to
-    :class:`~repro.flows.RetryPolicy` for the flow executor (chaos
-    campaigns install theirs through this).
+    A chaos campaign's :class:`~repro.chaos.ChaosController` sets the
+    transfer fault plan and the flow retry policies on the built
+    services.
     """
     env = env or Environment()
     rngs = RngRegistry(seed=seed)
@@ -152,7 +150,6 @@ def build_testbed(
         latency_sigma=cal.transfer_latency_sigma,
         throughput_sigma=cal.transfer_throughput_sigma,
         checksum_bytes_per_s=cal.checksum_bytes_per_s,
-        fault_plan=fault_plan,
         obs=obs,
     )
     transfer.register_endpoint(
@@ -232,7 +229,6 @@ def build_testbed(
             factor=cal.backoff_factor,
             max_interval=cal.backoff_max_s,
         ),
-        retry_policies=retry_policies,
         obs=obs,
     )
     flows.register_provider(TransferActionProvider(transfer, token))

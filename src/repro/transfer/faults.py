@@ -13,6 +13,7 @@ consults a :class:`FaultPlan` that can inject two failure modes:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ class FaultPlan:
                 "transient_prob + corrupt_prob must not exceed 1, got "
                 f"{self.transient_prob} + {self.corrupt_prob} = {total}"
             )
-        if self.max_attempts < 1:
-            raise TransferError("max_attempts must be >= 1")
+        if not (isinstance(self.max_attempts, numbers.Integral) and self.max_attempts >= 1):
+            raise TransferError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
+            )
 
     def draw(self, rng: np.random.Generator) -> "str | None":
         """``None`` (clean), ``"transient"`` or ``"corrupt"`` for one attempt."""

@@ -37,7 +37,7 @@ from repro.chaos import (
 )
 from repro.core import run_campaign
 from repro.core.sanitize import campaign_trace
-from repro.errors import ChaosError, FlowError, ServiceUnavailable
+from repro.errors import ChaosError, FlowError, ServiceUnavailable, TransferError
 from repro.flows import (
     ActionState,
     ActionStatus,
@@ -88,6 +88,46 @@ def test_degradation_validation():
     with pytest.raises(ChaosError):
         LinkDegradation("a", "b", start_s=0, duration_s=10, scale=-0.1)
     LinkDegradation("a", "b", start_s=0, duration_s=10, scale=0.0)  # blackout ok
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _invalid(build, id, error=ChaosError):
+    return pytest.param(build, error, id=id)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        _invalid(lambda: OutageWindow("transfer", NAN, 10), "outage-start-nan"),
+        _invalid(lambda: OutageWindow("transfer", INF, 10), "outage-start-inf"),
+        _invalid(lambda: OutageWindow("transfer", 0, NAN), "outage-duration-nan"),
+        _invalid(lambda: OutageWindow("transfer", 0, INF), "outage-duration-inf"),
+        _invalid(lambda: LinkDegradation("a", "b", NAN, 10, 0.5), "link-start-nan"),
+        _invalid(lambda: LinkDegradation("a", "b", 0, INF, 0.5), "link-duration-inf"),
+        _invalid(lambda: WatcherCrash(at_s=NAN, down_s=10), "crash-at-nan"),
+        _invalid(lambda: WatcherCrash(at_s=0, down_s=INF), "crash-down-inf"),
+        _invalid(lambda: BitRotWindow("eagle", NAN, 10, 0.5), "bitrot-start-nan"),
+        _invalid(lambda: BitRotWindow("eagle", 0, INF, 0.5), "bitrot-duration-inf"),
+        _invalid(lambda: BitRotWindow("eagle", 0, 10, 0.5, NAN), "bitrot-delay-nan"),
+        _invalid(lambda: BitRotWindow("eagle", 0, 10, 0.5, INF), "bitrot-delay-inf"),
+        _invalid(lambda: NodeFailureSpec(1.0, retry_budget=INF), "budget-inf"),
+        _invalid(lambda: NodeFailureSpec(1.0, retry_budget=NAN), "budget-nan"),
+        _invalid(lambda: NodeFailureSpec(1.0, retry_budget=2.5), "budget-fraction"),
+        _invalid(lambda: ChaosPlan(connect_timeout_s=NAN), "connect-timeout-nan"),
+        _invalid(lambda: ChaosPlan(connect_timeout_s=INF), "connect-timeout-inf"),
+        _invalid(lambda: FaultPlan(max_attempts=NAN), "attempts-nan", TransferError),
+        _invalid(lambda: FaultPlan(max_attempts=INF), "attempts-inf", TransferError),
+        _invalid(lambda: FaultPlan(max_attempts=2.5), "attempts-fraction", TransferError),
+    ],
+)
+def test_plan_parts_reject_non_finite_times_and_non_integer_counts(build, error):
+    """Unchecked, an infinite budget or attempt count never ends the
+    campaign, an infinite window runs the clock to ``inf``, and a NaN
+    start arms a fault that never fires."""
+    with pytest.raises(error):
+        build()
 
 
 def test_node_failure_spec_draw_is_optional_and_bounded():
@@ -346,6 +386,30 @@ def test_outage_scenario_actually_injects(outage_results):
     assert sum(report["gate_rejections"].values()) > 0
     # every backlogged step either caught up or carries an error
     assert report["backlog_pending"] == 0
+
+
+def test_catch_up_cut_short_by_a_second_outage_ends_failed():
+    """A catch-up polls the service that just came back; when a second
+    outage rejects a poll, that entry ends FAILED with the error and the
+    drain moves on instead of raising out of the campaign."""
+    plan = ChaosPlan(
+        outages=(
+            OutageWindow("transfer", start_s=300, duration_s=120),
+            OutageWindow("transfer", start_s=425, duration_s=120),
+        ),
+        retry_policies=(("transfer", RetryPolicy(max_attempts=1, critical=False)),),
+    )
+    res = run_campaign(
+        "hyperspectral", duration_s=900.0, seed=1, chaos=plan, obs=True
+    )
+    assert all(r.status.terminal for r in res.runs)
+    backlog = res.testbed.flows.backlog
+    assert backlog and all(e.recovered or e.error for e in backlog)
+    cut = [e for e in backlog if e.error and e.error.startswith("ServiceUnavailable")]
+    assert cut
+    catch_ups = [s for s in res.testbed.obs.tracer.spans if s.name == "chaos.catch_up"]
+    assert all(s.ended for s in catch_ups)
+    assert sum(s.attrs["status"] == "FAILED" for s in catch_ups) >= len(cut)
 
 
 @pytest.mark.parametrize("ingest", ["file", "stream"])

@@ -39,9 +39,8 @@ def build_app(tb, fn):
 
 
 def test_transfer_permanent_failure_fails_flow_cleanly():
-    tb = build_testbed(
-        seed=0, fault_plan=FaultPlan(transient_prob=1.0, max_attempts=2)
-    )
+    tb = build_testbed(seed=0)
+    tb.transfer.fault_plan = FaultPlan(transient_prob=1.0, max_attempts=2)
     app = build_app(tb, lambda file: {"identifier": "x"})
     emit(tb)
     run = app.runs[0]
