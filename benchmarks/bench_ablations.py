@@ -33,16 +33,12 @@ def _median_overhead_pct(res):
     return float(np.median([100 * r.overhead_fraction for r in done]))
 
 
-def test_ablation_backoff_policy(benchmark, output_dir):
+def test_ablation_backoff_policy(output_dir):
     """Constant 1 s polling vs the paper's exponential backoff."""
     fast_poll = replace(
         DEFAULT_CALIBRATION, backoff_factor=1.0, backoff_max_s=1.0, backoff_initial_s=1.0
     )
-
-    def run_fixed():
-        return run_campaign("hyperspectral", seed=1, calibration=fast_poll)
-
-    fixed = benchmark(run_fixed)
+    fixed = run_campaign("hyperspectral", seed=1, calibration=fast_poll)
     paper_mode = run_campaign("hyperspectral", seed=1)
 
     ovh_fixed = _median_overhead_pct(fixed)
@@ -65,13 +61,9 @@ def test_ablation_backoff_policy(benchmark, output_dir):
     assert len(fixed.completed_runs) > len(paper_mode.completed_runs)
 
 
-def test_ablation_cold_vs_warm(benchmark, output_dir):
+def test_ablation_cold_vs_warm(output_dir):
     """Quantify the first-flow cold-start penalty."""
-
-    def run():
-        return run_campaign("hyperspectral", seed=5)
-
-    res = benchmark(run)
+    res = run_campaign("hyperspectral", seed=5)
     runs = res.completed_runs
     cold = [
         r
@@ -100,7 +92,7 @@ def test_ablation_cold_vs_warm(benchmark, output_dir):
     )
 
 
-def test_ablation_switch_contention(benchmark, output_dir):
+def test_ablation_switch_contention(output_dir):
     """Overlapped flows contend for the effective site capacity.
 
     At the paper's 120 s spatiotemporal period, flows barely overlap
@@ -115,11 +107,7 @@ def test_ablation_switch_contention(benchmark, output_dir):
     from repro.instrument import SPATIOTEMPORAL_USE_CASE
 
     fast_uc = dc_replace(SPATIOTEMPORAL_USE_CASE, period_s=60.0)
-
-    def run_overlapped():
-        return run_campaign(fast_uc, seed=2, copier_mode="periodic")
-
-    overlapped = benchmark(run_overlapped)
+    overlapped = run_campaign(fast_uc, seed=2, copier_mode="periodic")
     gated = run_campaign("spatiotemporal", seed=2, copier_mode="gated")
 
     def transfer_actives(res):
@@ -143,14 +131,10 @@ def test_ablation_switch_contention(benchmark, output_dir):
     assert t_over > t_gated * 1.3
 
 
-def test_ablation_site_uplink_upgrade(benchmark, output_dir):
+def test_ablation_site_uplink_upgrade(output_dir):
     """Future-work item (1): upgrade the 1 Gbps site switch."""
     upgraded_cal = replace(DEFAULT_CALIBRATION, site_switch_bps=Gbps(10))
-
-    def run_upgraded():
-        return run_campaign("spatiotemporal", seed=2, calibration=upgraded_cal)
-
-    up = benchmark(run_upgraded)
+    up = run_campaign("spatiotemporal", seed=2, calibration=upgraded_cal)
     base = run_campaign("spatiotemporal", seed=2)
     up_mean = float(np.mean([r.runtime_seconds for r in up.completed_runs]))
     base_mean = float(np.mean([r.runtime_seconds for r in base.completed_runs]))

@@ -29,7 +29,7 @@ from repro.rng import RngRegistry
 from conftest import PAPER_MAP, report
 
 
-def test_detector_map50_95(benchmark, output_dir):
+def test_detector_map50_95(output_dir):
     # The paper's movie geometry: 600 frames of 640x640.
     spec = MovieSpec(
         n_frames=600, shape=(640, 640), n_particles=16, radius_range=(6, 12)
@@ -55,9 +55,7 @@ def test_detector_map50_95(benchmark, output_dir):
         )
         return params, m_train, m_val, m_test
 
-    params, m_train, m_val, m_test = benchmark.pedantic(
-        finetune_and_eval, rounds=1, iterations=1
-    )
+    params, m_train, m_val, m_test = finetune_and_eval()
 
     report(
         "detector_map",

@@ -23,11 +23,8 @@ from repro.core.tools import TRANSFER_STATE
 from conftest import report
 
 
-def test_extension_compression(benchmark, output_dir):
-    def run_zstd():
-        return run_campaign("spatiotemporal", seed=2, compression=ZSTD_LIKE)
-
-    zstd = benchmark(run_zstd)
+def test_extension_compression(output_dir):
+    zstd = run_campaign("spatiotemporal", seed=2, compression=ZSTD_LIKE)
     base = run_campaign("spatiotemporal", seed=2)
     lz4 = run_campaign("spatiotemporal", seed=2, compression=LZ4_LIKE)
 
@@ -62,11 +59,8 @@ def test_extension_compression(benchmark, output_dir):
     assert abs(mean_l - mean_b) < mean_b * 0.15  # lz4 gain mostly swallowed
 
 
-def test_extension_4d_spectral_movie(benchmark, output_dir):
-    def run_4d():
-        return run_campaign("spectral-movie", seed=3)
-
-    res = benchmark(run_4d)
+def test_extension_4d_spectral_movie(output_dir):
+    res = run_campaign("spectral-movie", seed=3)
     runs = res.completed_runs
     assert runs, "at least one 4-D flow must complete in the hour"
     mean_rt = float(np.mean([r.runtime_seconds for r in runs]))

@@ -4,8 +4,7 @@ Runs the *real* Sec. 3.1 content pipeline — synthesize a hyperspectral
 cube of the polyamide/heavy-metal phantom, write a real EMD file, do the
 reductions + metadata extraction + plot rendering, publish, and build
 the portal record page — then checks each Fig. 2 panel is present and
-correct.  The benchmark measures the analysis function itself (the
-per-file compute the paper runs on a Polaris node).
+correct.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ def emd_file(tmp_path_factory):
     return str(path), str(out), signal, particles
 
 
-def test_fig2_hyperspectral_page(benchmark, emd_file, output_dir):
+def test_fig2_hyperspectral_page(emd_file, output_dir):
     path, out, signal, particles = emd_file
-    record = benchmark(analyze_hyperspectral_file, path, out)
+    record = analyze_hyperspectral_file(path, out)
 
     # Panel A: the intensity image (sum over the spectral axis).
     img = intensity_map(signal.data)
@@ -85,14 +84,10 @@ def test_fig2_hyperspectral_page(benchmark, emd_file, output_dir):
     )
 
 
-def test_fig2_emd_lazy_read(benchmark, emd_file):
-    """The flow reads the cube once from the container; benchmark the
-    EMD read path the analysis function depends on."""
+def test_fig2_emd_lazy_read(emd_file):
+    """The flow reads the cube once from the container; check the EMD
+    read path the analysis function depends on."""
     path, *_ = emd_file
-
-    def read_cube():
-        with read_emd(path) as f:
-            return f.signal().data.read()
-
-    cube = benchmark(read_cube)
+    with read_emd(path) as f:
+        cube = f.signal().data.read()
     assert cube.shape == (128, 128, 1024)

@@ -3,8 +3,7 @@
 Runs the real Sec. 3.2 inference pipeline on a movie of gold
 nanoparticles: fp64→uint8 conversion, per-frame detection with the
 calibrated model, box annotation, and the per-frame count series the
-caption describes.  The benchmark measures per-frame inference (the
-quantity the paper runs on an A100 and wants faster).
+caption describes.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ def movie_world():
     return spec, movie, truth, params
 
 
-def test_fig3_inference_and_annotation(benchmark, movie_world, output_dir, tmp_path):
+def test_fig3_inference_and_annotation(movie_world, output_dir, tmp_path):
     spec, movie, truth, params = movie_world
     detector = BlobDetector(params)
 
-    # Benchmark one-frame inference (the repeated unit of the flow).
-    detections_frame0 = benchmark(detector.detect, movie[0])
+    # One-frame inference (the repeated unit of the flow).
+    detections_frame0 = detector.detect(movie[0])
     conf = params.operating_confidence
     confident = [d for d in detections_frame0 if d.confidence >= conf]
     # Exact on well-separated frames; off-by-one when two particles
@@ -102,10 +101,10 @@ def test_fig3_inference_and_annotation(benchmark, movie_world, output_dir, tmp_p
     )
 
 
-def test_fig3_conversion_cast(benchmark, movie_world):
+def test_fig3_conversion_cast(movie_world):
     """The fp64→uint8 cast the paper singles out as the compute
-    bottleneck — benchmarked in isolation."""
+    bottleneck — checked in isolation."""
     spec, movie, *_ = movie_world
-    out = benchmark(movie_to_uint8, movie)
+    out = movie_to_uint8(movie)
     assert out.dtype == np.uint8
     assert out.shape == movie.shape

@@ -27,13 +27,9 @@ def campaigns():
     )
 
 
-def test_fig4_breakdown(benchmark, campaigns, output_dir):
+def test_fig4_breakdown(campaigns, output_dir):
     hyper, spatio = campaigns
-
-    def build_samples():
-        return fig4_samples(hyper.runs), fig4_samples(spatio.runs)
-
-    hs, ss = benchmark(build_samples)
+    hs, ss = fig4_samples(hyper.runs), fig4_samples(spatio.runs)
 
     lines = []
     paper_fig4 = {
@@ -82,7 +78,7 @@ def test_fig4_breakdown(benchmark, campaigns, output_dir):
     assert ss_med["Overhead"] > hs_med["Overhead"]
 
 
-def test_fig4_overhead_is_mechanistic(benchmark, campaigns, output_dir):
+def test_fig4_overhead_is_mechanistic(campaigns, output_dir):
     """Overhead must equal polling detection lag + transitions, not an
     arbitrary residue: per run, the sum of step observed times plus
     transitions equals the runtime."""
@@ -101,5 +97,5 @@ def test_fig4_overhead_is_mechanistic(benchmark, campaigns, output_dir):
             checked += 1
         return checked
 
-    n = benchmark(check)
+    n = check()
     assert n == len(hyper.completed_runs)

@@ -17,14 +17,10 @@ from conftest import report
 DURATION = 1800.0
 
 
-def test_corruption_campaign_audit(benchmark, output_dir):
-    result = benchmark.pedantic(
-        lambda: run_campaign(
-            "hyperspectral", chaos="corruption", duration_s=DURATION, seed=5,
-            ingest="stream", obs=True,
-        ),
-        rounds=1,
-        iterations=1,
+def test_corruption_campaign_audit(output_dir):
+    result = run_campaign(
+        "hyperspectral", chaos="corruption", duration_s=DURATION, seed=5,
+        ingest="stream", obs=True,
     )
     audit = audit_campaign(result)
     sessions = result.app.sessions

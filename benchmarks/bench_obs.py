@@ -31,7 +31,7 @@ def _time(fn):
     return result, time.perf_counter() - t0
 
 
-def test_tracing_overhead(benchmark, output_dir):
+def test_tracing_overhead(output_dir):
     # Warm-up (imports, code paths) outside the timed region.
     run_campaign("hyperspectral", duration_s=300.0, seed=9)
     run_campaign("hyperspectral", duration_s=300.0, seed=9, obs=True)
@@ -52,11 +52,6 @@ def test_tracing_overhead(benchmark, output_dir):
         for _ in range(3)
     ]
 
-    def traced_run():
-        return run_campaign("hyperspectral", duration_s=DURATION, seed=1, obs=True)
-
-    benchmark(traced_run)
-
     base, full = min(untraced), min(traced)
     n_spans = len(traced_res.testbed.obs.tracer.spans)
     # Wall times vary with the host, so they go to stdout only; the
@@ -71,14 +66,10 @@ def test_tracing_overhead(benchmark, output_dir):
     assert full < base * 3.0
 
 
-def test_span_derived_fig4_headline(benchmark, output_dir):
+def test_span_derived_fig4_headline(output_dir):
     res = run_campaign("hyperspectral", seed=1, obs=True)
-
-    def derive():
-        runs = derive_runs(res.testbed.obs.tracer.spans)
-        return runs, fig4_samples_from_traces(runs, STEP_LABELS)
-
-    runs, samples = benchmark(derive)
+    runs = derive_runs(res.testbed.obs.tracer.spans)
+    samples = fig4_samples_from_traces(runs, STEP_LABELS)
     stats = run_summary_stats(runs)
     med = {k: float(np.median(v)) for k, v in samples.items() if v}
     paper = PAPER_TABLE1["hyperspectral"]

@@ -1,8 +1,7 @@
 """Table 1: aggregate statistics of the two 1-hour campaigns.
 
 Regenerates both columns of Table 1 on the calibrated testbed and checks
-every shape relationship the paper's numbers encode.  The benchmark
-timing itself measures how fast the DES executes a full 1-hour campaign.
+every shape relationship the paper's numbers encode.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ def _run_both(seed_h=1, seed_s=2):
     return hyper, spatio
 
 
-def test_table1_campaigns(benchmark, output_dir):
-    hyper, spatio = benchmark(_run_both)
+def test_table1_campaigns(output_dir):
+    hyper, spatio = _run_both()
     rows = {r.use_case: r for r in (hyper.table1(), spatio.table1())}
 
     lines = [render_table1(list(rows.values())), "", "paper vs measured:"]
@@ -66,14 +65,10 @@ def test_table1_campaigns(benchmark, output_dir):
     assert s.max_runtime_s > s.mean_runtime_s
 
 
-def test_table1_gating_inference(benchmark, output_dir):
+def test_table1_gating_inference(output_dir):
     """DESIGN.md's campaign-gating inference: gated pacing reproduces the
     paper's completed-run counts; strict-periodic pacing would not."""
-
-    def run_periodic():
-        return run_campaign("hyperspectral", seed=1, copier_mode="periodic")
-
-    res = benchmark(run_periodic)
+    res = run_campaign("hyperspectral", seed=1, copier_mode="periodic")
     gated = run_campaign("hyperspectral", seed=1, copier_mode="gated")
     lines = [
         f"strict 30 s period : {len(res.completed_runs)} completed flows "

@@ -13,9 +13,10 @@ ROOT = os.path.dirname(TESTS)
 
 def test_given_test_writes_no_hypothesis_or_benchmarks_dir_into_cwd(tmp_path):
     """A ``@given`` test run from another directory leaves neither
-    ``.hypothesis`` nor ``.benchmarks`` there (tests/conftest.py points
-    hypothesis' home and pytest-benchmark's storage at a per-session
-    temporary directory)."""
+    ``.hypothesis`` nor ``.benchmarks`` there: tests/conftest.py points
+    hypothesis' home at a per-session temporary directory, and
+    pyproject.toml's ``-p no:benchmark`` keeps pytest-benchmark, whose
+    configure hook creates ``.benchmarks``, from loading."""
     path = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p
     )
