@@ -55,7 +55,6 @@ class Token:
     token_id: str
     identity: Identity
     scopes: frozenset[str]
-    issued_at: float
     expires_at: float
 
     def is_expired(self, now: float) -> bool:
@@ -113,7 +112,6 @@ class AuthClient:
             token_id=secrets.token_hex(16),
             identity=identity,
             scopes=scopes,
-            issued_at=float(now),
             expires_at=float(now) + life,
         )
         self._tokens[tok.token_id] = tok

@@ -40,7 +40,6 @@ class TaskOutcome:
     error: Optional[str] = None
     node_id: str = ""
     cold_start: bool = False  # first task ever on its node?
-    env_cache_paid: bool = False  # did it pay library warm-up?
     queued_at: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
@@ -106,7 +105,6 @@ class ComputeEndpoint:
         #: Observability.
         self.tasks_executed = 0
         self.cold_starts = 0
-        self.provisions_wasted = 0
         self.node_failures = 0
 
     # -- node pool management -------------------------------------------------
@@ -139,7 +137,6 @@ class ComputeEndpoint:
         if self._available.pending_getters == 0:
             # Demand evaporated while we sat in the batch queue (another
             # task's node was reused instead): hand the node straight back.
-            self.provisions_wasted += 1
             self.scheduler.release(node)
             return
         self._bump_epoch(node)
@@ -195,7 +192,6 @@ class ComputeEndpoint:
                         if warmup > 0:
                             yield self.env.timeout(warmup)
                         node.env_cached = True
-                        outcome.env_cache_paid = True
                         warm_span.set("node_id", node.node_id)
                     finally:
                         warm_span.finish()

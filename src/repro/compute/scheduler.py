@@ -34,7 +34,6 @@ class Node:
     """A provisioned compute node."""
 
     node_id: str
-    provisioned_at: float
     request: Request  # the scheduler-pool claim backing this node
     env_cached: bool = False  # Python libraries warmed up?
     tasks_run: int = 0
@@ -136,11 +135,7 @@ class BatchScheduler:
                 self.provision_count += 1
                 self._m_provisions.inc()
                 self._m_busy.set(self.pool.count)
-                node = Node(
-                    node_id=f"node-{next(self._ids):03d}",
-                    provisioned_at=self.env.now,
-                    request=req,
-                )
+                node = Node(node_id=f"node-{next(self._ids):03d}", request=req)
             except BaseException:
                 # The kernel threw into us mid-provision (e.g.
                 # campaign teardown): the pool claim must not outlive

@@ -47,7 +47,7 @@ _HOTPATH_RE = re.compile(r"#\s*repro:\s*hotpath\b", re.IGNORECASE)
 
 #: Bumped whenever rule logic changes in a way that invalidates cached
 #: findings; part of the incremental cache's environment fingerprint.
-RULES_VERSION = 6
+RULES_VERSION = 7
 
 #: rule_id -> rule class, in registration order (report order is by
 #: location anyway; the dict keeps lookup and ``--select`` validation O(1)).

@@ -620,7 +620,7 @@ class HeldRequestAcrossYield(Rule):
     Three shapes leak it.  The request is discarded: a bare
     ``pool.request()`` statement, or ``yield pool.request()``, whose
     resumed value is ``None``, not the request.  It is held across a
-    sim-yield where a kernel throw (chaos interrupt, cancelled flow)
+    sim-yield where a kernel throw (a failed event, cancelled flow)
     skips the release.  Or it reaches the function's normal exit
     without a release.  Safe forms: ``with pool.request() as req``, a
     release in ``try/finally`` or ``except BaseException``, and a

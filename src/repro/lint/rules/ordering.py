@@ -11,8 +11,8 @@ order reaches one of these sinks.
 * **N701** order taint (directory listings, set/unstable-dict iteration,
   completion order) reaching a scheduling sink — ``env.schedule``
   delays/priorities, ``env.timeout`` delays, ``env.process`` arguments,
-  and events queued by ``.succeed``/``.fail``/``.interrupt``/``.put``
-  on an order-tainted receiver or argument.
+  and events queued by ``.succeed``/``.fail``/``.put`` on an
+  order-tainted receiver or argument.
 * **N702** a parallel completion-order stream (``as_completed``,
   ``imap_unordered``) merged without an ordering barrier.  The
   :mod:`repro.core.sweep` ordered-merge idiom — keyed stores
@@ -102,11 +102,11 @@ class OrderTaintedSchedule(_TaintRule):
     completion order makes the event queue's contents depend on hash
     seeds, filesystem state, or thread timing — the trace diverges
     between runs even under a fixed seed.  The same holds for events
-    queued in that order: ``ev.succeed()``, ``ev.fail(exc)``,
-    ``proc.interrupt()`` or ``store.put(x)`` with an order-tainted
-    receiver or argument, and ``env.process(run(env, job))`` with an
-    order-tainted generator argument.  Sort the source
-    (``sorted(os.listdir(...))``) before it feeds the scheduler.
+    queued in that order: ``ev.succeed()``, ``ev.fail(exc)`` or
+    ``store.put(x)`` with an order-tainted receiver or argument, and
+    ``env.process(run(env, job))`` with an order-tainted generator
+    argument.  Sort the source (``sorted(os.listdir(...))``) before it
+    feeds the scheduler.
 
     Not flagged, although the retired D106 reported them:
 

@@ -47,9 +47,9 @@ Sinks
                delays / ``env.process`` arguments (and the arguments of
                the generator call it starts) — values that steer the
                DES kernel; and the receiver or arguments of
-               ``.succeed``/``.fail``/``.interrupt``/``.put``, which
-               queue an event when called, so calling them in an
-               arbitrary order orders the queue.
+               ``.succeed``/``.fail``/``.put``, which queue an event
+               when called, so calling them in an arbitrary order
+               orders the queue.
 ``tiebreak``   ``key=`` of ``sorted``/``.sort()``/``min``/``max``.
 ``compare``    the operands of an ordering comparison (``<``, ``<=``,
                ``>``, ``>=``) — a branch, comparator or flag that orders
@@ -139,7 +139,7 @@ _EMIT_RECEIVERS = ("span", "tracer", "trace", "metric", "gauge",
 _EMIT_ATTRS = frozenset({"observe", "inc", "add", "set"})
 
 #: Calls that queue a kernel event on their receiver's behalf.
-_EVENT_TRIGGERS = frozenset({"succeed", "fail", "interrupt", "put"})
+_EVENT_TRIGGERS = frozenset({"succeed", "fail", "put"})
 
 _ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 

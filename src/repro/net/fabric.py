@@ -220,13 +220,12 @@ class NetworkFabric:
         (``remaining_bytes > 0`` marks the abort).  Returns ``False``
         when the transfer already completed, or when the stream is
         still inside its admission-latency window — in that case it
-        will be admitted and run to completion normally, so callers
-        that re-send the payload must be prepared to deduplicate.
+        will be admitted and run to completion normally; the stream
+        publisher polls such a stream instead of re-sending it.
 
         This is the renegotiation hook for ``repro.stream``: a
         publisher that times out on a blacked-out link withdraws the
-        stalled chunk streams before re-sending from the receiver's
-        acknowledged sequence number.
+        stalled chunk stream, then re-sends that chunk.
         """
         if done.triggered:
             return False

@@ -294,11 +294,8 @@ class StreamSessionTrace:
     start: float
     end: float
     deliver_start: Optional[float]
-    deliver_end: Optional[float]
     analyze_start: Optional[float]
-    analyze_end: Optional[float]
     publish_start: Optional[float]
-    publish_end: Optional[float]
     renegotiations: int
     duplicates: int
 
@@ -358,11 +355,8 @@ def derive_stream_sessions(spans: Sequence[Span]) -> list[StreamSessionTrace]:
                 start=root.start,
                 end=root.end,
                 deliver_start=deliver.start if deliver is not None else None,
-                deliver_end=deliver.end if deliver is not None else None,
                 analyze_start=analyze.start if analyze is not None else None,
-                analyze_end=analyze.end if analyze is not None else None,
                 publish_start=publish.start if publish is not None else None,
-                publish_end=publish.end if publish is not None else None,
                 renegotiations=int(root.attrs.get("renegotiations", 0)),
                 duplicates=int(root.attrs.get("duplicates", 0)),
             )

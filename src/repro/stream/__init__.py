@@ -9,11 +9,11 @@ alternative inside the same testbed so the two ingest modes can be
 measured head-to-head:
 
 * :class:`StreamPublisher` — instrument-side: slices acquisitions into
-  sequence-numbered chunks and pushes them over long-lived fabric
-  streams, with gap renegotiation after link blackouts;
+  sequence-numbered chunks and pushes them over the fabric one at a
+  time, resending a chunk withdrawn after a link blackout;
 * :class:`StreamReceiver` — compute-side: credit-window backpressure,
-  exactly-once in-order reassembly, and the partial-data analysis
-  trigger;
+  in-sequence acceptance (each frame drained exactly once), and the
+  partial-data analysis trigger;
 * :class:`StreamIngestApp` — the shared trigger app
   (:class:`~repro.core.app.TriggerApp`) with a stream launch: a session
   per file, analysis on partial data, publication to search;

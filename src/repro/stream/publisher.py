@@ -13,8 +13,8 @@ Fault model (the chaos hooks this subsystem reuses):
   timeout is withdrawn from the fabric
   (:meth:`~repro.net.NetworkFabric.abort`), the control channel is
   re-established (handshake, retried through :func:`retry_outages`),
-  and sending resumes from the receiver's acknowledged sequence number
-  — the gap renegotiation;
+  and the withdrawn chunk is resent under its own sequence number —
+  the renegotiation;
 * **control-plane outages** (a :class:`~repro.chaos.ServiceGate` on
   :attr:`StreamPublisher.gate`) reject new sessions and renegotiation
   handshakes, charging the gate's connect timeout, exactly like the
@@ -22,9 +22,11 @@ Fault model (the chaos hooks this subsystem reuses):
 
 Each session is one DES process that waits only where time passes or
 the window is empty: for a credit when none is free, then for the
-chunk's fabric ``done`` event.  The chunk's delivery deadline is a
-callback on one timer (:class:`_Deadline`), withdrawn when the chunk
-lands first.
+chunk's fabric ``done`` event.  It keeps one chunk on the wire and
+moves to the next sequence number only once the receiver accepts the
+current one, so chunks arrive in sequence.  The chunk's delivery
+deadline is a callback on one timer (:class:`_Deadline`), withdrawn
+when the chunk lands first.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class StreamPublisher:
         In-order chunks required before the session's ``threshold``
         event fires (the in-flight analysis kickoff).
     chunk_timeout_s:
-        Delivery timeout per chunk before a gap renegotiation.
+        Delivery timeout per chunk before a renegotiation.
     handshake_s:
         Median control-channel setup time (per session and per
         renegotiation).
@@ -285,9 +287,7 @@ class StreamPublisher:
                     if kind == "chunk_truncate":
                         wire_nbytes = max(1.0, nbytes * frac)
                     digest = mangle(digest, salt)
-        return FrameChunk(
-            seq=seq, nbytes=wire_nbytes, sent_at=self.env.now, digest=digest
-        )
+        return FrameChunk(seq=seq, nbytes=wire_nbytes, digest=digest)
 
     def _handshake_jitter(self) -> float:
         rng = self.rngs.stream("stream.handshake")
@@ -321,8 +321,6 @@ class StreamPublisher:
                 chunk = self._wire_chunk(
                     session, seq, sizes[seq], retries.get(seq, 0)
                 )
-                if session.first_sent_at is None:
-                    session.first_sent_at = self.env.now
                 session.chunks_sent += 1
                 self._m_chunks.inc()
                 self._m_bytes.inc(chunk.nbytes)
@@ -341,13 +339,10 @@ class StreamPublisher:
                     session.renegotiations += 1
                     self._metrics.counter("stream.renegotiations").inc()
                     yield from self._handshake()
-                    # Resume from the receiver's acknowledged gap pointer.
-                    seq = receiver.ack(session)
-                    continue
+                    continue  # resend the withdrawn sequence
                 else:
                     deadline.landed()
-                verdict = receiver.arrived(session, chunk)
-                if verdict == "nak":
+                if not receiver.arrived(session, chunk):
                     # Selective retransmit: re-send this sequence only
                     # (the credit came back with the NAK), up to the
                     # per-sequence cap.  A source whose payload itself
@@ -368,7 +363,7 @@ class StreamPublisher:
                     session.retransmits += 1
                     self._metrics.counter("stream.retransmits").inc()
                     continue
-                seq = max(seq + 1, receiver.ack(session))
+                seq += 1
             span.set("renegotiations", session.renegotiations)
             yield session.delivered
         finally:

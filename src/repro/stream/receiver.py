@@ -8,11 +8,11 @@ every publisher session targeting it.  Per session it keeps:
   returned only after the chunk is drained into the node's frame
   buffer, so a slow consumer blocks the producer (credit-based
   backpressure); the publisher waits only when the window is empty;
-* a **sequence ledger** — chunks are accepted exactly once, in order;
-  re-sent chunks that were already accepted (renegotiation overlap, a
-  withdrawn stream landing late) count as duplicates and refund their
-  credit immediately, so the analysis sees each frame exactly once;
-* a **drain** — the in-order run waits in a queue, and one ingest
+* a **sequence ledger** — chunks arrive in sequence (the publisher
+  keeps one on the wire and resends a withdrawn one under its own
+  number); any other chunk raises :class:`~repro.errors.StreamError`,
+  so the analysis sees each frame exactly once;
+* a **drain** — accepted chunks wait in a queue, and one ingest
   timer at a time charges the node-side ingest time
   (``nbytes / ingest_bytes_per_s``) of the chunk at its head.  The
   timer's callback accounts the chunk, returns its credit, fires the
@@ -43,29 +43,24 @@ __all__ = ["StreamReceiver"]
 class _RxState:
     """Per-session receive bookkeeping."""
 
-    #: The credit window's size.
-    window: int
     #: Free credits.
     credits: int
     #: The publisher's wait for a credit while the window is empty.
     credit_wait: Optional[Event] = None
-    #: Accepted in-order chunks not yet drained, oldest first.
+    #: Accepted chunks not yet drained, oldest first.
     queue: deque[FrameChunk] = field(default_factory=deque)
-    #: The URGENT event that opens the drain span.
+    #: The URGENT event that opens the drain span.  Nothing reads it:
+    #: storing the scheduled handle is its R501 hand-off.
     drain_open: Optional[Event] = None
     #: The ingest timer of the chunk being drained; None while idle.
     drain_timer: Optional[Timeout] = None
     #: The drain timer's callback, bound to this session once.
     on_ingested: Optional[Callable[[Event], None]] = None
     span: Any = NULL_SPAN
-    #: Next sequence number not yet accepted (the renegotiation ack).
+    #: The sequence number the next arrival must carry.
     next_seq: int = 0
-    #: Chunks accepted out of order, awaiting their predecessors.
-    pending: dict[int, FrameChunk] = field(default_factory=dict)
-    #: Contiguously drained chunk count (threshold/delivery triggers).
+    #: Drained chunk count (threshold/delivery triggers).
     drained: int = 0
-    #: High-water mark of chunks in flight (sent, not yet drained).
-    max_in_flight: int = 0
     #: Expected chunk sizes, precomputed when the session verifies.
     sizes: Optional[list[float]] = None
     #: Sequence numbers NAK'd and awaiting a clean retransmit.
@@ -73,7 +68,8 @@ class _RxState:
 
 
 class StreamReceiver:
-    """Reassembles chunk streams on a compute host.
+    """Terminates chunk streams on a compute host: takes each session's
+    chunks in sequence, verifies them and drains them.
 
     Parameters
     ----------
@@ -100,8 +96,8 @@ class StreamReceiver:
         m = self._metrics = obs.metrics
         self._m_chunks = m.counter("stream.chunks_delivered")
         self._m_bytes = m.counter("stream.bytes_delivered")
-        # Duplicates, NAKs and gaps are counted by counters fetched where
-        # they fire: clean runs see none, and their export carries none.
+        # NAKs are counted by a counter fetched where they fire: clean
+        # runs see none, and their export carries none.
         #: Integrity hook: a duck-typed
         #: :class:`~repro.integrity.IntegrityLedger` receiving
         #: detect/repair events for NAK'd chunks.  ``None`` disables.
@@ -115,7 +111,7 @@ class StreamReceiver:
             raise StreamError(f"session already open: {session.session_id!r}")
         if window < 1:
             raise StreamError(f"window must be >= 1, got {window}")
-        state = _RxState(window=window, credits=window)
+        state = _RxState(credits=window)
         if session.declared_digest is not None:
             state.sizes = chunk_sizes(session.total_bytes, session.chunk_bytes)
         state.on_ingested = functools.partial(self._ingested, session, state)
@@ -172,35 +168,24 @@ class StreamReceiver:
             state.credit_wait = None
             wait.succeed()
 
-    def ack(self, session: StreamSession) -> int:
-        """The next sequence number this receiver needs — the resume
-        point a renegotiating publisher queries."""
-        return self._state(session).next_seq
+    def arrived(self, session: StreamSession, chunk: FrameChunk) -> bool:
+        """A chunk's fabric stream completed: verify it and queue it for
+        the drain.
 
-    def in_flight(self, session: StreamSession) -> int:
-        """Chunks currently holding a window credit."""
-        state = self._state(session)
-        return state.window - state.credits
-
-    def arrived(self, session: StreamSession, chunk: FrameChunk) -> str:
-        """A chunk's fabric stream completed: verify, accept, or reject.
-
-        Returns a verdict the publisher acts on: ``"accepted"``,
-        ``"duplicate"`` (already-accepted sequence number — refund the
-        credit at once), or ``"nak"`` (the wire digest or size failed
-        verification against the session's declared digest — the credit
-        is refunded and the publisher must retransmit that sequence).
+        Returns ``True`` when the chunk is accepted, ``False`` when it
+        is NAK'd (the wire digest or size failed verification against
+        the session's declared digest — the credit is refunded and the
+        publisher must retransmit that sequence).  Raises
+        :class:`~repro.errors.StreamError` for a chunk that does not
+        carry the next sequence number.
         """
         state = self._state(session)
-        window_used = self.in_flight(session)
-        if window_used > state.max_in_flight:
-            state.max_in_flight = window_used
-        if chunk.seq < state.next_seq or chunk.seq in state.pending:
-            session.duplicates += 1
-            self._metrics.counter("stream.duplicates").inc()
-            self._return_credit(state)
-            return "duplicate"
-        if session.declared_digest is not None and state.sizes is not None:
+        if chunk.seq != state.next_seq:
+            raise StreamError(
+                f"session {session.session_id!r}: chunk {chunk.seq} arrived "
+                f"out of sequence (expected {state.next_seq})"
+            )
+        if state.sizes is not None:
             expected_nbytes = state.sizes[chunk.seq]
             expected = chunk_digest(
                 session.declared_digest, chunk.seq, expected_nbytes
@@ -221,7 +206,7 @@ class StreamReceiver:
                         session_id=session.session_id,
                     )
                 self._return_credit(state)
-                return "nak"
+                return False
             if chunk.seq in state.nak_seqs:
                 # A previously NAK'd sequence verified on retransmit.
                 state.nak_seqs.discard(chunk.seq)
@@ -235,21 +220,12 @@ class StreamReceiver:
                     )
         if session.first_chunk_at is None:
             session.first_chunk_at = self.env.now
-        if chunk.seq > state.next_seq:
-            session.gaps += 1
-            self._metrics.counter("stream.gaps").inc()
-        state.pending[chunk.seq] = chunk
-        # Release the contiguous run into the drain queue.  The walk is
-        # counter-driven (not an iteration over the mutating dict), so
-        # arrival order cannot leak into delivery order.
-        queue = state.queue
-        while state.next_seq in state.pending:
-            self.env.touch(queue, "w")
-            queue.append(state.pending.pop(state.next_seq))
-            state.next_seq += 1
+        self.env.touch(state.queue, "w")
+        state.queue.append(chunk)
+        state.next_seq += 1
         if state.drain_timer is None:
             self._ingest_next(session, state)
-        return "accepted"
+        return True
 
     # -- node-side drain ---------------------------------------------------
     def _open_drain(self, session: StreamSession, state: _RxState, event: Event) -> None:

@@ -4,8 +4,8 @@ A :class:`StreamSession` is one acquisition streamed from the
 instrument host to a compute endpoint — the streaming counterpart of
 one file-mode flow run.  The publisher slices the acquisition into
 fixed-size :class:`FrameChunk` records (the last chunk carries the
-remainder), numbers them, and sends them over long-lived fabric
-streams; the receiver reassembles them in sequence order.
+remainder), numbers them, and sends them one at a time over fabric
+streams, so the receiver takes them in sequence order.
 
 The session record doubles as the timing ledger the Fig.-4-style
 ingest comparison reads: creation, first/last chunk delivery, the
@@ -30,8 +30,6 @@ class FrameChunk:
 
     seq: int
     nbytes: float
-    #: Simulated time the publisher put this chunk on the fabric.
-    sent_at: float
     #: Wire digest computed by the publisher at send time (``None``
     #: when the session streams without integrity verification).
     digest: Optional[str] = None
@@ -92,7 +90,6 @@ class StreamSession:
     error: Optional[str] = None
 
     # -- timing ledger (simulated seconds) --------------------------------
-    first_sent_at: Optional[float] = None
     first_chunk_at: Optional[float] = None
     threshold_at: Optional[float] = None
     last_chunk_at: Optional[float] = None
@@ -101,16 +98,15 @@ class StreamSession:
     published_at: Optional[float] = None
 
     # -- protocol accounting ----------------------------------------------
-    #: Chunks the receiver rejected as already accepted (renegotiation
-    #: overlap or a withdrawn stream landing late).
+    #: Always 0 (the receiver raises on a duplicate chunk); kept for the
+    #: ``stream.session`` span attribute, the stream goldens and the
+    #: benchmark's ``stream.duplicates``, and goes with them.
     duplicates: int = 0
-    #: Gap renegotiations after chunk-delivery timeouts.
+    #: Renegotiations after chunk-delivery timeouts.
     renegotiations: int = 0
     chunks_sent: int = 0
     #: Chunks the receiver rejected on digest/size verification.
     naks: int = 0
-    #: Out-of-order arrivals (a sequence gap was open when they landed).
-    gaps: int = 0
     #: Chunks the publisher re-sent in response to a NAK.
     retransmits: int = 0
 

@@ -1,7 +1,6 @@
-"""Shapes the retired D106 caught, now N701's: events triggered,
-processes interrupted, items queued and processes started while
-iterating a set — the kernel queue then follows hash order, which
-changes between interpreter runs."""
+"""Shapes the retired D106 caught, now N701's: events triggered, items
+queued and processes started while iterating a set — the kernel queue
+then follows hash order, which changes between interpreter runs."""
 
 
 def wake(waiters):
@@ -12,11 +11,6 @@ def wake(waiters):
 def abort(waiters, exc):
     for ev in set(waiters):
         ev.fail(exc)  # expect: N701
-
-
-def stop(procs):
-    for proc in set(procs):
-        proc.interrupt()  # expect: N701
 
 
 def enqueue(store, jobs):

@@ -12,11 +12,6 @@ def abort(waiters, exc):
         ev.fail(exc)
 
 
-def stop(procs):
-    for proc in dict.fromkeys(procs):
-        proc.interrupt()
-
-
 def enqueue(store, jobs):
     for job in sorted(set(jobs)):
         store.put(job)

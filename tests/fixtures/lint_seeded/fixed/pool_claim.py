@@ -49,4 +49,4 @@ def provision(env, pool, node_id):
     # the compute scheduler's hand-off: the node releases its request
     req = pool.request()
     yield req
-    return Node(node_id=node_id, provisioned_at=env.now, request=req)
+    return Node(node_id=node_id, request=req)

@@ -168,9 +168,7 @@ FAULT_INSTRUMENTS = frozenset({
     "integrity.quarantined",
     "stream.renegotiations",
     "stream.retransmits",
-    "stream.duplicates",
     "stream.naks",
-    "stream.gaps",
 })
 
 _STORM = {

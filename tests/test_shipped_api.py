@@ -13,12 +13,20 @@ tracer and metrics registry as one ``obs`` bundle, so outside
 ``metrics`` parameter and no module imports ``NULL_TRACER`` or
 ``NULL_METRICS``.
 
+And it keeps no write-only state: every attribute stored
+(``obj.name = ...``, ``+=`` included) and every class-level annotated
+field declared under ``src/repro`` (``repro/lint`` excluded) must be
+read as an attribute, loaded as a name, or named in a string constant
+(``getattr``, ``__slots__``) somewhere in ``src/``, ``tests/``,
+``examples/`` or ``benchmarks/``.
+
 These are static checks over the AST: they import nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -35,6 +43,11 @@ ALLOWED = {
     "video_info": "the tests' MPNG reader, which checks write_video",
 }
 
+#: Stored attributes nothing reads, kept on purpose.
+WRITE_ONLY_ALLOWED = {
+    "drain_open": "the R501 hand-off of the stream drain-span opener",
+}
+
 
 def _python_files(top):
     for dirpath, dirnames, filenames in os.walk(top):
@@ -44,6 +57,7 @@ def _python_files(top):
                 yield os.path.join(dirpath, name)
 
 
+@functools.lru_cache(maxsize=None)
 def _parse(path):
     with open(path, encoding="utf-8") as fh:
         return ast.parse(fh.read(), filename=path)
@@ -122,3 +136,56 @@ def _obs_wiring():
 def test_services_take_one_obs_bundle():
     hits = _obs_wiring()
     assert not hits, f"take obs= (an Observability bundle) instead: {hits}"
+
+
+def _stored_names():
+    """Attributes stored and class-level fields declared in the package
+    (lint excluded), each with the first module that stores it."""
+    lint = os.path.join(PACKAGE, "lint") + os.sep
+    stored = {}
+    for path in _python_files(PACKAGE):
+        if path.startswith(lint):
+            continue
+        where = os.path.relpath(path, PACKAGE)
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, where)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(
+                        stmt.target, ast.Name
+                    ):
+                        stored.setdefault(stmt.target.id, where)
+    return stored
+
+
+def _never_read():
+    """Stored names nothing reads (this module's allowlist keys aside)."""
+    here = os.path.realpath(__file__)
+    read = set()
+    for top in USE_TREES + ("tests",):
+        for path in _python_files(os.path.join(ROOT, top)):
+            if os.path.realpath(path) == here:
+                continue
+            tree = _parse(path)
+            read |= _uses(tree)
+            read |= {
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            }
+    return {name: where for name, where in _stored_names().items() if name not in read}
+
+
+def test_every_stored_attribute_is_read():
+    stray = {
+        name: where
+        for name, where in _never_read().items()
+        if name not in WRITE_ONLY_ALLOWED
+    }
+    assert not stray, f"stored but never read; delete them: {stray}"
+
+
+def test_write_only_allowlist_is_not_stale():
+    now_read = sorted(set(WRITE_ONLY_ALLOWED) - set(_never_read()))
+    assert not now_read, f"allowlisted but now read; drop them: {now_read}"

@@ -8,6 +8,8 @@ head-to-head latency win over the file pipeline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import run_campaign
@@ -97,12 +99,22 @@ def test_credit_window_bounds_in_flight():
     publisher = StreamPublisher(
         env, fabric, receiver, src_host="inst", window=4, chunk_bytes=MB(8)
     )
+    high_water = 0
+    arrived = receiver.arrived
+
+    def counting_arrived(session, chunk):
+        nonlocal high_water
+        in_flight = publisher.window - receiver._states[session.session_id].credits
+        high_water = max(high_water, in_flight)
+        return arrived(session, chunk)
+
+    receiver.arrived = counting_arrived
     session = publisher.start("/acq.emd", MB(8) * 12)
     env.run()
     assert session.status == "DELIVERED"
     state = receiver._states[session.session_id]
-    assert state.max_in_flight <= 4
-    assert state.max_in_flight >= 3
+    assert high_water <= 4
+    assert high_water >= 3
     assert session.duplicates == 0
     assert state.drained == 12
 
@@ -162,7 +174,38 @@ def test_receiver_rejects_reopen_and_unknown_session():
     other = publisher.start("/acq2.emd", MB(8))
     del receiver._states[other.session_id]
     with pytest.raises(StreamError):
-        receiver.ack(other)
+        receiver.credit(other)
+
+
+def test_out_of_sequence_chunk_is_refused():
+    """The publisher keeps one chunk on the wire and resends a withdrawn
+    chunk under its own number, so a chunk one ahead of sequence or one
+    already accepted is a protocol fault, not a gap or duplicate to
+    count: the receiver raises, naming the session, and the session
+    still delivers."""
+    env, fabric = _fabric_world()
+    receiver = StreamReceiver(env, host="node")
+    publisher = StreamPublisher(
+        env, fabric, receiver, src_host="inst", chunk_bytes=MB(8)
+    )
+    arrivals = []
+    arrived = receiver.arrived
+
+    def recording_arrived(session, chunk):
+        arrivals.append(chunk)
+        return arrived(session, chunk)
+
+    receiver.arrived = recording_arrived
+    session = publisher.start("/acq.emd", MB(8) * 6)
+    env.run(until=session.threshold)
+    last = arrivals[-1]
+    assert receiver._states[session.session_id].next_seq == last.seq + 1
+    for seq in (last.seq + 2, last.seq):
+        with pytest.raises(StreamError, match=session.session_id):
+            arrived(session, replace(last, seq=seq))
+    env.run()
+    assert session.status == "DELIVERED"
+    assert session.duplicates == 0
 
 
 # -- blackout renegotiation --------------------------------------------------
@@ -170,8 +213,8 @@ def test_receiver_rejects_reopen_and_unknown_session():
 
 def test_blackout_renegotiation_delivers_exactly_once():
     """A link blackout mid-session stalls the in-flight chunk; the
-    publisher withdraws it, renegotiates, and resumes from the
-    receiver's ack — every frame reaches the drain exactly once."""
+    publisher withdraws it, renegotiates, and resends it under its own
+    sequence number — every frame reaches the drain exactly once."""
     env, fabric = _fabric_world()
     obs = Observability(env)
     metrics = obs.metrics
@@ -195,17 +238,14 @@ def test_blackout_renegotiation_delivers_exactly_once():
     state = receiver._states[session.session_id]
     assert state.drained == 10
     assert state.next_seq == 10
-    assert not state.pending
     # exactly once: the drain saw each of the 10 frames a single time
     assert metrics.counter("stream.chunks_delivered").value == 10
     assert metrics.counter("stream.renegotiations").value == session.renegotiations
-    # receiver bookkeeping surfaces as obs metrics: renegotiation may
-    # re-deliver frames (counted, refunded, never drained twice), but an
-    # unverified clean wire produces no NAKs and no reorder gaps
+    # receiver bookkeeping surfaces as obs metrics: an unverified clean
+    # wire produces no duplicates and no NAKs
     assert metrics.counter("stream.duplicates").value == session.duplicates
     assert metrics.counter("stream.naks").value == 0
-    assert metrics.counter("stream.gaps").value == 0
-    assert session.naks == 0 and session.gaps == 0
+    assert session.naks == 0
 
 
 def test_deadline_inside_admission_window_polls_until_landing():
