@@ -14,8 +14,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import identify_elements, intensity_map, sum_spectrum
-from repro.core import analyze_hyperspectral_file
+from repro.analysis import (
+    analyze_hyperspectral_file,
+    identify_elements,
+    intensity_map,
+    sum_spectrum,
+)
 from repro.emd import read_emd, write_emd
 from repro.instrument import PicoProbe
 from repro.portal import Portal

@@ -14,8 +14,7 @@ Artifacts land in ``output_dir`` (default ``./quicklook_out``).
 import os
 import sys
 
-from repro.analysis import identify_elements, sum_spectrum
-from repro.core import analyze_hyperspectral_file
+from repro.analysis import analyze_hyperspectral_file, identify_elements, sum_spectrum
 from repro.emd import write_emd
 from repro.instrument import PicoProbe
 from repro.portal import Portal

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from repro.core import analyze_hyperspectral_file
+from repro.analysis import analyze_hyperspectral_file
 from repro.emd import write_emd
 from repro.instrument import PicoProbe
 from repro.portal import Portal

@@ -17,10 +17,16 @@ infrastructure and every substrate it depends on, from scratch:
 * :mod:`repro.search`, :mod:`repro.portal` — Globus-Search-style index
   and the DGPF-style data portal;
 * :mod:`repro.watcher` — the watchdog-style trigger app substrate;
-* :mod:`repro.analysis` — hyperspectral reductions, metadata
-  extraction, EMD→video conversion, nanoparticle detection/tracking;
+* :mod:`repro.analysis` — hyperspectral reductions, EMD→video
+  conversion, nanoparticle detection/tracking, and the real-file
+  pipelines built on them;
 * :mod:`repro.core` — the paper's flows, campaigns, and statistics;
 * :mod:`repro.testbed` — the calibrated Argonne-like world.
+
+The package re-exports the six campaign names of ``__all__`` and
+imports only what a campaign runs: import a subpackage to use it.  A
+campaign loads neither :mod:`repro.analysis` (nor, with it, scipy) nor
+:mod:`repro.lint`.
 
 Quickstart::
 
@@ -29,24 +35,6 @@ Quickstart::
     print(render_table1([hyper.table1()]))
 """
 
-from . import (
-    analysis,
-    auth,
-    compute,
-    core,
-    emd,
-    flows,
-    instrument,
-    net,
-    portal,
-    search,
-    sim,
-    storage,
-    testbed,
-    transfer,
-    viz,
-    watcher,
-)
 from .core import CampaignResult, render_table1, run_campaign
 from .testbed import Calibration, Testbed, build_testbed
 
@@ -59,21 +47,5 @@ __all__ = [
     "build_testbed",
     "Testbed",
     "Calibration",
-    "sim",
-    "emd",
-    "instrument",
-    "net",
-    "transfer",
-    "compute",
-    "flows",
-    "search",
-    "portal",
-    "watcher",
-    "analysis",
-    "core",
-    "testbed",
-    "storage",
-    "auth",
-    "viz",
     "__version__",
 ]

@@ -82,7 +82,7 @@ def _cmd_portal(args: argparse.Namespace) -> int:
 def _cmd_quicklook(args: argparse.Namespace) -> int:
     import os
 
-    from .core import analyze_hyperspectral_file
+    from .analysis import analyze_hyperspectral_file
     from .emd import write_emd
     from .instrument import PicoProbe
     from .rng import RngRegistry

@@ -5,7 +5,10 @@ Gladier tools composing the Transfer → Analyze → Publish flow
 (``functions``), the watcher-triggered client application (``app``), the
 Sec. 3.3 performance campaigns declared as :class:`CampaignConfig` and
 run by :func:`run_campaign` (``campaign``), and the Table 1 / Fig. 4
-statistics (``stats``).
+statistics (``stats``).  Nothing here imports :mod:`repro.analysis`:
+a campaign's functions publish records and charge cost models, and the
+real-file pipelines they stand for are
+:mod:`repro.analysis.pipelines`.
 """
 
 from .app import FlowTriggerApp, TriggerApp
@@ -18,8 +21,6 @@ from .campaign import (
 )
 from .sanitize import SanitizeResult, campaign_trace, sanitize_campaign
 from .functions import (
-    analyze_hyperspectral_file,
-    analyze_spatiotemporal_file,
     analyze_virtual_hyperspectral,
     analyze_virtual_spatiotemporal,
     file_descriptor,
@@ -58,8 +59,6 @@ __all__ = [
     "file_descriptor",
     "analyze_virtual_hyperspectral",
     "analyze_virtual_spatiotemporal",
-    "analyze_hyperspectral_file",
-    "analyze_spatiotemporal_file",
     "hyperspectral_cost_model",
     "spatiotemporal_cost_model",
     "Table1Row",

@@ -29,11 +29,11 @@ from ..flows import FlowState, FlowDefinition, GladierClient, GladierTool
 from ..flows.action import ActionState, ActionStatus, check_body
 from ..instrument import UseCaseSpec
 from ..rng import RngRegistry, lognormal_from_median
+from ..search.datacite import build_search_document
 from ..sim import Environment
 from ..storage import VirtualFS
 from ..testbed.calibration import Calibration
 from ..units import MB
-from .functions import build_search_document
 from .tools import publish_tool, transfer_tool
 
 __all__ = [
@@ -265,8 +265,8 @@ def spectral_movie_cost_model(cal: Calibration, rngs: "RngRegistry | None" = Non
     def model(args: tuple, kwargs: dict) -> float:
         file = kwargs.get("file") or (args[0] if args else {})
         gb = float(file.get("size_bytes", 0.0)) / 1e9
-        md = AcquisitionMetadata.from_json(file["metadata_json"])
-        n_frames = md.shape[0] if md.shape else 0
+        shape = file["shape"]
+        n_frames = shape[0] if shape else 0
         median = (
             cal.hyperspectral_analysis_s_per_gb * gb
             + cal.inference_s_per_frame * n_frames

@@ -1,21 +1,13 @@
 """The analysis functions the flows execute on Polaris.
 
-Two tiers, matching how the reproduction splits content from timing:
-
-* **Campaign (virtual) functions** operate on a *file descriptor* —
-  path, size, embedded metadata JSON — and produce the real DataCite
-  search document the publication step ingests.  Their simulated
-  duration comes from calibrated cost models (seconds per GB for the
-  hyperspectral reductions; cast+encode per GB plus per-frame inference
-  for the movie pipeline), so Fig. 4's compute phase is data-dependent,
-  not a constant.
-* **Content functions** (:func:`analyze_hyperspectral_file`,
-  :func:`analyze_spatiotemporal_file`) run the full real pipeline over a
-  real EMD file on disk — used by the examples and the Fig. 2/3 benches.
-
-Per the paper (Sec. 2.2.2), metadata extraction and image processing are
-**combined into a single function** "which avoids reading the EMD file
-twice and minimizes flow orchestration overhead".
+They operate on a *file descriptor* — path, size, shape, embedded
+metadata JSON — and produce the real DataCite search document the
+publication step ingests.  Their simulated duration comes from
+calibrated cost models (seconds per GB for the hyperspectral
+reductions; cast+encode per GB plus per-frame inference for the movie
+pipeline), so Fig. 4's compute phase is data-dependent, not a constant.
+The pipelines they stand for, run over a real EMD file, are
+:mod:`repro.analysis.pipelines`.
 """
 
 from __future__ import annotations
@@ -23,23 +15,10 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Optional
 
-import numpy as np
-
-from ..analysis import (
-    BlobDetector,
-    DetectorParams,
-    annotate_video,
-    build_search_document,
-    count_series,
-    identify_elements,
-    intensity_figure_svg,
-    movie_to_uint8,
-    spectrum_figure_svg,
-    sum_spectrum,
-)
-from ..emd import AcquisitionMetadata, EmdFile
+from ..emd import AcquisitionMetadata
 from ..errors import ComputeError
 from ..rng import RngRegistry, lognormal_from_median
+from ..search.datacite import build_search_document
 from ..storage import VirtualFile
 from ..testbed.calibration import Calibration
 
@@ -49,8 +28,6 @@ __all__ = [
     "analyze_virtual_spatiotemporal",
     "hyperspectral_cost_model",
     "spatiotemporal_cost_model",
-    "analyze_hyperspectral_file",
-    "analyze_spatiotemporal_file",
 ]
 
 
@@ -64,11 +41,9 @@ def file_descriptor(f: VirtualFile, dest_path: str) -> dict[str, Any]:
         "size_bytes": f.size_bytes,
         "checksum": f.checksum,
         "signal_type": f.metadata.signal_type,
+        "shape": list(f.metadata.shape),
         "metadata_json": f.metadata.to_json(),
     }
-
-
-# -- campaign (virtual) functions ------------------------------------------------
 
 
 def analyze_virtual_hyperspectral(file: dict[str, Any]) -> dict[str, Any]:
@@ -137,93 +112,11 @@ def spatiotemporal_cost_model(
     def model(args: tuple, kwargs: dict) -> float:
         file = kwargs.get("file") or (args[0] if args else {})
         gb = float(file.get("size_bytes", 0.0)) / 1e9
-        md = AcquisitionMetadata.from_json(file["metadata_json"])
-        n_frames = md.shape[0] if md.shape else 0
+        shape = file["shape"]
+        n_frames = shape[0] if shape else 0
         median = cal.conversion_s_per_gb * gb + cal.inference_s_per_frame * n_frames
         return lognormal_from_median(
             rngs.stream("cost.spatiotemporal"), median, cal.analysis_jitter_sigma
         )
 
     return model
-
-
-# -- content functions (real EMD files) ----------------------------------------------
-
-
-def analyze_hyperspectral_file(
-    emd_path: "str | os.PathLike",
-    output_dir: "str | os.PathLike",
-) -> dict[str, Any]:
-    """The real Sec. 3.1 pipeline: reductions + plots + metadata.
-
-    Writes ``*_intensity.svg`` and ``*_spectrum.svg`` next to the
-    returned search document (which embeds both plots for the portal).
-    """
-    out = os.fspath(output_dir)
-    os.makedirs(out, exist_ok=True)
-    with EmdFile(emd_path) as f:
-        handle = f.signal()
-        if handle.signal_type != "hyperspectral":
-            raise ComputeError(
-                f"{emd_path}: expected hyperspectral, got {handle.signal_type!r}"
-            )
-        cube = handle.data.read()
-        energies = handle.dim(3).values
-        md = f.metadata()
-
-    intensity_svg = intensity_figure_svg(cube)
-    spectrum_svg = spectrum_figure_svg(cube, energies)
-    stem = os.path.join(out, os.path.splitext(os.path.basename(os.fspath(emd_path)))[0])
-    with open(f"{stem}_intensity.svg", "w", encoding="utf-8") as fh:
-        fh.write(intensity_svg)
-    with open(f"{stem}_spectrum.svg", "w", encoding="utf-8") as fh:
-        fh.write(spectrum_svg)
-
-    hits = identify_elements(sum_spectrum(cube), energies)
-    return build_search_document(
-        md,
-        plots={"intensity image": intensity_svg, "sum spectrum": spectrum_svg},
-        data_location=os.fspath(emd_path),
-        extra={
-            "detected_elements": sorted({h.element for h in hits}),
-        },
-    )
-
-
-def analyze_spatiotemporal_file(
-    emd_path: "str | os.PathLike",
-    output_dir: "str | os.PathLike",
-    detector_params: Optional[DetectorParams] = None,
-    confidence_threshold: float = 0.5,
-) -> dict[str, Any]:
-    """The real Sec. 3.2 pipeline: convert, detect, annotate, count."""
-    out = os.fspath(output_dir)
-    os.makedirs(out, exist_ok=True)
-    with EmdFile(emd_path) as f:
-        handle = f.signal()
-        if handle.signal_type != "spatiotemporal":
-            raise ComputeError(
-                f"{emd_path}: expected spatiotemporal, got {handle.signal_type!r}"
-            )
-        movie = handle.data.read()
-        md = f.metadata()
-
-    movie_u8 = movie_to_uint8(movie)  # the paper's casting bottleneck
-    detector = BlobDetector(detector_params)
-    detections = detector.detect_movie(movie)
-    counts = count_series(detections, min_confidence=confidence_threshold)
-
-    stem = os.path.join(out, os.path.splitext(os.path.basename(os.fspath(emd_path)))[0])
-    annotated = f"{stem}_annotated.mpng"
-    annotate_video(
-        movie_u8, detections, annotated, confidence_threshold=confidence_threshold
-    )
-    return build_search_document(
-        md,
-        data_location=os.fspath(emd_path),
-        extra={
-            "annotated_video": annotated,
-            "particle_counts": [int(c) for c in counts],
-            "mean_particle_count": float(np.mean(counts)),
-        },
-    )

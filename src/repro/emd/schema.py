@@ -4,8 +4,9 @@ Mirrors the metadata the paper extracts with HyperSpy (Sec. 2.2.2):
 sample collection date/time; acquisition instrument details such as stage
 and detector positions, beam energy, and magnification; and software
 versioning.  Stored inside EMD files as a JSON payload (the same
-convention Velox/EMD uses), and re-parsed by
-:mod:`repro.analysis.metadata` on the HPC side.
+convention Velox/EMD uses), re-parsed by :meth:`repro.emd.EmdFile.metadata`
+on the HPC side, and published through
+:func:`repro.search.datacite.build_search_document`.
 """
 
 from __future__ import annotations

@@ -4,17 +4,19 @@ The paper registers experiment metadata "defined by using an extensible
 schema based on DataCite".  This module defines that schema — required
 DataCite kernel fields (identifier, title, creator, publication year,
 resource type) plus the extensible ``subjects`` / ``dates`` /
-``descriptions`` blocks the portal renders — and validates documents
-before ingest.
+``descriptions`` blocks the portal renders — validates documents before
+ingest, and builds the record published for one acquisition
+(:func:`build_search_document`).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from ..errors import SchemaError
+from ..emd import AcquisitionMetadata
+from ..errors import FormatError, SchemaError
 
-__all__ = ["validate_datacite", "make_record"]
+__all__ = ["validate_datacite", "make_record", "build_search_document"]
 
 REQUIRED_FIELDS = ("identifier", "title", "creators", "publication_year", "resource_type")
 
@@ -75,3 +77,77 @@ def make_record(
     }
     doc.update(extensions)
     return validate_datacite(doc)
+
+
+def build_search_document(
+    md: AcquisitionMetadata,
+    plots: Optional[dict[str, str]] = None,
+    data_location: Optional[str] = None,
+    extra: Optional[dict[str, Any]] = None,
+) -> dict[str, Any]:
+    """The DataCite record published for one acquisition.
+
+    Sec. 2.2.2 extracts experiment metadata from the EMD file with
+    HyperSpy: collection date and time, microscope details (stage and
+    detector positions, beam energy, magnification) and software
+    versioning.  :meth:`repro.emd.EmdFile.metadata` re-implements that
+    parse; this turns its result into the record the publication step
+    ingests, whose ``experiment`` section is the portal's Fig. 2C
+    metadata table.
+
+    ``plots`` maps plot name → SVG markup (embedded by the portal);
+    ``data_location`` is the permanent Eagle path of the raw file.
+    """
+    if not md.acquisition_id:
+        raise FormatError("metadata missing acquisition_id")
+    year = 2023
+    if md.acquired_at_iso[:4].isdigit():
+        year = int(md.acquired_at_iso[:4])
+    title = {
+        "hyperspectral": f"Hyperspectral acquisition {md.acquisition_id}: {md.sample.name or 'sample'}",
+        "spatiotemporal": f"Spatiotemporal acquisition {md.acquisition_id}: {md.sample.name or 'sample'}",
+    }.get(md.signal_type, f"Acquisition {md.acquisition_id}")
+    doc = make_record(
+        identifier=f"picoprobe:{md.acquisition_id}",
+        title=title,
+        creators=[md.operator or "unknown"],
+        publication_year=year,
+        resource_type="Dataset",
+        dates={"created": md.acquired_at_iso},
+        subjects=[md.signal_type, *md.sample.elements],
+        experiment={
+            "acquisition_id": md.acquisition_id,
+            "operator": md.operator,
+            "signal_type": md.signal_type,
+            "shape": list(md.shape),
+            "dtype": md.dtype,
+            "microscope": {
+                "instrument": md.microscope.instrument,
+                "beam_energy_kev": md.microscope.beam_energy_kev,
+                "probe_size_pm": md.microscope.probe_size_pm,
+                "magnification": md.microscope.magnification,
+                "stage": {
+                    "x_um": md.microscope.stage.x_um,
+                    "y_um": md.microscope.stage.y_um,
+                    "z_um": md.microscope.stage.z_um,
+                    "alpha_deg": md.microscope.stage.alpha_deg,
+                    "beta_deg": md.microscope.stage.beta_deg,
+                },
+                "detectors": [
+                    {"name": d.name, "kind": d.kind} for d in md.microscope.detectors
+                ],
+            },
+            "sample": {
+                "name": md.sample.name,
+                "elements": list(md.sample.elements),
+            },
+            "software_version": md.software_version,
+        },
+    )
+    if plots:
+        doc["plots"] = dict(plots)
+    if data_location:
+        doc["data_location"] = data_location
+    if extra:
+        doc.update(extra)
+    return doc

@@ -63,8 +63,8 @@ class _RxState:
     drained: int = 0
     #: Expected chunk sizes, precomputed when the session verifies.
     sizes: Optional[list[float]] = None
-    #: Sequence numbers NAK'd and awaiting a clean retransmit.
-    nak_seqs: set[int] = field(default_factory=set)
+    #: ``next_seq`` was NAK'd and awaits a clean retransmit.
+    nak_pending: bool = False
 
 
 class StreamReceiver:
@@ -195,7 +195,7 @@ class StreamReceiver:
                     "truncated" if chunk.nbytes != expected_nbytes else "corrupt"
                 )
                 session.naks += 1
-                state.nak_seqs.add(chunk.seq)
+                state.nak_pending = True
                 self._metrics.counter("stream.naks").inc()
                 if self.ledger is not None:
                     self.ledger.detect(
@@ -207,9 +207,9 @@ class StreamReceiver:
                     )
                 self._return_credit(state)
                 return False
-            if chunk.seq in state.nak_seqs:
-                # A previously NAK'd sequence verified on retransmit.
-                state.nak_seqs.discard(chunk.seq)
+            if state.nak_pending:
+                # The NAK'd sequence verified on retransmit.
+                state.nak_pending = False
                 if self.ledger is not None:
                     self.ledger.repair(
                         "stream",

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.functions import (
+from repro.analysis import (
     analyze_hyperspectral_file,
     analyze_spatiotemporal_file,
+    read_video,
+    video_info,
+)
+from repro.core.functions import (
     analyze_virtual_hyperspectral,
     analyze_virtual_spatiotemporal,
     file_descriptor,
@@ -26,7 +30,6 @@ from repro.rng import RngRegistry
 from repro.search import validate_datacite
 from repro.storage import VirtualFS
 from repro.testbed import DEFAULT_CALIBRATION
-from repro.analysis import read_video, video_info
 
 
 def make_vfile(uc=HYPERSPECTRAL_USE_CASE, size=None):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EndpointError
@@ -100,15 +99,15 @@ def test_add_link_rejects_non_finite_capacity_and_bad_latency(capacity, latency)
 
 @pytest.fixture
 def count_searches(monkeypatch):
-    """Count networkx shortest-path searches made by the topology."""
+    """Count the shortest-path searches the topology runs (memo misses)."""
     calls: list[tuple[str, str]] = []
-    real = nx.shortest_path
+    real = Topology._shortest_path
 
-    def counting(g, source=None, target=None, *args, **kwargs):
-        calls.append((source, target))
-        return real(g, source, target, *args, **kwargs)
+    def counting(self, src, dst):
+        calls.append((src, dst))
+        return real(self, src, dst)
 
-    monkeypatch.setattr(nx, "shortest_path", counting)
+    monkeypatch.setattr(Topology, "_shortest_path", counting)
     return calls
 
 
@@ -172,6 +171,68 @@ def test_stream_session_routes_each_pair_once(count_searches):
     assert session.status == "DELIVERED"
     assert session.chunks_sent == 100
     assert count_searches == [("inst", "node")]
+
+
+@st.composite
+def drawn_graphs(draw):
+    """2–6 nodes, any subset of the node pairs linked (so cycles and
+    unreachable nodes both occur), latencies from a small set with
+    zeros and ties, and two distinct endpoints (``src == dst`` is
+    ``test_route_same_node_empty``)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    latency = draw(
+        st.dictionaries(st.sampled_from(pairs), st.sampled_from((0.0, 0.001, 0.5, 1.0)))
+    )
+    src, dst = draw(st.permutations(range(n)))[:2]
+    return n, latency, f"n{src}", f"n{dst}"
+
+
+def _simple_path_weights(adj, node, dst, seen, weight):
+    """The weight of every simple path from ``node`` to ``dst``, summed
+    from the source in path order."""
+    if node == dst:
+        yield weight
+        return
+    for nxt, w in adj[node].items():
+        if nxt not in seen:
+            yield from _simple_path_weights(adj, nxt, dst, seen | {nxt}, weight + w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_graphs())
+# free routes of two and three hops, the longer one reached first
+@example((5, {(0, 1): 0.0, (1, 2): 0.0, (2, 3): 0.0, (0, 4): 0.0, (3, 4): 0.0}, "n0", "n3"))
+def test_route_is_a_least_weight_simple_path(graph):
+    """On any graph, cycles included, ``path`` returns a chain of
+    existing links from ``src`` to ``dst`` visiting no node twice, whose
+    weight (latency; 1e-9 for a zero-latency link) is the least over
+    every simple path, and raises exactly when ``dst`` is unreachable."""
+    n, latency, src, dst = graph
+    t = Topology()
+    for i in range(n):
+        t.add_node(f"n{i}")
+    adj = {f"n{i}": {} for i in range(n)}
+    for (i, j), lat in latency.items():
+        t.add_link(f"n{i}", f"n{j}", Gbps(1), latency_s=lat)
+        adj[f"n{i}"][f"n{j}"] = adj[f"n{j}"][f"n{i}"] = lat if lat > 0 else 1e-9
+    weights = list(_simple_path_weights(adj, src, dst, {src}, 0.0))
+    if not weights:
+        with pytest.raises(EndpointError, match="no route"):
+            t.path(src, dst)
+        return
+    links, path_latency = t.path(src, dst)
+    visited, weight = [src], 0.0
+    for link in links:
+        assert visited[-1] in (link.a, link.b)
+        nxt = link.b if link.a == visited[-1] else link.a
+        assert t.link(visited[-1], nxt) is link
+        visited.append(nxt)
+        weight += adj[link.a][link.b]
+    assert visited[-1] == dst
+    assert len(set(visited)) == len(visited)
+    assert weight == min(weights)
+    assert path_latency == sum(l.latency_s for l in links)
 
 
 # -- max-min fairness -------------------------------------------------------------

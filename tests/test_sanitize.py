@@ -18,10 +18,13 @@ from repro.sim import NORMAL, URGENT, Environment, Resource, Store
 
 def test_import_repro_does_not_load_the_linter():
     # campaign processes import repro (and the sanitizer) but never the
-    # analyzer; SanitizeResult.diagnostics() loads it on first use
+    # analyzer; SanitizeResult.diagnostics() loads it on first use.  Nor
+    # do they load the real-file data plane (repro.analysis, scipy) or a
+    # graph library: a campaign runs none of it
     code = (
-        "import sys, repro, repro.core.sanitize\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))\n"
+        "import sys, repro, repro.core, repro.core.sanitize, repro.chaos\n"
+        "banned = ('repro.lint.', 'repro.analysis.', 'scipy.', 'networkx.')\n"
+        "print(sorted(m for m in sys.modules if (m + '.').startswith(banned)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

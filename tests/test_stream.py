@@ -330,7 +330,7 @@ def test_corrupt_chunk_nak_selective_retransmit():
     assert session.naks == 2 and session.retransmits == 2
     assert session.failed is not None and not session.failed.triggered
     state = receiver._states[session.session_id]
-    assert state.drained == 10 and not state.nak_seqs
+    assert state.drained == 10 and not state.nak_pending
     assert metrics.counter("stream.naks").value == 2
     assert metrics.counter("stream.retransmits").value == 2
     # exactly once despite the resends
